@@ -2,8 +2,10 @@
 // dependency): candidate-set restriction kernels (the seed's sorted-span
 // scan vs the bitset/galloping hybrid) on dense and sparse balls,
 // CandidateSpace::Build (the cold-start phase) serial vs a thread-count
-// sweep plus the label/degree intern pool, and QMatch end to end with the
-// Build phase split out. Emits BENCH_micro_dmatch.json; the
+// sweep plus the label/degree intern pool, ball extraction for a batch of
+// foci (one single-source BFS per focus vs one multi-source BFS), and
+// QMatch end to end with the Build phase split out. Emits
+// BENCH_micro_dmatch.json; the
 // "restrict/dense/optimized" and "build/*" rows are the tracked numbers
 // for the hot-path and construction-phase work, and tools/compare_bench.py
 // gates CI on them.
@@ -109,6 +111,84 @@ void RestrictCase(const char* name, const Graph& g, const CandidateSpace& cs,
                {{"ball", static_cast<double>(ball.size())},
                 {"iters", static_cast<double>(opt_iters)},
                 {"speedup_vs_baseline", speedup}});
+}
+
+// Ball extraction for one batch of foci at `radius`: a single-source BFS
+// per focus (the warm IncQMatch path, and the cold focus map before
+// batching) vs one multi-source BFS for the whole batch (the cold focus
+// map). Both sides produce every focus's sorted ball, and the batch's
+// balls must equal the per-focus ones.
+void BallCase(const char* name, const Graph& g, int radius,
+              std::span<const VertexId> foci, BenchReporter& reporter) {
+  DynamicBitset all_labels(g.dict().size());
+  for (Label l = 0; l < g.dict().size(); ++l) all_labels.Set(l);
+  const size_t limit = g.num_vertices();
+  BallScratch single;
+  MultiBallScratch multi;
+  std::vector<VertexId> decoded;
+
+  KHopBallsFiltered(g, foci, radius, all_labels, limit, &multi);
+  size_t members = 0;
+  for (size_t i = 0; i < foci.size(); ++i) {
+    bool complete = false;
+    const std::span<const VertexId> expect = KHopBallFilteredScratch(
+        g, foci[i], radius, all_labels, limit, &single, &complete);
+    decoded.clear();
+    multi.AppendBallSorted(i, decoded);
+    const bool batch_complete = ((multi.complete >> i) & 1ULL) != 0;
+    if (batch_complete != complete ||
+        !std::equal(decoded.begin(), decoded.end(), expect.begin(),
+                    expect.end())) {
+      std::printf("FATAL: batched ball of focus %u differs\n", foci[i]);
+      std::exit(1);
+    }
+    members += decoded.size();
+  }
+
+  volatile size_t sink = 0;
+  size_t per_iters = 0;
+  const double per_ms = TimePerCall(
+      [&] {
+        size_t total = 0;
+        for (VertexId v : foci) {
+          bool complete = false;
+          total += KHopBallFilteredScratch(g, v, radius, all_labels, limit,
+                                           &single, &complete)
+                       .size();
+        }
+        sink = sink + total;
+      },
+      &per_iters);
+  size_t batch_iters = 0;
+  const double batch_ms = TimePerCall(
+      [&] {
+        KHopBallsFiltered(g, foci, radius, all_labels, limit, &multi);
+        size_t total = 0;
+        for (size_t i = 0; i < foci.size(); ++i) {
+          decoded.clear();
+          multi.AppendBallSorted(i, decoded);
+          total += decoded.size();
+        }
+        sink = sink + total;
+      },
+      &batch_iters);
+
+  const double avg_ball =
+      static_cast<double>(members) / static_cast<double>(foci.size());
+  const double speedup = batch_ms > 0 ? per_ms / batch_ms : 0.0;
+  std::printf("balls/%-10s foci=%zu avg|ball|=%-7.1f per-focus %8.4f ms  "
+              "batched %8.4f ms  speedup %5.2fx\n",
+              name, foci.size(), avg_ball, per_ms, batch_ms, speedup);
+  const double n_foci = static_cast<double>(foci.size());
+  reporter.Add(std::string("balls/") + name + "/per_focus", per_ms,
+               {{"foci", n_foci},
+                {"avg_ball", avg_ball},
+                {"iters", static_cast<double>(per_iters)}});
+  reporter.Add(std::string("balls/") + name + "/batched", batch_ms,
+               {{"foci", n_foci},
+                {"avg_ball", avg_ball},
+                {"iters", static_cast<double>(batch_iters)},
+                {"speedup_vs_per_focus", speedup}});
 }
 
 size_t TotalCandidates(const CandidateSpace& cs) {
@@ -388,6 +468,15 @@ int main() {
   });
   VertexId median = by_degree[by_degree.size() / 2];
   RestrictCase("sparse", g, *cs, median, 1, reporter);
+
+  // Ball extraction: the first batch of good focus candidates the cold
+  // focus map would verify together, at radius 1 and 2.
+  std::printf("\n");
+  const std::span<const VertexId> good = cs->good(pi->first.focus());
+  const std::span<const VertexId> batch =
+      good.first(std::min<size_t>(good.size(), kMaxBallSources));
+  BallCase("r1", g, 1, batch, reporter);
+  BallCase("r2", g, 2, batch, reporter);
 
   // Build phase (cold-start cost): serial vs thread sweep vs interning.
   std::printf("\n");

@@ -27,7 +27,9 @@ namespace qgp {
 /// record which 64-bit words became nonzero so ResetTouched() only zeroes
 /// those. This is what makes a per-thread visited set reusable across
 /// thousands of per-focus ball extractions without O(|V|) clearing each
-/// time.
+/// time. A one-bit-per-word summary of the touched words lets
+/// AppendSetBitsSorted() list the members in ascending order without a
+/// sort.
 class SparseBitset {
  public:
   /// Grows the universe to at least `n` bits; existing bits survive.
@@ -35,6 +37,7 @@ class SparseBitset {
     if (n > size_) {
       size_ = n;
       words_.resize((n + 63) / 64, 0);
+      summary_.resize((words_.size() + 63) / 64, 0);
     }
   }
 
@@ -44,7 +47,7 @@ class SparseBitset {
 
   void Set(size_t i) {
     uint64_t& w = words_[i >> 6];
-    if (w == 0) touched_.push_back(static_cast<uint32_t>(i >> 6));
+    if (w == 0) Touch(i >> 6);
     w |= 1ULL << (i & 63);
   }
 
@@ -53,7 +56,7 @@ class SparseBitset {
     uint64_t& w = words_[i >> 6];
     uint64_t mask = 1ULL << (i & 63);
     if ((w & mask) != 0) return false;
-    if (w == 0) touched_.push_back(static_cast<uint32_t>(i >> 6));
+    if (w == 0) Touch(i >> 6);
     w |= mask;
     return true;
   }
@@ -65,16 +68,43 @@ class SparseBitset {
   /// Zeroes every dirtied word; cost proportional to bits set since the
   /// last reset, not to the universe.
   void ResetTouched() {
-    for (uint32_t w : touched_) words_[w] = 0;
+    for (uint32_t w : touched_) {
+      words_[w] = 0;
+      summary_[w >> 6] = 0;
+    }
     touched_.clear();
+  }
+
+  /// Appends every set bit to `out` in ascending order. Walks the
+  /// summary to visit the touched words in index order, so the cost is
+  /// O(|universe| / 4096 + touched words + set bits) and no sort runs.
+  void AppendSetBitsSorted(std::vector<uint32_t>& out) const {
+    for (size_t s = 0; s < summary_.size(); ++s) {
+      uint64_t sw = summary_[s];
+      while (sw != 0) {
+        const size_t wi = (s << 6) + static_cast<size_t>(__builtin_ctzll(sw));
+        sw &= sw - 1;
+        uint64_t w = words_[wi];
+        while (w != 0) {
+          out.push_back(static_cast<uint32_t>((wi << 6) + __builtin_ctzll(w)));
+          w &= w - 1;
+        }
+      }
+    }
   }
 
   /// Raw words, for word-parallel intersection with another bitset.
   std::span<const uint64_t> words() const { return words_; }
 
  private:
+  void Touch(size_t word) {
+    touched_.push_back(static_cast<uint32_t>(word));
+    summary_[word >> 6] |= 1ULL << (word & 63);
+  }
+
   size_t size_ = 0;
   std::vector<uint64_t> words_;
+  std::vector<uint64_t> summary_;  // bit w set iff word w is touched
   std::vector<uint32_t> touched_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/dmatch.h"
 
 #include <algorithm>
+#include <cassert>
 #include <optional>
 
 #include "core/generic_matcher.h"
@@ -21,6 +22,8 @@ inline uint64_t PairKey(VertexId a, VertexId b) {
 // proportional to the graph.
 struct DMatchScratch {
   BallScratch ball;
+  MultiBallScratch batch;               // shared BFS of a VerifyBatch
+  std::vector<VertexId> batch_ball;     // one member's decoded ball
   std::vector<std::vector<VertexId>> local;  // Lπ(u) element storage
   std::vector<std::unordered_set<uint64_t>> witnessed;       // per edge
   std::vector<std::unordered_set<uint64_t>> failed;          // per edge
@@ -69,28 +72,47 @@ class FocusVerifier {
         stats_(stats),
         s_(scratch) {}
 
+  // Per-focus entry: the ball comes from the warm cache when it covers
+  // this verification, else from a fresh single-source BFS.
   bool Verify(VertexId vx, int radius, const FocusCache* warm,
               FocusCache* cache_out) {
-    vx_ = vx;
     // (1) Neighborhood ball: everything an embedding pinned at vx can
     // touch lies within `radius` undirected hops of pattern-labeled
     // edges (§5.1). Hubs can make the ball cover most of G; past the
     // limit the verifier falls back to global candidate sets, which is
     // equally sound (the ball only narrows the search).
-    std::span<const uint64_t> ball_words;
+    SparseBitset& members = s_.ball.visited;
+    std::span<const VertexId> ball;
+    bool complete = true;
     if (warm != nullptr && warm->ball_complete && warm->radius >= radius &&
         warm->ball_filter_fingerprint == pattern_edge_labels_.Fingerprint() &&
         !warm->ball.empty()) {
-      ball_ = warm->ball;
-      ball_complete_ = true;
+      ball = warm->ball;
+      // Mirror the cached ball into the membership bitset that InLocal
+      // and the dense restriction kernel read.
+      members.EnsureUniverse(g_.num_vertices());
+      members.ResetTouched();
+      for (VertexId v : ball) members.Set(v);
     } else {
-      ball_ = KHopBallFilteredScratch(g_, vx, radius, pattern_edge_labels_,
-                                      ball_limit_, &s_.ball, &ball_complete_);
-      // The extraction's visited set holds exactly the ball members and
-      // doubles as the membership bitset for the restriction kernels.
-      if (ball_complete_) ball_words = s_.ball.visited.words();
+      // The extraction's visited set holds exactly the ball members.
+      ball = KHopBallFilteredScratch(g_, vx, radius, pattern_edge_labels_,
+                                     ball_limit_, &s_.ball, &complete);
       if (stats_ != nullptr) ++stats_->balls_built;
     }
+    return VerifyInBall(vx, radius, ball, members.words(), complete, warm,
+                        cache_out);
+  }
+
+  // Verifies vx against an extracted ball: `ball` sorted, `ball_words`
+  // its membership bitset, both ignored when the hub guard left the ball
+  // incomplete (the search then runs on global candidate sets).
+  bool VerifyInBall(VertexId vx, int radius, std::span<const VertexId> ball,
+                    std::span<const uint64_t> ball_words, bool complete,
+                    const FocusCache* warm, FocusCache* cache_out) {
+    vx_ = vx;
+    ball_ = ball;
+    ball_complete_ = complete;
+    ball_words_ = complete ? ball_words : std::span<const uint64_t>();
     // (2) Seed memos (before any early return: Finish reads them).
     ResizeAndClear(s_.witnessed, q_.num_edges());
     ResizeAndClear(s_.failed, q_.num_edges());
@@ -109,7 +131,7 @@ class FocusVerifier {
     // the candidate space itself (no copy either way).
     local_views_.assign(q_.num_nodes(), {});
     if (ball_complete_) {
-      cs_.RestrictStratifiedToBall(ball_, ball_words, &s_.local);
+      cs_.RestrictStratifiedToBall(ball_, ball_words_, &s_.local);
       for (PatternNodeId u = 0; u < q_.num_nodes(); ++u) {
         local_views_[u] = s_.local[u];
       }
@@ -167,9 +189,14 @@ class FocusVerifier {
     return found;
   }
 
+  // v ∈ Lπ(u) in O(1): Lπ(u) is Cπ(u) ∩ ball (Cπ(u) alone when the ball
+  // is incomplete), except at the focus, which is pinned to vx.
   bool InLocal(PatternNodeId u, VertexId v) const {
-    const std::span<const VertexId> l = local_views_[u];
-    return std::binary_search(l.begin(), l.end(), v);
+    if (u == q_.focus()) return v == vx_;
+    if (ball_complete_ && ((ball_words_[v >> 6] >> (v & 63)) & 1ULL) == 0) {
+      return false;
+    }
+    return cs_.InStratified(u, v);
   }
 
   // Is there an embedding of Qπ with h(xo)=vx, h(u)=v, h(u')=v'? Complete
@@ -269,6 +296,7 @@ class FocusVerifier {
   VertexId vx_ = kInvalidVertex;
   VertexId focus_pin_ = kInvalidVertex;  // storage behind the focus view
   std::span<const VertexId> ball_;       // into scratch or the warm cache
+  std::span<const uint64_t> ball_words_;  // ball membership (when complete)
   bool ball_complete_ = true;
   std::vector<std::span<const VertexId>> local_views_;
   std::optional<GenericMatcher> answer_matcher_;
@@ -356,6 +384,57 @@ bool PositiveEvaluator::VerifyFocus(VertexId vx, const FocusCache* warm,
   return verifier.Verify(vx, radius_, warm, cache_out);
 }
 
+size_t PositiveEvaluator::VerifyBatch(std::span<const VertexId> foci,
+                                      std::span<char> is_match,
+                                      std::span<FocusCache> caches_out,
+                                      MatchStats* stats,
+                                      const CancelToken* cancel,
+                                      size_t poll_base) const {
+  assert(foci.size() <= kBatchWidth && is_match.size() >= foci.size());
+  DMatchScratch& scratch = ThreadScratch();
+  const PatternNodeId focus = pattern_.focus();
+  size_t member = 0;  // BFS source index of the next good focus
+  bool extracted = false;
+  for (size_t i = 0; i < foci.size(); ++i) {
+    is_match[i] = 0;
+    if (cancel != nullptr && ((poll_base + i) & 15) == 0 &&
+        cancel->ShouldStop()) {
+      return i;
+    }
+    const VertexId vx = foci[i];
+    if (!cs_.InGood(focus, vx)) continue;
+    if (!extracted) {
+      // One BFS for every good focus of the batch, run lazily so a token
+      // that fires before the first good focus costs no traversal.
+      VertexId sources[kMaxBallSources];
+      size_t k = 0;
+      for (size_t j = i; j < foci.size(); ++j) {
+        if (cs_.InGood(focus, foci[j])) sources[k++] = foci[j];
+      }
+      KHopBallsFiltered(*g_, {sources, k}, radius_, pattern_edge_labels_,
+                        ball_limit_, &scratch.batch);
+      extracted = true;
+    }
+    const size_t b = member++;
+    const bool complete = ((scratch.batch.complete >> b) & 1ULL) != 0;
+    scratch.batch_ball.clear();
+    if (complete) scratch.batch.AppendBallSorted(b, scratch.batch_ball);
+    if (stats != nullptr) {
+      ++stats->focus_candidates_checked;
+      ++stats->balls_built;
+    }
+    FocusVerifier verifier(pattern_, stratified_, *g_, cs_, options_,
+                           edge_to_original_, num_original_edges_,
+                           quantified_out_, pattern_edge_labels_, ball_limit_,
+                           stats, scratch);
+    is_match[i] = verifier.VerifyInBall(
+        vx, radius_, scratch.batch_ball, scratch.batch.BallWords(b), complete,
+        nullptr,
+        caches_out.empty() ? nullptr : &caches_out[i]);
+  }
+  return foci.size();
+}
+
 AnswerSet PositiveEvaluator::EvaluateAll(
     MatchStats* stats,
     std::unordered_map<VertexId, FocusCache>* caches) const {
@@ -364,16 +443,27 @@ AnswerSet PositiveEvaluator::EvaluateAll(
 
 AnswerSet PositiveEvaluator::EvaluateSubset(
     std::span<const VertexId> focus_subset, MatchStats* stats,
-    std::unordered_map<VertexId, FocusCache>* caches) const {
+    std::unordered_map<VertexId, FocusCache>* caches,
+    const CancelToken* cancel) const {
   AnswerSet answers;
-  for (VertexId vx : focus_subset) {
-    FocusCache cache;
-    bool is_match =
-        VerifyFocus(vx, nullptr, caches != nullptr ? &cache : nullptr, stats);
-    if (is_match) {
-      answers.push_back(vx);
-      if (caches != nullptr) caches->emplace(vx, std::move(cache));
+  char is_match[kBatchWidth];
+  std::vector<FocusCache> batch_caches(caches != nullptr ? kBatchWidth : 0);
+  for (size_t begin = 0; begin < focus_subset.size(); begin += kBatchWidth) {
+    const std::span<const VertexId> foci = focus_subset.subspan(
+        begin, std::min(kBatchWidth, focus_subset.size() - begin));
+    const size_t done = VerifyBatch(
+        foci, {is_match, foci.size()},
+        std::span<FocusCache>(batch_caches).first(
+            caches != nullptr ? foci.size() : 0),
+        stats, cancel, begin);
+    for (size_t i = 0; i < done; ++i) {
+      if (!is_match[i]) continue;
+      answers.push_back(foci[i]);
+      if (caches != nullptr) {
+        caches->emplace(foci[i], std::move(batch_caches[i]));
+      }
     }
+    if (done < foci.size()) break;  // cancelled
   }
   Canonicalize(answers);
   return answers;

@@ -13,6 +13,7 @@
 #include "core/match_types.h"
 #include "core/pattern.h"
 #include "graph/graph.h"
+#include "graph/graph_algorithms.h"
 
 namespace qgp {
 
@@ -101,17 +102,38 @@ class PositiveEvaluator {
   bool VerifyFocus(VertexId vx, const FocusCache* warm,
                    FocusCache* cache_out, MatchStats* stats) const;
 
+  /// Widest batch VerifyBatch accepts: one bit of the shared BFS's
+  /// per-vertex reach mask per member.
+  static constexpr size_t kBatchWidth = kMaxBallSources;
+
+  /// Cold verification of up to kBatchWidth focus candidates. Verdicts,
+  /// artifacts and MatchStats equal those of VerifyFocus(foci[i],
+  /// nullptr, ...) for each i in order, but the balls of all good members
+  /// come out of one multi-source BFS (KHopBallsFiltered) instead of one
+  /// traversal each. `is_match[i]` receives member i's verdict;
+  /// `caches_out` is empty or holds foci.size() slots. `cancel`
+  /// (optional) is polled before member i whenever (poll_base + i) is a
+  /// multiple of 16; a fired token stops the batch, leaving the remaining
+  /// members "no match". Returns the number of members verified.
+  size_t VerifyBatch(std::span<const VertexId> foci, std::span<char> is_match,
+                     std::span<FocusCache> caches_out, MatchStats* stats,
+                     const CancelToken* cancel = nullptr,
+                     size_t poll_base = 0) const;
+
   /// Evaluates the full answer set; fills `caches` (optional) for every
   /// answer vertex.
   AnswerSet EvaluateAll(MatchStats* stats,
                         std::unordered_map<VertexId, FocusCache>* caches) const;
 
   /// Evaluates membership for an explicit focus subset (sorted not
-  /// required). Used by PQMatch to restrict to fragment-owned vertices
-  /// and by IncQMatch to restrict to cached answers.
+  /// required), in VerifyBatch batches of consecutive foci. Used by
+  /// QMatch's serial focus map and by tests. `cancel` (optional) is
+  /// polled every 16th focus; a fired token truncates the answer set, so
+  /// callers must re-check it before trusting the result.
   AnswerSet EvaluateSubset(std::span<const VertexId> focus_subset,
                            MatchStats* stats,
-                           std::unordered_map<VertexId, FocusCache>* caches) const;
+                           std::unordered_map<VertexId, FocusCache>* caches,
+                           const CancelToken* cancel = nullptr) const;
 
   const Pattern& pattern() const { return pattern_; }
   const CandidateSpace& candidate_space() const { return cs_; }

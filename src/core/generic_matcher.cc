@@ -156,10 +156,17 @@ bool GenericMatcher::Extend(size_t depth, const SearchOptions& options,
   }
 
   if (options.score != nullptr && frontier.size() > 1) {
-    std::stable_sort(frontier.begin(), frontier.end(),
-                     [&](VertexId a, VertexId b) {
-                       return (*options.score)(u, a) > (*options.score)(u, b);
+    // Score each vertex once, then order by score, highest first; the
+    // stable sort keeps ties in frontier order.
+    std::vector<std::pair<double, VertexId>>& scored = scratch_->scored;
+    scored.clear();
+    for (VertexId v : frontier) scored.emplace_back((*options.score)(u, v), v);
+    std::stable_sort(scored.begin(), scored.end(),
+                     [](const std::pair<double, VertexId>& a,
+                        const std::pair<double, VertexId>& b) {
+                       return a.first > b.first;
                      });
+    for (size_t i = 0; i < scored.size(); ++i) frontier[i] = scored[i].second;
   }
   for (VertexId v : frontier) {
     try_vertex(v);

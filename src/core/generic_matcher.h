@@ -43,6 +43,9 @@ class GenericMatcher {
   struct Scratch {
     SparseBitset used;
     std::vector<std::vector<VertexId>> frontier_bufs;
+    /// (score, vertex) pairs of the frontier being ordered; shared by all
+    /// depths because a frontier is reordered before the recursion.
+    std::vector<std::pair<double, VertexId>> scored;
   };
 
   /// Return false to stop the enumeration early.

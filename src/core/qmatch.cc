@@ -11,27 +11,40 @@ namespace qgp {
 
 namespace {
 
+// Warm-cache lookup for IncQMatch re-verification (null when absent).
+const FocusCache* WarmCache(
+    const std::unordered_map<VertexId, FocusCache>* warm, VertexId vx) {
+  if (warm == nullptr) return nullptr;
+  auto it = warm->find(vx);
+  return it == warm->end() ? nullptr : &it->second;
+}
+
 // Parallel map over focus candidates: verification is per-candidate
-// independent (PositiveEvaluator::VerifyFocus is const), so candidates
-// are verified across the pool as size-ordered (largest-ball-first)
-// stealable tasks and results merged deterministically — each task
-// writes only its candidates' slots, and the merge folds slots in
-// original subset order, so answers and all work counters are identical
-// to the serial loop at any thread count (only the scheduler telemetry
-// varies with the schedule).
+// independent (PositiveEvaluator is const), so candidates are verified
+// across the pool as size-ordered (largest-ball-first) stealable tasks
+// and results merged deterministically — each task writes only its
+// candidates' slots, and the merge folds slots in original subset order,
+// so answers and all work counters are identical to the serial loop at
+// any thread count (only the scheduler telemetry varies with the
+// schedule). Cold maps verify consecutive runs of up to 64 foci as one
+// VerifyBatch (one shared ball BFS); warm IncQMatch maps reuse each
+// answer's cached ball and stay per-focus.
 AnswerSet VerifyAcross(const PositiveEvaluator& ev,
                        std::span<const VertexId> subset,
                        const std::unordered_map<VertexId, FocusCache>* warm,
                        std::unordered_map<VertexId, FocusCache>* caches,
                        MatchStats* stats, ThreadPool* pool) {
-  // Cancellation: polled per focus (serial) / per stealable chunk
-  // (parallel). A fired token makes the remaining foci report
+  // Cancellation: polled every 16th focus, between member verifications
+  // inside a batch too. A fired token makes the remaining foci report
   // "no match" — the partial answer set never escapes, because every
   // caller re-checks the token right after VerifyAcross returns and
   // unwinds with its status instead.
   const CancelToken* cancel = ev.options().cancel;
-  AnswerSet answers;
   if (pool == nullptr || subset.size() <= 1) {
+    if (warm == nullptr) {
+      return ev.EvaluateSubset(subset, stats, caches, cancel);
+    }
+    AnswerSet answers;
     size_t polled = 0;
     for (VertexId vx : subset) {
       // Every 16th focus: ShouldStop reads the clock when a deadline is
@@ -40,14 +53,9 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
       if (cancel != nullptr && (polled++ & 15) == 0 && cancel->ShouldStop()) {
         break;
       }
-      const FocusCache* w = nullptr;
-      if (warm != nullptr) {
-        auto it = warm->find(vx);
-        if (it != warm->end()) w = &it->second;
-      }
       FocusCache cache;
-      if (ev.VerifyFocus(vx, w, caches != nullptr ? &cache : nullptr,
-                         stats)) {
+      if (ev.VerifyFocus(vx, WarmCache(warm, vx),
+                         caches != nullptr ? &cache : nullptr, stats)) {
         answers.push_back(vx);
         if (caches != nullptr) caches->emplace(vx, std::move(cache));
       }
@@ -75,31 +83,55 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
   }
   std::vector<char> is_match(n, 0);
   std::vector<FocusCache> cache_vec(caches != nullptr ? n : 0);
+  // Counters per position: a batch's counters land on its first position.
   std::vector<MatchStats> stats_vec(stats != nullptr ? n : 0);
   ThreadPool::SchedulerStats before;
   if (stats != nullptr) before = pool->scheduler_stats();
   pool->ParallelForDynamic(n, grain, [&](size_t begin, size_t end) {
-    for (size_t pos = begin; pos < end; ++pos) {
-      // Inside the chunk, not only at its entry: on a small pool a
-      // single chunk can be most of the subset, and a fired deadline
-      // must not wait it out. The 16-focus stride keeps the armed-
-      // deadline clock read off cheap foci; skipped slots stay "no
-      // match", and the truncated answer set never escapes (callers
-      // re-check the token right after the map).
-      if (cancel != nullptr && (pos & 15) == 0 && cancel->ShouldStop()) {
-        return;
+    if (warm != nullptr) {
+      for (size_t pos = begin; pos < end; ++pos) {
+        // Inside the chunk, not only at its entry: on a small pool a
+        // single chunk can be most of the subset, and a fired deadline
+        // must not wait it out. The 16-focus stride keeps the armed-
+        // deadline clock read off cheap foci; skipped slots stay "no
+        // match", and the truncated answer set never escapes (callers
+        // re-check the token right after the map).
+        if (cancel != nullptr && (pos & 15) == 0 && cancel->ShouldStop()) {
+          return;
+        }
+        const size_t i = order[pos];
+        is_match[i] = ev.VerifyFocus(
+            subset[i], WarmCache(warm, subset[i]),
+            caches != nullptr ? &cache_vec[i] : nullptr,
+            stats != nullptr ? &stats_vec[pos] : nullptr);
       }
-      const size_t i = order[pos];
-      const FocusCache* w = nullptr;
-      if (warm != nullptr) {
-        auto it = warm->find(subset[i]);
-        if (it != warm->end()) w = &it->second;
+      return;
+    }
+    constexpr size_t kWidth = PositiveEvaluator::kBatchWidth;
+    VertexId foci[kWidth];
+    char verdicts[kWidth];
+    std::vector<FocusCache> batch_caches(caches != nullptr ? kWidth : 0);
+    for (size_t first = begin; first < end; first += kWidth) {
+      const size_t m = std::min(kWidth, end - first);
+      for (size_t j = 0; j < m; ++j) foci[j] = subset[order[first + j]];
+      // VerifyBatch polls the token per position (same 16-focus stride
+      // as the warm loop above), so a fired deadline does not wait out
+      // the batch.
+      const size_t done = ev.VerifyBatch(
+          {foci, m}, {verdicts, m},
+          std::span<FocusCache>(batch_caches).first(caches != nullptr ? m : 0),
+          stats != nullptr ? &stats_vec[first] : nullptr, cancel, first);
+      for (size_t j = 0; j < done; ++j) {
+        const size_t i = order[first + j];
+        is_match[i] = verdicts[j];
+        if (verdicts[j] && caches != nullptr) {
+          cache_vec[i] = std::move(batch_caches[j]);
+        }
       }
-      is_match[i] = ev.VerifyFocus(
-          subset[i], w, caches != nullptr ? &cache_vec[i] : nullptr,
-          stats != nullptr ? &stats_vec[i] : nullptr);
+      if (done < m) return;  // cancelled
     }
   });
+  AnswerSet answers;
   for (size_t i = 0; i < n; ++i) {
     if (stats != nullptr) stats->Add(stats_vec[i]);
     if (is_match[i]) {

@@ -62,10 +62,10 @@ std::span<const VertexId> KHopBallFilteredScratch(
   next.clear();
   if (src >= g.num_vertices()) return ball;
   visited.Set(src);
-  ball.push_back(src);
   frontier.push_back(src);
+  size_t size = 1;
   bool overflow = false;
-  for (int hop = 0; hop < depth && !frontier.empty(); ++hop) {
+  for (int hop = 0; hop < depth && !frontier.empty() && !overflow; ++hop) {
     next.clear();
     for (VertexId v : frontier) {
       auto expand = [&](std::span<const Neighbor> nbrs) {
@@ -74,9 +74,8 @@ std::span<const VertexId> KHopBallFilteredScratch(
             continue;
           }
           if (visited.TestAndSet(n.v)) {
-            ball.push_back(n.v);
             next.push_back(n.v);
-            if (ball.size() > max_size) {
+            if (++size > max_size) {
               overflow = true;
               return;
             }
@@ -85,15 +84,108 @@ std::span<const VertexId> KHopBallFilteredScratch(
       };
       expand(g.OutNeighbors(v));
       if (!overflow) expand(g.InNeighbors(v));
-      if (overflow) {
-        *complete = false;
-        return ball;  // partial; caller falls back to global sets
-      }
+      if (overflow) break;  // partial; caller falls back to global sets
     }
     std::swap(frontier, next);
   }
-  std::sort(ball.begin(), ball.end());
+  *complete = !overflow;
+  visited.AppendSetBitsSorted(ball);
   return ball;
+}
+
+void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
+                       int depth, const DynamicBitset& edge_labels,
+                       size_t max_size, MultiBallScratch* scratch) {
+  MultiBallScratch& s = *scratch;
+  const size_t n = g.num_vertices();
+  const size_t k = std::min(sources.size(), kMaxBallSources);
+  if (s.seen.size() < n) {
+    s.seen.resize(n, 0);
+    s.frontier.resize(n, 0);
+    s.next.resize(n, 0);
+  }
+  const size_t words = (n + 63) / 64;
+  if (words > s.words) {
+    // Wider universe: restart the ball rows from all-zero.
+    s.words = words;
+    s.balls.assign(kMaxBallSources * words, 0);
+    s.touched = SparseBitset();
+  } else {
+    for (uint32_t w : s.touched_words) {
+      for (size_t i = 0; i < s.sources; ++i) s.balls[i * s.words + w] = 0;
+    }
+    s.touched.ResetTouched();
+  }
+  s.touched.EnsureUniverse(s.words);
+  s.touched_words.clear();
+  s.ball_size.assign(k, 0);
+  s.sources = k;
+  s.reached.clear();
+  s.level.clear();
+  s.next_level.clear();
+  s.complete = k == kMaxBallSources ? ~0ULL : (1ULL << k) - 1;
+  uint64_t* const balls = s.balls.data();
+  const size_t stride = s.words;
+  uint64_t alive = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const VertexId src = sources[i];
+    if (src >= n) continue;
+    const uint64_t bit = 1ULL << i;
+    balls[i * stride + (src >> 6)] |= 1ULL << (src & 63);
+    s.ball_size[i] = 1;
+    alive |= bit;
+    if (s.seen[src] == 0) {
+      s.reached.push_back(src);
+      s.level.push_back(src);
+    }
+    s.seen[src] |= bit;
+    s.frontier[src] |= bit;
+  }
+  for (int hop = 0; hop < depth && !s.level.empty() && alive != 0; ++hop) {
+    for (VertexId v : s.level) {
+      const uint64_t m = s.frontier[v];
+      s.frontier[v] = 0;
+      if ((m & alive) == 0) continue;
+      auto expand = [&](std::span<const Neighbor> nbrs) {
+        for (const Neighbor& nb : nbrs) {
+          if (nb.label < edge_labels.size() && !edge_labels.Test(nb.label)) {
+            continue;
+          }
+          const VertexId w = nb.v;
+          uint64_t fresh = m & alive & ~s.seen[w];
+          if (fresh == 0) continue;
+          if (s.seen[w] == 0) s.reached.push_back(w);
+          s.seen[w] |= fresh;
+          if (s.next[w] == 0) s.next_level.push_back(w);
+          s.next[w] |= fresh;
+          const size_t word = w >> 6;
+          const uint64_t wbit = 1ULL << (w & 63);
+          while (fresh != 0) {
+            const int i = __builtin_ctzll(fresh);
+            fresh &= fresh - 1;
+            balls[i * stride + word] |= wbit;
+            if (++s.ball_size[i] > max_size) {
+              // Hub guard: the ball outgrew the limit, so the caller
+              // falls back to global sets; stop spending BFS work on it.
+              alive &= ~(1ULL << i);
+              s.complete &= ~(1ULL << i);
+            }
+          }
+        }
+      };
+      expand(g.OutNeighbors(v));
+      expand(g.InNeighbors(v));
+    }
+    s.level.swap(s.next_level);
+    s.next_level.clear();
+    s.frontier.swap(s.next);
+  }
+  for (VertexId v : s.level) s.frontier[v] = 0;
+  for (VertexId v : s.reached) {
+    s.seen[v] = 0;
+    s.touched.Set(v >> 6);
+  }
+  s.touched.AppendSetBitsSorted(s.touched_words);
 }
 
 BallSize KHopBallSize(const Graph& g, VertexId src, int depth) {

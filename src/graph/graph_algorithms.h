@@ -41,13 +41,76 @@ struct BallScratch {
 };
 
 /// Scratch-arena variant of KHopBallFiltered. Fills `scratch->ball`
-/// (sorted ascending) and returns a span over it. After the call — and
-/// until `scratch` is next used — `scratch->visited` holds exactly the
-/// ball members, usable as an O(1) membership filter or as a word array
-/// for dense intersection.
+/// (sorted ascending, decoded from the visited set — no sort) and returns
+/// a span over it. After the call — and until `scratch` is next used —
+/// `scratch->visited` holds exactly the ball members, usable as an O(1)
+/// membership filter or as a word array for dense intersection.
 std::span<const VertexId> KHopBallFilteredScratch(
     const Graph& g, VertexId src, int depth, const DynamicBitset& edge_labels,
     size_t max_size, BallScratch* scratch, bool* complete);
+
+/// Sources one multi-source ball BFS serves: one bit of the per-vertex
+/// reach mask each.
+inline constexpr size_t kMaxBallSources = 64;
+
+/// Reusable buffers for KHopBallsFiltered: three reach masks per vertex
+/// (reached / current frontier / next frontier) plus every source's ball
+/// as a membership bitset, about 32 bytes per vertex in all. Allocated
+/// once per thread; every call resets only what the previous call
+/// touched.
+struct MultiBallScratch {
+  std::vector<uint64_t> seen;      // bit i: reached by source i
+  std::vector<uint64_t> frontier;  // bit i: on source i's current frontier
+  std::vector<uint64_t> next;      // bit i: on source i's next frontier
+  std::vector<VertexId> reached;   // vertices with a nonzero `seen`
+  std::vector<VertexId> level;     // vertices with a nonzero `frontier`
+  std::vector<VertexId> next_level;
+  /// Ball membership words, source-major: word w of source i's ball is
+  /// balls[i * words + w]. Only the words listed in `touched_words` can
+  /// be nonzero.
+  std::vector<uint64_t> balls;
+  size_t words = 0;    // words per ball: ceil(|V| / 64)
+  size_t sources = 0;  // sources of the last call
+  SparseBitset touched;                 // over word ids
+  std::vector<uint32_t> touched_words;  // ascending
+  std::vector<size_t> ball_size;
+  /// Bit i set iff source i's ball stayed within `max_size`.
+  uint64_t complete = 0;
+
+  /// Source i's ball as bitset words (exactly the ball when source i is
+  /// complete, a partial set otherwise); valid until the next call.
+  std::span<const uint64_t> BallWords(size_t i) const {
+    return {balls.data() + i * words, words};
+  }
+
+  /// Appends source i's ball to `out` in ascending order (no sort: the
+  /// touched words are visited in order and decoded).
+  void AppendBallSorted(size_t i, std::vector<VertexId>& out) const {
+    const uint64_t* ball = balls.data() + i * words;
+    for (uint32_t w : touched_words) {
+      uint64_t bits = ball[w];
+      while (bits != 0) {
+        out.push_back(static_cast<VertexId>((static_cast<size_t>(w) << 6) +
+                                            __builtin_ctzll(bits)));
+        bits &= bits - 1;
+      }
+    }
+  }
+};
+
+/// KHopBallFilteredScratch for up to kMaxBallSources sources at once
+/// (multi-source BFS, Then et al., PVLDB 2014): one level-synchronous
+/// traversal carries a 64-bit mask of the sources that reached each
+/// vertex, so a vertex shared by many balls has its adjacency scanned
+/// once per level instead of once per source. Afterwards bit i of
+/// `scratch->complete` equals what KHopBallFilteredScratch reports in
+/// `*complete` for sources[i], and when it is set, BallWords(i) and
+/// AppendBallSorted(i) give exactly that call's ball (an incomplete
+/// source stops propagating once its ball passes `max_size`). Sources
+/// may repeat; out-of-range sources get an empty, complete ball.
+void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
+                       int depth, const DynamicBitset& edge_labels,
+                       size_t max_size, MultiBallScratch* scratch);
 
 /// |KHopBall| plus the number of edges among ball members — the paper's
 /// |Nd(v)| counts the induced subgraph size (nodes + edges).

@@ -346,5 +346,53 @@ TEST(VertexSetPropertyTest, SparseBitsetLifecycleUnderRandomOps) {
   }
 }
 
+// AppendSetBitsSorted is how ball extraction produces sorted balls
+// without a sort; it must equal sorting the touched set, on sparse and
+// dense sets, after clears, after a universe that grew between uses, and
+// across resets (a stale summary bit would leak old members).
+TEST(VertexSetPropertyTest, SortedDecodeMatchesStdSort) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    std::mt19937 rng(seed * 2654435761u + 17);
+    SparseBitset bits;
+    size_t universe = 1 + rng() % 300;
+    bits.EnsureUniverse(universe);
+    for (int round = 0; round < 5; ++round) {
+      std::vector<uint32_t> touched;
+      const size_t ops = (seed % 4 == 0) ? universe : 1 + rng() % 64;
+      for (size_t op = 0; op < ops; ++op) {
+        // Grow the universe mid-round once: members set before the
+        // growth must survive it.
+        if (round == 2 && op == ops / 2) {
+          universe += 5000 + rng() % 9000;
+          bits.EnsureUniverse(universe);
+        }
+        const uint32_t v = static_cast<uint32_t>(rng() % universe);
+        bits.Set(v);
+        touched.push_back(v);
+      }
+      // Clear some members again: a cleared word keeps its summary bit
+      // and must simply decode to nothing.
+      for (size_t c = 0; c < touched.size() / 4; ++c) {
+        const uint32_t v = touched[rng() % touched.size()];
+        bits.Clear(v);
+        touched.erase(std::remove(touched.begin(), touched.end(), v),
+                      touched.end());
+      }
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
+      std::vector<uint32_t> decoded{7};  // appends after existing content
+      bits.AppendSetBitsSorted(decoded);
+      ASSERT_EQ(decoded.front(), 7u);
+      decoded.erase(decoded.begin());
+      ASSERT_EQ(decoded, touched) << "seed " << seed << " round " << round;
+      bits.ResetTouched();
+      std::vector<uint32_t> empty;
+      bits.AppendSetBitsSorted(empty);
+      ASSERT_TRUE(empty.empty()) << "seed " << seed << " round " << round;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qgp

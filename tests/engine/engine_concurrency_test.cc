@@ -17,6 +17,7 @@
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
+#include "testing/self_sizing.h"
 
 namespace qgp {
 namespace {
@@ -57,7 +58,17 @@ std::vector<QuerySpec> MakeWorkload(Graph& g, uint64_t seed, size_t repeats) {
 // sample really raced a held admission lock.
 TEST(EngineConcurrencyTest, StatsIsSubMillisecondWhileBatchRuns) {
   Graph g = MakeGraph(7, 400);
-  std::vector<QuerySpec> workload = MakeWorkload(g, 7, 60);
+  // Sized once per process: a clean run of the batch must outlast the
+  // sampling window (up to 200 samples 1 ms apart) twice over.
+  const size_t repeats = testing::GrowUntilSlow(
+      60, 250.0,
+      [&](size_t r) {
+        QueryEngine engine(&g, EngineOptions{});
+        const std::vector<QuerySpec> batch = MakeWorkload(g, 7, r);
+        return testing::TimeMs([&] { (void)engine.RunBatch(batch); });
+      },
+      /*trials=*/1);
+  std::vector<QuerySpec> workload = MakeWorkload(g, 7, repeats);
   QueryEngine engine(&g, EngineOptions{});
 
   std::atomic<bool> batch_done{false};

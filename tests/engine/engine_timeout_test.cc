@@ -15,38 +15,18 @@
 #include "common/cancellation.h"
 #include "core/pattern_parser.h"
 #include "engine/query_engine.h"
-#include "gen/synthetic_gen.h"
+#include "testing/self_sizing.h"
 
 namespace qgp {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The shared slow case: clean runtime is hundreds of milliseconds on
-/// any machine this suite runs on, so a 50 ms deadline provably fires
-/// mid-evaluation.
-struct SlowCase {
-  Graph graph;
-  std::string pattern_text;
-};
-
-SlowCase& Slow() {
-  static SlowCase* slow = [] {
-    SyntheticConfig gc;
-    gc.num_vertices = 8000;
-    gc.num_edges = 8000 * 8;
-    gc.num_node_labels = 2;
-    gc.num_edge_labels = 2;
-    gc.seed = 99;
-    auto* s = new SlowCase{std::move(GenerateSynthetic(gc)).value(),
-                           "node x0 nl0\nnode x1 nl0\nnode x2 nl0\n"
-                           "node x3 nl0\nedge x0 x1 el0 >=2\n"
-                           "edge x1 x2 el0\nedge x2 x3 el0\nfocus x0\n"};
-    (void)PatternParser::Parse(s->pattern_text, s->graph.mutable_dict());
-    return s;
-  }();
-  return *slow;
-}
+// The shared slow case (testing/self_sizing.h): its clean runtime is
+// sized per process to clear 150 ms twice over, so a 50 ms deadline
+// provably fires mid-evaluation.
+using testing::SlowCase;
+using testing::Slow;
 
 QuerySpec SlowSpec(EngineAlgo algo = EngineAlgo::kQMatch) {
   QuerySpec spec;
@@ -184,6 +164,10 @@ TEST(EngineTimeoutTest, ApplyDeltaBoundedWaitWhileDraining) {
       saw_unavailable = true;
       break;
     }
+    // Step back before retrying: back-to-back applies re-take the
+    // admission lock the moment they release it and can starve the
+    // query thread's admission (worse the larger the graph).
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(saw_unavailable)
       << "ApplyDelta never hit the bounded wait - the slow query "

@@ -21,6 +21,7 @@
 #include "gen/synthetic_gen.h"
 #include "service/client.h"
 #include "service/query_service.h"
+#include "testing/self_sizing.h"
 
 namespace qgp::service {
 namespace {
@@ -41,35 +42,8 @@ Graph MakeGraph(uint64_t seed, size_t vertices = 60) {
   return std::move(GenerateSynthetic(gc)).value();
 }
 
-/// A query that provably takes hundreds of milliseconds on this
-/// machine: a dense 2-label graph where every vertex is a focus
-/// candidate, against a 3-hop path pattern with a counting quantifier.
-/// Built once and shared read-only across tests (the graph dictionary
-/// already holds every label the pattern names).
-struct SlowCase {
-  Graph graph;
-  std::string pattern_text;
-};
-
-SlowCase& Slow() {
-  static SlowCase* slow = [] {
-    SyntheticConfig gc;
-    gc.num_vertices = 8000;
-    gc.num_edges = 8000 * 8;
-    gc.num_node_labels = 2;
-    gc.num_edge_labels = 2;
-    gc.seed = 99;
-    auto* s = new SlowCase{std::move(GenerateSynthetic(gc)).value(),
-                           "node x0 nl0\nnode x1 nl0\nnode x2 nl0\n"
-                           "node x3 nl0\nedge x0 x1 el0 >=2\n"
-                           "edge x1 x2 el0\nedge x2 x3 el0\nfocus x0\n"};
-    // Intern the pattern's labels once so later parses are read-only in
-    // effect (they resolve against already-interned names).
-    (void)PatternParser::Parse(s->pattern_text, s->graph.mutable_dict());
-    return s;
-  }();
-  return *slow;
-}
+using testing::SlowCase;
+using testing::Slow;
 
 ServiceRequest SlowRequest(const std::string& tag) {
   ServiceRequest request;
@@ -122,7 +96,7 @@ TEST_F(FaultInjectionTest, DeadlineExceededLoopbackEndToEnd) {
   auto expected = reference.Submit(ref_spec);
   const double clean_ms = MsSince(ref_t0);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  ASSERT_GT(clean_ms, 150.0)
+  ASSERT_GT(clean_ms, testing::kSlowCaseMinMs)
       << "the slow case finished too fast to prove a mid-evaluation "
          "timeout on this machine; widen the graph";
 

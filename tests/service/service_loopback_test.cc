@@ -22,6 +22,7 @@
 #include "gen/synthetic_gen.h"
 #include "service/client.h"
 #include "service/query_service.h"
+#include "testing/self_sizing.h"
 
 namespace qgp::service {
 namespace {
@@ -83,6 +84,47 @@ std::vector<QuerySpec> AsSpecs(const std::vector<ServiceRequest>& workload,
     specs.push_back(std::move(spec));
   }
   return specs;
+}
+
+/// How long a busy batch must keep the engine busy: the probes racing it
+/// (a connect plus a few round trips) finish well inside this.
+constexpr double kBusyWindowMs = 250.0;
+
+std::vector<QuerySpec> Repeated(const std::vector<QuerySpec>& specs,
+                                size_t repeats) {
+  std::vector<QuerySpec> batch;
+  for (size_t r = 0; r < repeats; ++r) {
+    batch.insert(batch.end(), specs.begin(), specs.end());
+  }
+  return batch;
+}
+
+/// `specs` repeated until a clean RunBatch on a fresh default engine
+/// outlasts kBusyWindowMs twice over on this host — the busy window the
+/// probes must land in. The engine admission lock is held across the
+/// whole RunBatch. One timing per size: the window is generous, so an
+/// inflated timing costs at most one doubling of slack.
+std::vector<QuerySpec> BusyBatch(const Graph& g,
+                                 const std::vector<QuerySpec>& specs) {
+  const size_t repeats = testing::GrowUntilSlow(
+      60, kBusyWindowMs,
+      [&](size_t r) {
+        QueryEngine engine(&g, EngineOptions{});
+        const std::vector<QuerySpec> batch = Repeated(specs, r);
+        return testing::TimeMs([&] { (void)engine.RunBatch(batch); });
+      },
+      /*trials=*/1);
+  return Repeated(specs, repeats);
+}
+
+/// Blocks until RunBatch on another thread holds the admission lock
+/// (its first query has completed), so requests sent afterwards really
+/// queue behind the batch rather than racing its start.
+void AwaitBatchStarted(const QueryEngine& engine,
+                       const std::atomic<bool>& batch_done) {
+  while (engine.stats().queries == 0 && !batch_done.load()) {
+    std::this_thread::yield();
+  }
 }
 
 /// Work-counter identity modulo scheduler telemetry — the same
@@ -234,12 +276,7 @@ TEST(ServiceLoopbackTest, BusyEngineShedsExcessAndStatsStaysResponsive) {
   Graph g = MakeGraph(47, /*vertices=*/400);
   std::vector<ServiceRequest> workload = MakeWorkload(g, 47);
   std::vector<QuerySpec> specs = AsSpecs(workload, g);
-  // A batch big enough for a comfortable busy window (~seconds): the
-  // engine admission lock is held across the whole RunBatch.
-  std::vector<QuerySpec> busy;
-  for (int r = 0; r < 60; ++r) {
-    busy.insert(busy.end(), specs.begin(), specs.end());
-  }
+  const std::vector<QuerySpec> busy = BusyBatch(g, specs);
 
   QueryEngine engine(&g, EngineOptions{});
   ServiceOptions options;
@@ -253,6 +290,7 @@ TEST(ServiceLoopbackTest, BusyEngineShedsExcessAndStatsStaysResponsive) {
     EXPECT_TRUE(outcomes.ok());
     batch_done.store(true);
   });
+  AwaitBatchStarted(engine, batch_done);
 
   auto client = ServiceClient::Connect(server.port());
   ASSERT_TRUE(client.ok());
@@ -507,10 +545,7 @@ TEST(ServiceLoopbackTest, QueuedDeltaKeepsReaderResponsive) {
   Graph g = MakeGraph(83, /*vertices=*/400);
   std::vector<ServiceRequest> workload = MakeWorkload(g, 83);
   std::vector<QuerySpec> specs = AsSpecs(workload, g);
-  std::vector<QuerySpec> busy;
-  for (int r = 0; r < 60; ++r) {
-    busy.insert(busy.end(), specs.begin(), specs.end());
-  }
+  const std::vector<QuerySpec> busy = BusyBatch(g, specs);
 
   // Owning engine: deltas are legal. The wire delta is an empty batch —
   // a version-bumping no-op, so the concurrent busy batch's queries are
@@ -527,6 +562,7 @@ TEST(ServiceLoopbackTest, QueuedDeltaKeepsReaderResponsive) {
     EXPECT_TRUE(outcomes.ok());
     batch_done.store(true);
   });
+  AwaitBatchStarted(engine, batch_done);
 
   auto client = ServiceClient::Connect(server.port());
   ASSERT_TRUE(client.ok());
