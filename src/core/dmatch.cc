@@ -28,7 +28,6 @@ struct DMatchScratch {
   std::vector<std::unordered_set<uint64_t>> witnessed;       // per edge
   std::vector<std::unordered_set<uint64_t>> failed;          // per edge
   std::vector<std::unordered_map<VertexId, int8_t>> good_memo;  // per edge
-  std::unordered_map<uint64_t, double> score_memo;
   GenericMatcher::Scratch answer_search;
   GenericMatcher::Scratch witness_search;
 };
@@ -125,7 +124,6 @@ class FocusVerifier {
       }
     }
     ResizeAndClear(s_.good_memo, q_.num_edges());
-    s_.score_memo.clear();
     // (3) Local stratified candidate sets Lπ(u), as views: restricted
     // sets point into the scratch arena, the global fallback points at
     // the candidate space itself (no copy either way).
@@ -259,11 +257,11 @@ class FocusVerifier {
   }
 
   // Appendix-B potential: candidates whose quantifier upper bounds sit
-  // well above their thresholds are tried first.
-  double Potential(PatternNodeId u, VertexId v) {
-    const uint64_t key = (static_cast<uint64_t>(u) << 32) | v;
-    auto it = s_.score_memo.find(key);
-    if (it != s_.score_memo.end()) return it->second;
+  // well above their thresholds are tried first. Not memoized: the search
+  // scores each frontier vertex once and few (u, v) pairs recur within a
+  // focus, so a memo would cost more in hashing and allocation than the
+  // recomputation it saves.
+  double Potential(PatternNodeId u, VertexId v) const {
     double score = 0.0;
     for (PatternEdgeId e : quantified_out_[u]) {
       const PatternEdge& pe = q_.edge(e);
@@ -276,7 +274,6 @@ class FocusVerifier {
       }
       score += static_cast<double>(ub) / static_cast<double>(*needed);
     }
-    s_.score_memo.emplace(key, score);
     return score;
   }
 
