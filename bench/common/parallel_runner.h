@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench/common/bench_common.h"
+#include "common/thread_pool.h"
 #include "parallel/penum.h"
 #include "parallel/pqmatch.h"
 
@@ -45,9 +46,12 @@ inline ParallelRun RunParallelSuite(const ParallelAlgo& algo,
                                     const Partition& partition,
                                     uint64_t enum_cap = 3'000'000) {
   ParallelRun run;
+  // One pool per variant, b wide: the fragments run one at a time, each
+  // verifying its foci across the whole pool.
+  ThreadPool pool(algo.threads_per_worker);
   ParallelConfig cfg;
   cfg.mode = ExecutionMode::kSimulated;
-  cfg.threads_per_worker = algo.threads_per_worker;
+  cfg.pool = &pool;
   cfg.match.use_incremental_negation = algo.incremental;
   cfg.match.max_isomorphisms = algo.enum_based ? enum_cap : 0;
   for (const Pattern& q : suite) {

@@ -337,13 +337,10 @@ void DParCase(const Graph& g, BenchReporter& reporter) {
 }
 
 // Work-stealing sweep on a deliberately skewed task set: the ~100x
-// heavy tasks are CLUSTERED in the first indices, so a static
-// contiguous chunking strands them all on the first worker's chunk
-// while the dynamic round-robin deal spreads the heavy chunks and idle
-// workers steal the rest. (A periodic heavy pattern would divide evenly
-// into the static chunks and measure nothing but dispatch overhead.)
-// Both schedules fill the same output slots; the results are asserted
-// identical before anything is reported.
+// heavy tasks are CLUSTERED in the first indices, so only the
+// round-robin deal plus stealing keeps them off a single runner. The
+// output slots are asserted identical to the serial loop before
+// anything is reported.
 void StealSweepCase(BenchReporter& reporter) {
   // Sized so every row sits comfortably ABOVE the bench gate's 2 ms
   // noise floor (~8 ms here): rows that straddle the floor would flip
@@ -365,50 +362,32 @@ void StealSweepCase(BenchReporter& reporter) {
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
-    std::vector<uint64_t> slots(kTasks, 0);
-    size_t static_iters = 0;
-    double static_ms = TimePerCall(
-        [&] {
-          pool.ParallelForRange(kTasks, 1, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) slots[i] = work(i);
-          });
-        },
-        &static_iters);
-    if (slots != expected) {
-      std::printf("FATAL: static schedule produced wrong slots\n");
-      std::exit(1);
-    }
-    const ThreadPool::SchedulerStats before = pool.scheduler_stats();
     std::vector<uint64_t> dyn_slots(kTasks, 0);
     size_t dyn_iters = 0;
+    uint64_t stolen = 0;
+    auto fill = [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) dyn_slots[i] = work(i);
+    };
     double dyn_ms = TimePerCall(
         [&] {
-          pool.ParallelForDynamic(kTasks, 4, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) dyn_slots[i] = work(i);
-          });
+          stolen +=
+              ThreadPool::ParallelForDynamic(&pool, kTasks, 4, fill).stolen;
         },
         &dyn_iters);
     if (dyn_slots != expected) {
       std::printf("FATAL: dynamic schedule produced wrong slots\n");
       std::exit(1);
     }
-    const ThreadPool::SchedulerStats after = pool.scheduler_stats();
-    const double steals = static_cast<double>(after.total_stolen() -
-                                              before.total_stolen()) /
-                          static_cast<double>(dyn_iters + 1);
-    double speedup = dyn_ms > 0 ? static_ms / dyn_ms : 0.0;
+    const double steals =
+        static_cast<double>(stolen) / static_cast<double>(dyn_iters + 1);
     std::printf(
-        "scheduler/steal_sweep threads=%zu  static %8.3f ms  dynamic "
-        "%8.3f ms  speedup %5.2fx  steals/run %6.1f\n",
-        threads, static_ms, dyn_ms, speedup, steals);
-    reporter.Add(
-        "scheduler/steal_sweep/static/threads=" + std::to_string(threads),
-        static_ms, {{"iters", static_cast<double>(static_iters)}});
+        "scheduler/steal_sweep threads=%zu  dynamic %8.3f ms  steals/run "
+        "%6.1f\n",
+        threads, dyn_ms, steals);
     reporter.Add(
         "scheduler/steal_sweep/dynamic/threads=" + std::to_string(threads),
         dyn_ms,
         {{"iters", static_cast<double>(dyn_iters)},
-         {"speedup_vs_static", speedup},
          {"steals_per_run", steals}});
   }
 }

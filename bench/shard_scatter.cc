@@ -11,7 +11,8 @@
 //                            clock (the scatter's critical path) and
 //                            gather_overhead_ms = coordinator wall
 //                            minus that critical path, i.e. the cost of
-//                            fan-out threads + answer mapping + merge.
+//                            the scatter fan-out + answer mapping +
+//                            merge.
 //
 // Emits BENCH_shard_scatter.json; the shards1 row is the pure
 // coordination tax (one shard, zero distribution win).

@@ -4,9 +4,9 @@
 /// \file
 /// Named failpoints: test-armable fault hooks compiled into a handful
 /// of hot seams (service dispatch dequeue, engine submit, delta apply,
-/// socket write, shard scatter/gather) so tests can deterministically
-/// force slow-query, stuck-worker and mid-response-disconnect scenarios
-/// without races or sleeps.
+/// socket write, shard scatter/gather, PQMatch fragments) so tests can
+/// deterministically force slow-query, stuck-worker and
+/// mid-response-disconnect scenarios without races or sleeps.
 ///
 /// Current seam catalog:
 ///  * service.dispatch_dequeue — dispatch worker after dequeuing a unit
@@ -17,6 +17,8 @@
 ///                               the shard evaluates
 ///  * shard.gather             — ShardedEngine per-shard merge, before a
 ///                               slice's answers join the union
+///  * pqmatch.fragment         — PQMatch per-fragment worker, before the
+///                               fragment evaluates
 ///
 /// Cost when unarmed: QGP_FAILPOINT expands to one relaxed atomic load
 /// of a global armed counter — the registry mutex and the name lookup

@@ -4,14 +4,59 @@
 
 namespace qgp {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  size_t n = std::max<size_t>(1, num_threads);
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+namespace {
+
+// The pools whose chunks the calling thread is running, innermost
+// first: a worker pushes its pool for its whole life, a caller for the
+// span of its fan-out. A fan-out on any pool in the chain runs inline.
+struct Running {
+  const ThreadPool* pool;
+  const Running* outer;
+};
+thread_local const Running* tls_running = nullptr;
+
+bool RunsChunkOf(const ThreadPool* pool) {
+  for (const Running* r = tls_running; r != nullptr; r = r->outer) {
+    if (r->pool == pool) return true;
+  }
+  return false;
+}
+
+// Pushes `pool` onto the calling thread's chain for the scope.
+class RunningScope {
+ public:
+  explicit RunningScope(const ThreadPool* pool)
+      : self_{pool, tls_running} {
+    tls_running = &self_;
+  }
+  ~RunningScope() { tls_running = self_.outer; }
+  RunningScope(const RunningScope&) = delete;
+  RunningScope& operator=(const RunningScope&) = delete;
+
+ private:
+  Running self_;
+};
+
+}  // namespace
+
+struct ThreadPool::Call {
+  const std::function<void(size_t, size_t)>* fn = nullptr;
+  /// Chunks not yet finished; whoever finishes the last one signals.
+  std::atomic<size_t> pending{0};
+  std::atomic<uint64_t> stolen{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  bool done = false;
+};
+
+ThreadPool::ThreadPool(size_t width) {
+  const size_t workers = std::max<size_t>(1, width) - 1;
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
   }
-  threads_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  threads_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -25,135 +70,132 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+ThreadPool::FanOut ThreadPool::ParallelForDynamic(
+    ThreadPool* pool, size_t n, size_t min_grain,
+    const std::function<void(size_t, size_t)>& fn) {
+  if (n == 0) return {};
+  const size_t grain = std::max<size_t>(1, min_grain);
+  const size_t chunks = (n + grain - 1) / grain;
+  if (pool == nullptr || pool->workers_.empty() || chunks == 1 ||
+      RunsChunkOf(pool)) {
+    fn(0, n);
+    return {};
+  }
+  return pool->Dispatch(n, grain, chunks, fn);
+}
+
+ThreadPool::FanOut ThreadPool::Dispatch(
+    size_t n, size_t grain, size_t chunks,
+    const std::function<void(size_t, size_t)>& fn) {
+  Call call;
+  call.fn = &fn;
+  call.pending.store(chunks, std::memory_order_relaxed);
+  // Count the chunks BEFORE they become visible: a worker already
+  // probing may take and finish one at once, and the ready count must
+  // never run below zero. The reverse transient (counted, not yet
+  // pushed) only makes an idle worker re-probe.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++outstanding_;
+    ready_.fetch_add(chunks, std::memory_order_relaxed);
   }
-  work_cv_.notify_one();
-}
+  // Deal round-robin in index order: chunk c lands on worker c % |workers|,
+  // so each deque holds an interleaved, order-preserving slice of the
+  // caller's (typically size-sorted) chunk sequence.
+  const size_t nw = workers_.size();
+  for (size_t w = 0; w < nw && w < chunks; ++w) {
+    Worker& worker = *workers_[w];
+    std::lock_guard<std::mutex> lock(worker.mu);
+    for (size_t c = w; c < chunks; c += nw) {
+      worker.deque.push_back({&call, c * grain, std::min(n, c * grain + grain)});
+    }
+  }
+  if (chunks >= nw) {
+    work_cv_.notify_all();
+  } else {
+    for (size_t c = 0; c < chunks; ++c) work_cv_.notify_one();
+  }
 
-void ThreadPool::SubmitStealable(size_t home, std::function<void()> task) {
-  // Count the task BEFORE making it visible in the deque: a thief that is
-  // already probing (woken by other work) may take and finish it
-  // immediately, and the completion accounting must never run ahead of
-  // the submission accounting (unsigned counters would wrap and wedge
-  // the sleep predicate). The reverse transient — counted but not yet
-  // pushed — only makes an idle worker re-probe until the push lands.
+  // Take part: run this call's chunks until none is left in any deque.
+  // Nested fan-outs from these chunks run inline (RunsChunkOf).
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++outstanding_;
-    stealable_ready_.fetch_add(1, std::memory_order_relaxed);
+    RunningScope running(this);
+    size_t start = 0;
+    Chunk chunk;
+    while (TakeOwnChunk(&call, &start, &chunk)) {
+      caller_executed_.fetch_add(1, std::memory_order_relaxed);
+      RunChunk(chunk);
+    }
   }
-  Worker& w = *workers_[home % workers_.size()];
-  {
-    std::lock_guard<std::mutex> lock(w.mu);
-    w.deque.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
+  // Then wait for the chunks still in flight on the workers. `done` is
+  // set and signalled under call.mu, so once this wait returns no
+  // worker touches `call` again and it may leave the stack.
+  std::unique_lock<std::mutex> lock(call.mu);
+  call.done_cv.wait(lock, [&call] { return call.done; });
+  return {chunks, call.stolen.load(std::memory_order_relaxed)};
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelForRange(n, 1, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
-void ThreadPool::ParallelForRange(
-    size_t n, size_t min_grain, const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (min_grain == 0) min_grain = 1;
-  size_t chunks = std::min(threads_.size() * 4, (n + min_grain - 1) / min_grain);
-  // A single worker gains nothing from chunking — and a nested call from
-  // inside a worker must not Wait() on its own pool — so both run inline.
-  if (chunks <= 1 || threads_.size() == 1 || IsWorkerThread()) {
-    fn(0, n);
-    return;
+void ThreadPool::RunChunk(const Chunk& chunk) {
+  Call* call = chunk.call;
+  (*call->fn)(chunk.begin, chunk.end);
+  if (call->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    std::lock_guard<std::mutex> lock(call->mu);
+    call->done = true;
+    call->done_cv.notify_one();
   }
-  size_t per = (n + chunks - 1) / chunks;
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t begin = c * per;
-    size_t end = std::min(n, begin + per);
-    if (begin >= end) break;
-    Submit([begin, end, &fn] { fn(begin, end); });
-  }
-  Wait();
-}
-
-void ThreadPool::ParallelForDynamic(
-    size_t n, size_t min_grain, const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (min_grain == 0) min_grain = 1;
-  const size_t chunks = (n + min_grain - 1) / min_grain;
-  if (chunks <= 1 || threads_.size() == 1 || IsWorkerThread()) {
-    fn(0, n);
-    return;
-  }
-  // Deal chunks round-robin in index order: chunk c lands on worker
-  // c % num_threads, so each deque holds an interleaved, order-preserving
-  // slice of the caller's (typically size-sorted) chunk sequence.
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t begin = c * min_grain;
-    size_t end = std::min(n, begin + min_grain);
-    SubmitStealable(c, [begin, end, &fn] { fn(begin, end); });
-  }
-  Wait();
-}
-
-bool ThreadPool::IsWorkerThread() const {
-  const std::thread::id self = std::this_thread::get_id();
-  for (const auto& t : threads_) {
-    if (t.get_id() == self) return true;
-  }
-  return false;
 }
 
 ThreadPool::SchedulerStats ThreadPool::scheduler_stats() const {
   SchedulerStats stats;
-  stats.executed.reserve(workers_.size());
-  stats.stolen.reserve(workers_.size());
+  stats.executed.reserve(width());
+  stats.stolen.reserve(width());
   for (const auto& w : workers_) {
     stats.executed.push_back(w->executed.load(std::memory_order_relaxed));
     stats.stolen.push_back(w->stolen.load(std::memory_order_relaxed));
   }
+  stats.executed.push_back(caller_executed_.load(std::memory_order_relaxed));
+  stats.stolen.push_back(0);
   return stats;
 }
 
-bool ThreadPool::TakeTask(size_t id, std::function<void()>* task) {
+bool ThreadPool::TakeOwnChunk(const Call* call, size_t* start, Chunk* chunk) {
+  const size_t nw = workers_.size();
+  for (size_t probe = 0; probe < nw; ++probe) {
+    const size_t w = (*start + probe) % nw;
+    Worker& worker = *workers_[w];
+    std::lock_guard<std::mutex> lock(worker.mu);
+    auto it = std::find_if(worker.deque.begin(), worker.deque.end(),
+                           [call](const Chunk& c) { return c.call == call; });
+    if (it == worker.deque.end()) continue;
+    *chunk = *it;
+    worker.deque.erase(it);
+    ready_.fetch_sub(1, std::memory_order_relaxed);
+    // Resume at the next deque: dealing was round-robin, so this walks
+    // the chunks in index (largest-first) order.
+    *start = w + 1;
+    return true;
+  }
+  return false;
+}
+
+bool ThreadPool::TakeChunk(size_t id, Chunk* chunk) {
   // 1. Own deque, head end: the oldest of this worker's pending chunks,
-  // which under largest-first submission is its largest remaining one.
+  // which under largest-first dealing is its largest remaining one.
+  Worker& own = *workers_[id];
   {
-    Worker& own = *workers_[id];
     std::lock_guard<std::mutex> lock(own.mu);
     if (!own.deque.empty()) {
-      *task = std::move(own.deque.front());
+      *chunk = own.deque.front();
       own.deque.pop_front();
-      stealable_ready_.fetch_sub(1, std::memory_order_relaxed);
+      ready_.fetch_sub(1, std::memory_order_relaxed);
       own.executed.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
-  // 2. Central queue.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!queue_.empty()) {
-      *task = std::move(queue_.front());
-      queue_.pop_front();
-      workers_[id]->executed.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // 3. Steal: randomized victim selection — probe every other worker
-  // once, starting at a random offset, and take the TAIL of the first
-  // non-empty deque found (the end opposite the owner, per Chase-Lev).
+  // 2. Steal: probe every other worker once, starting at a random
+  // offset, and take the TAIL of the first non-empty deque found (the
+  // end opposite the owner, per Chase-Lev).
   const size_t n = workers_.size();
-  if (n > 1 && stealable_ready_.load(std::memory_order_relaxed) > 0) {
+  if (n > 1 && ready_.load(std::memory_order_relaxed) > 0) {
     // Cheap per-worker xorshift; scheduling may be random, results never
     // depend on it.
     static thread_local uint64_t rng_state = 0;
@@ -168,43 +210,33 @@ bool ThreadPool::TakeTask(size_t id, std::function<void()>* task) {
       Worker& v = *workers_[victim];
       std::lock_guard<std::mutex> lock(v.mu);
       if (v.deque.empty()) continue;
-      *task = std::move(v.deque.back());
+      *chunk = v.deque.back();
       v.deque.pop_back();
-      stealable_ready_.fetch_sub(1, std::memory_order_relaxed);
-      workers_[id]->executed.fetch_add(1, std::memory_order_relaxed);
-      workers_[id]->stolen.fetch_add(1, std::memory_order_relaxed);
+      ready_.fetch_sub(1, std::memory_order_relaxed);
+      own.executed.fetch_add(1, std::memory_order_relaxed);
+      own.stolen.fetch_add(1, std::memory_order_relaxed);
+      // Before the chunk runs: once its last chunk finishes, the call
+      // may leave its caller's stack.
+      chunk->call->stolen.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
   return false;
 }
 
-void ThreadPool::FinishTask() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --outstanding_;
-  }
-  idle_cv_.notify_all();
-}
-
 void ThreadPool::WorkerLoop(size_t id) {
+  RunningScope running(this);
   for (;;) {
-    std::function<void()> task;
-    if (TakeTask(id, &task)) {
-      task();
-      task = nullptr;  // release captures before signalling completion
-      FinishTask();
+    Chunk chunk;
+    if (TakeChunk(id, &chunk)) {
+      RunChunk(chunk);
       continue;
     }
     std::unique_lock<std::mutex> lock(mu_);
     work_cv_.wait(lock, [this] {
-      return stop_ || !queue_.empty() ||
-             stealable_ready_.load(std::memory_order_relaxed) > 0;
+      return stop_ || ready_.load(std::memory_order_relaxed) > 0;
     });
-    if (stop_ && queue_.empty() &&
-        stealable_ready_.load(std::memory_order_relaxed) == 0) {
-      return;
-    }
+    if (stop_ && ready_.load(std::memory_order_relaxed) == 0) return;
   }
 }
 

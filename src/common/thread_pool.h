@@ -2,8 +2,8 @@
 #define QGP_COMMON_THREAD_POOL_H_
 
 /// \file
-/// The fixed-size worker pool and its work-stealing scheduler — the one
-/// concurrency substrate every parallel phase of the repo runs on (see
+/// The fixed-width work-stealing pool and its one fan-out primitive —
+/// the single executor every parallel phase of the repo runs on (see
 /// docs/ARCHITECTURE.md for where it sits in the stack).
 
 #include <atomic>
@@ -19,97 +19,82 @@
 
 namespace qgp {
 
-/// Fixed-size worker pool. Used for intra-fragment parallelism (mQMatch),
-/// for running per-fragment work in PQMatch's real-thread mode, and for
-/// the work-stealing match scheduler.
+/// A fork-join pool `width` runners wide: width − 1 worker threads plus
+/// the thread that calls ParallelForDynamic, which runs chunks of its
+/// own fan-out instead of sleeping on it. ThreadPool(1) starts no thread
+/// at all.
 ///
-/// Two task channels share the same workers:
-///  * `Submit` feeds a central FIFO queue (legacy path, still used for
-///    one-shot fan-outs where placement does not matter).
-///  * `SubmitStealable` feeds per-worker Chase-Lev-style deques: each
-///    worker drains its own deque from the head, and an idle worker
-///    steals from the tail of a randomly chosen victim. With tasks
-///    enqueued largest-first, a worker always runs its biggest pending
-///    chunk next while thieves peel the victim's smallest chunk off the
-///    opposite end — skewed workloads rebalance instead of serializing
-///    on one worker.
+/// ParallelForDynamic is the only way to run work on the pool. The
+/// caller deals the chunks round-robin onto the workers' deques and
+/// wakes them, takes chunks of its own call (head first) until none are
+/// left, and only then waits for the ones still in flight. Each worker
+/// drains its own deque from the head and, when it is empty, steals from
+/// the tail of a randomly chosen victim (Chase-Lev discipline). With
+/// chunks dealt largest-first, every runner takes the biggest pending
+/// chunk next while thieves peel the smallest off the other end, so
+/// skewed workloads rebalance instead of serializing on one worker.
 ///
-/// Wait() blocks until both channels are drained and all in-flight tasks
-/// have finished.
+/// Why the caller runs chunks: a sleeping worker needs a wake-up before
+/// it runs anything, and woken workers land on fewer distinct CPUs than
+/// fresh threads. Four ~0.3 ms tasks took 1,464 µs p50 on four sleeping
+/// workers, 868 µs on four fresh threads, and 781 µs with the caller
+/// running one itself next to three workers (4-vCPU host).
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (at least 1).
-  explicit ThreadPool(size_t num_threads);
+  /// A pool `width` runners wide (at least 1): starts width − 1 workers.
+  explicit ThreadPool(size_t width);
 
-  /// Drains and joins. Pending tasks are completed before destruction.
+  /// Stops and joins the workers. Every fan-out joins before it
+  /// returns, so no chunk is ever pending here.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task on the central queue.
-  void Submit(std::function<void()> task);
+  /// Runners per fan-out: the workers plus the calling thread.
+  size_t width() const { return workers_.size() + 1; }
 
-  /// Enqueues a task on worker `home`'s deque (modulo num_threads()).
-  /// The home worker drains its deque head-first (submission order),
-  /// idle workers steal tail-first (the opposite end). Submission order
-  /// from a single thread is therefore the home worker's execution
-  /// order — callers submit largest tasks first.
-  void SubmitStealable(size_t home, std::function<void()> task);
+  /// Scheduler telemetry of one fan-out.
+  struct FanOut {
+    uint64_t chunks = 0;  ///< chunks dispatched (0 when run inline)
+    uint64_t stolen = 0;  ///< of those, run by a worker that stole them
+  };
 
-  /// Blocks until all submitted tasks (both channels) have completed.
-  void Wait();
+  /// The fan-out: applies `fn(begin, end)` to contiguous chunks of
+  /// exactly `min_grain` indices covering [0, n) (the last may be short)
+  /// and returns when every chunk has run. Chunk boundaries are a pure
+  /// function of (n, min_grain), so callers that write only to
+  /// index-owned slots get results identical to the serial loop at any
+  /// width — stealing moves chunks between runners, never between
+  /// slots. Callers that want largest-first execution sort their index
+  /// space before calling (see qmatch.cc's focus map).
+  ///
+  /// Runs inline, as the single call fn(0, n), when `pool` is null or
+  /// one wide, when the range is a single chunk, or when the calling
+  /// thread is already running one of `pool`'s chunks — a worker, or a
+  /// caller helping its own fan-out. The last rule is what makes nested
+  /// fan-outs safe: a chunk never waits on the pool it runs on.
+  static FanOut ParallelForDynamic(
+      ThreadPool* pool, size_t n, size_t min_grain,
+      const std::function<void(size_t, size_t)>& fn);
 
-  /// Number of worker threads.
-  size_t num_threads() const { return threads_.size(); }
-
-  /// Convenience: applies `fn(i)` for i in [0, n) across the pool and waits.
-  /// Chunked statically; `fn` must be thread-safe across distinct i.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Batched variant: splits [0, n) into at most `num_threads() * 4`
-  /// contiguous chunks of at least `min_grain` indices and applies
-  /// `fn(begin, end)` to each across the pool, then waits. Chunking is a
-  /// pure function of (n, min_grain, num_threads()), never of scheduling,
-  /// so callers that write only to index-owned slots get deterministic
-  /// results at any thread count. Runs inline (single chunk) when the
-  /// range is too small to be worth dispatching, and also when called
-  /// from inside one of this pool's own workers — a nested Wait() from a
-  /// worker would deadlock, so nested calls degrade to serial instead.
-  void ParallelForRange(size_t n, size_t min_grain,
-                        const std::function<void(size_t, size_t)>& fn);
-
-  /// Work-stealing variant: splits [0, n) into contiguous chunks of
-  /// exactly `min_grain` indices (last chunk may be short), deals them
-  /// round-robin onto the per-worker deques in index order, and waits.
-  /// Chunk boundaries are a pure function of (n, min_grain), so callers
-  /// that write only to index-owned slots get results identical to the
-  /// serial loop at any thread count — stealing moves chunks between
-  /// workers, never between slots. Callers that want largest-first
-  /// execution sort their index space before calling (see
-  /// qmatch.cc's focus map). Degrades to inline execution when nested
-  /// inside a worker or when a single chunk results.
-  void ParallelForDynamic(size_t n, size_t min_grain,
-                          const std::function<void(size_t, size_t)>& fn);
-
-  /// True when the calling thread is one of this pool's workers.
-  bool IsWorkerThread() const;
-
-  /// Cumulative scheduler counters since construction. `executed[w]` /
-  /// `stolen[w]` count tasks worker w ran / ran after stealing them from
-  /// another worker's deque (central-queue tasks count as executed,
-  /// never stolen). Snapshot is not atomic across workers — read it
-  /// while the pool is quiescent (after Wait()) for exact totals.
+  /// Cumulative scheduler counters since construction, one slot per
+  /// runner: `executed[w]` / `stolen[w]` count the chunks worker w ran /
+  /// ran after stealing them from another worker's deque, and the last
+  /// slot counts the chunks fan-out callers ran (never steals). Every
+  /// dispatched chunk is counted exactly once; inline runs are not
+  /// dispatched and count nowhere. The snapshot is not atomic across
+  /// runners — read it while no fan-out is in flight for exact totals.
   struct SchedulerStats {
-    std::vector<uint64_t> executed;  ///< per worker: tasks it ran
-    std::vector<uint64_t> stolen;    ///< per worker: ran after stealing
-    /// Sum of `executed` across workers.
+    std::vector<uint64_t> executed;  ///< per runner: chunks it ran
+    std::vector<uint64_t> stolen;    ///< per runner: ran after stealing
+    /// Sum of `executed` across runners.
     uint64_t total_executed() const {
       uint64_t n = 0;
       for (uint64_t e : executed) n += e;
       return n;
     }
-    /// Sum of `stolen` across workers.
+    /// Sum of `stolen` across runners.
     uint64_t total_stolen() const {
       uint64_t n = 0;
       for (uint64_t s : stolen) n += s;
@@ -119,39 +104,48 @@ class ThreadPool {
   SchedulerStats scheduler_stats() const;
 
  private:
-  /// One worker's stealable-task deque plus its scheduler counters.
-  /// Chase-Lev in discipline (owner and thieves work opposite ends:
-  /// the owner drains the head, thieves take the newest-submitted task
-  /// at the tail — under largest-first submission, the victim's
-  /// smallest pending chunk); a per-deque mutex instead of the
-  /// lock-free protocol — match tasks are chunky (a focus
-  /// verification, a ball extraction), so the lock is nanoseconds
-  /// against microseconds-to-milliseconds of work, and it keeps the
-  /// scheduler trivially TSan-clean.
+  /// One fan-out in flight; lives on its caller's stack.
+  struct Call;
+  /// The chunk [begin, end) of `call`.
+  struct Chunk {
+    Call* call = nullptr;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+  /// One worker's deque plus its scheduler counters. A per-deque mutex
+  /// instead of the lock-free Chase-Lev protocol: match chunks are
+  /// chunky (a focus verification, a ball extraction), so the lock is
+  /// nanoseconds against microseconds-to-milliseconds of work, and it
+  /// keeps the scheduler trivially TSan-clean.
   struct Worker {
     std::mutex mu;
-    std::deque<std::function<void()>> deque;
+    std::deque<Chunk> deque;
     std::atomic<uint64_t> executed{0};
     std::atomic<uint64_t> stolen{0};
   };
 
+  FanOut Dispatch(size_t n, size_t grain, size_t chunks,
+                  const std::function<void(size_t, size_t)>& fn);
   void WorkerLoop(size_t id);
-  /// Own deque head, else central queue, else steal from a random
-  /// victim's tail. Returns false when no task was found anywhere.
-  bool TakeTask(size_t id, std::function<void()>* task);
-  void FinishTask();
+  /// Own deque head, else a random victim's tail. False when no chunk
+  /// was found anywhere.
+  bool TakeChunk(size_t id, Chunk* chunk);
+  /// The first chunk of `call` in any deque, scanning from deque
+  /// `*start` on (advanced past the deque it was found in). False when
+  /// none is left.
+  bool TakeOwnChunk(const Call* call, size_t* start, Chunk* chunk);
+  static void RunChunk(const Chunk& chunk);
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   // signalled when work arrives / stop
-  std::condition_variable idle_cv_;   // signalled when a task finishes
-  std::deque<std::function<void()>> queue_;
+  std::condition_variable work_cv_;  // signalled when chunks arrive / stop
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  /// Stealable tasks sitting in deques, not yet claimed. Guards the
-  /// sleep predicate: a worker only blocks when both channels are empty.
-  std::atomic<size_t> stealable_ready_{0};
-  size_t outstanding_ = 0;  // submitted but unfinished, both channels
-  bool stop_ = false;
+  /// Chunks sitting in deques, not yet claimed: the workers' sleep
+  /// predicate. Raised under mu_ (so no wake-up is lost), lowered
+  /// without it.
+  std::atomic<size_t> ready_{0};
+  std::atomic<uint64_t> caller_executed_{0};
+  bool stop_ = false;  // guarded by mu_
+  std::vector<std::thread> threads_;  // last: the workers use the above
 };
 
 }  // namespace qgp

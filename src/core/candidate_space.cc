@@ -29,15 +29,13 @@ void IncidentLabels(const Pattern& q, PatternNodeId u,
                    in_labels->end());
 }
 
-// Runs `fn(begin, end)` over [0, n) — chunked across the pool when one is
-// given, inline otherwise.
-void ForRange(ThreadPool* pool, size_t n, size_t grain,
+// Runs `fn(begin, end)` over [0, n) in about 4 chunks per runner of at
+// least `min_grain` indices each (inline without a pool).
+void ForRange(ThreadPool* pool, size_t n, size_t min_grain,
               const std::function<void(size_t, size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelForRange(n, grain, fn);
-  } else {
-    if (n > 0) fn(0, n);
-  }
+  const size_t spread = 4 * (pool != nullptr ? pool->width() : 1);
+  ThreadPool::ParallelForDynamic(
+      pool, n, std::max(min_grain, (n + spread - 1) / spread), fn);
 }
 
 // The label/degree filter is a pure function of (node label, incident

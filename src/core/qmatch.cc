@@ -21,12 +21,13 @@ const FocusCache* WarmCache(
 
 // Parallel map over focus candidates: verification is per-candidate
 // independent (PositiveEvaluator is const), so candidates are verified
-// across the pool as size-ordered (largest-ball-first) stealable tasks
-// and results merged deterministically — each task writes only its
+// across the pool as size-ordered (largest-ball-first) stealable chunks
+// and results merged deterministically — each chunk writes only its
 // candidates' slots, and the merge folds slots in original subset order,
-// so answers and all work counters are identical to the serial loop at
-// any thread count (only the scheduler telemetry varies with the
-// schedule). Cold maps verify consecutive runs of up to 64 foci as one
+// so answers and all work counters are identical at any pool width (only
+// the scheduler telemetry varies with the schedule). Without a pool, or
+// on a 1-wide one, the same chunk body runs inline over the whole
+// subset. Cold maps verify consecutive runs of up to 64 foci as one
 // VerifyBatch (one shared ball BFS); warm IncQMatch maps reuse each
 // answer's cached ball and stay per-focus.
 AnswerSet VerifyAcross(const PositiveEvaluator& ev,
@@ -40,29 +41,6 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
   // caller re-checks the token right after VerifyAcross returns and
   // unwinds with its status instead.
   const CancelToken* cancel = ev.options().cancel;
-  if (pool == nullptr || subset.size() <= 1) {
-    if (warm == nullptr) {
-      return ev.EvaluateSubset(subset, stats, caches, cancel);
-    }
-    AnswerSet answers;
-    size_t polled = 0;
-    for (VertexId vx : subset) {
-      // Every 16th focus: ShouldStop reads the clock when a deadline is
-      // armed, and a per-focus read is measurable on cheap foci. The
-      // local stride bounds both the cost and the overshoot (≤16 foci).
-      if (cancel != nullptr && (polled++ & 15) == 0 && cancel->ShouldStop()) {
-        break;
-      }
-      FocusCache cache;
-      if (ev.VerifyFocus(vx, WarmCache(warm, vx),
-                         caches != nullptr ? &cache : nullptr, stats)) {
-        answers.push_back(vx);
-        if (caches != nullptr) caches->emplace(vx, std::move(cache));
-      }
-    }
-    Canonicalize(answers);
-    return answers;
-  }
   const size_t n = subset.size();
   // Largest-ball-first schedule: order positions by the focus degree
   // proxy, descending, ties by subset position so the order is a pure
@@ -79,15 +57,14 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
   });
   size_t grain = ev.options().scheduler_grain;
   if (grain == 0) {
-    grain = std::max<size_t>(1, n / (pool->num_threads() * 8));
+    const size_t width = pool != nullptr ? pool->width() : 1;
+    grain = std::max<size_t>(1, n / (width * 8));
   }
   std::vector<char> is_match(n, 0);
   std::vector<FocusCache> cache_vec(caches != nullptr ? n : 0);
   // Counters per position: a batch's counters land on its first position.
   std::vector<MatchStats> stats_vec(stats != nullptr ? n : 0);
-  ThreadPool::SchedulerStats before;
-  if (stats != nullptr) before = pool->scheduler_stats();
-  pool->ParallelForDynamic(n, grain, [&](size_t begin, size_t end) {
+  auto verify_range = [&](size_t begin, size_t end) {
     if (warm != nullptr) {
       for (size_t pos = begin; pos < end; ++pos) {
         // Inside the chunk, not only at its entry: on a small pool a
@@ -130,7 +107,9 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
       }
       if (done < m) return;  // cancelled
     }
-  });
+  };
+  const ThreadPool::FanOut fan_out =
+      ThreadPool::ParallelForDynamic(pool, n, grain, verify_range);
   AnswerSet answers;
   for (size_t i = 0; i < n; ++i) {
     if (stats != nullptr) stats->Add(stats_vec[i]);
@@ -140,9 +119,8 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
     }
   }
   if (stats != nullptr) {
-    const ThreadPool::SchedulerStats after = pool->scheduler_stats();
-    stats->scheduler_tasks += after.total_executed() - before.total_executed();
-    stats->scheduler_steals += after.total_stolen() - before.total_stolen();
+    stats->scheduler_tasks += fan_out.chunks;
+    stats->scheduler_steals += fan_out.stolen;
   }
   Canonicalize(answers);
   return answers;

@@ -72,6 +72,8 @@ std::vector<std::vector<VertexId>> DualSimulation(
   // cost extra rounds versus in-place clearing, but converges to the same
   // unique greatest fixpoint — and makes the schedule irrelevant.
   std::vector<std::vector<char>> keep(nq);
+  // About 4 flag chunks per runner, none under kSimGrain members.
+  const size_t spread = 4 * (pool != nullptr ? pool->width() : 1);
   bool changed = true;
   while (changed) {
     // Cancellation point, once per round: an early break leaves every
@@ -89,11 +91,10 @@ std::vector<std::vector<VertexId>> DualSimulation(
           if (!member_ok(u, members[i])) flags[i] = 0;
         }
       };
-      if (pool != nullptr) {
-        pool->ParallelForRange(members.size(), kSimGrain, flag_range);
-      } else {
-        flag_range(0, members.size());
-      }
+      ThreadPool::ParallelForDynamic(
+          pool, members.size(),
+          std::max(kSimGrain, (members.size() + spread - 1) / spread),
+          flag_range);
     }
     for (PatternNodeId u = 0; u < nq; ++u) {
       std::vector<VertexId>& members = sim[u];

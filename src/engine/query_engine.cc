@@ -214,7 +214,7 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
     ctx.graph = graph_.get();
     ctx.cache = spec.share_cache ? &cache_ : nullptr;
     ctx.graph_version = current_version;
-    ctx.num_threads = pool_->num_threads();
+    ctx.num_threads = pool_->width();
     ctx.partition_fragments = options_.partition_fragments;
     ctx.partition_d = options_.partition_d;
     const PlanDecision plan = planner_.Plan(spec.pattern, spec.options, ctx);
@@ -389,8 +389,8 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
           break;
         }
         ParallelConfig config;
-        config.mode = options_.partition_mode;
-        config.threads_per_worker = options_.threads_per_worker;
+        config.mode = ExecutionMode::kThreads;
+        config.pool = pool_.get();
         config.match = effective_options;
         Result<ParallelRunResult> run =
             effective == EngineAlgo::kPQMatch

@@ -33,7 +33,6 @@
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
 #include "parallel/partition.h"
-#include "parallel/worker_set.h"
 
 namespace qgp {
 
@@ -153,9 +152,11 @@ struct DeltaOutcome {
 
 /// Engine construction knobs.
 struct EngineOptions {
-  /// Worker threads of the shared pool. 0 = hardware concurrency; 1
-  /// still builds a pool (a single worker), so scheduling code paths are
-  /// identical at every setting.
+  /// Width of the engine's pool: every fan-out of a query (candidate
+  /// build, simulation, focus verification, PQMatch/PEnum fragments)
+  /// runs on the submitting thread plus num_threads − 1 pool workers.
+  /// 0 = hardware concurrency; 1 starts no worker and runs every
+  /// fan-out inline.
   size_t num_threads = 0;
   /// Cache pressure policy: after a query completes, if the shared
   /// CandidateCache holds more than this many interned sets, the engine
@@ -168,11 +169,6 @@ struct EngineOptions {
   /// DPar hop-preservation depth d. Queries whose pattern radius exceeds
   /// it fail with InvalidArgument, exactly like standalone PQMatch.
   int partition_d = 2;
-  /// How PQMatch/PEnum logical workers execute (real threads by
-  /// default; kSimulated reproduces the paper's n-machine timing model).
-  ExecutionMode partition_mode = ExecutionMode::kThreads;
-  /// Intra-fragment threads b for PQMatch/PEnum workers.
-  size_t threads_per_worker = 1;
   /// Result cache: serve a repeat of an already-answered query — same
   /// pattern (canonical structural key, node names ignored), same
   /// algorithm, same MatchOptions — straight from memory. The stored
@@ -291,8 +287,9 @@ struct EngineStats {
 ///  * a CandidateCache interning label/degree candidate sets — queries
 ///    that share filter keys (pattern families, positified variants,
 ///    repeated requests) hit instead of recomputing;
-///  * a ThreadPool driving the work-stealing match scheduler and the
-///    parallel CandidateSpace build;
+///  * a ThreadPool, the one executor of every fan-out its queries make:
+///    the work-stealing match scheduler, the parallel CandidateSpace
+///    build, the lazy DPar build and the PQMatch/PEnum fragments;
 ///  * lazily, a d-hop preserving DPar Partition serving the
 ///    partition-parallel algorithms.
 ///

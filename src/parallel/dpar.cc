@@ -22,53 +22,12 @@ namespace {
 // sort to a canonical order) — so even the chunk COUNT, which depends on
 // the pool width, cannot leak into the result.
 
-// DPar keeps a small local dispatcher instead of ParallelForDynamic for
-// two reasons the pool API does not cover: the pool is OPTIONAL here
-// (nullptr is the common serial entry point), and the phases need the
-// chunk INDEX to address per-chunk output buffers whose count must be
-// known before dispatch.
-
-// Worker width usable for fan-out from the calling thread. 1 means "run
-// inline": no pool, a single-thread pool, or a nested call from inside
-// one of the pool's own workers (whose Wait() would deadlock).
-size_t UsableThreads(ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() == 1 || pool->IsWorkerThread()) {
-    return 1;
-  }
-  return pool->num_threads();
-}
-
-// Deterministic decomposition of [0, n) into at most `max_chunks`
-// contiguous near-equal ranges.
-std::vector<std::pair<size_t, size_t>> MakeChunks(size_t n,
-                                                  size_t max_chunks) {
-  std::vector<std::pair<size_t, size_t>> chunks;
-  if (n == 0) return chunks;
-  max_chunks = std::max<size_t>(1, max_chunks);
-  const size_t per = (n + max_chunks - 1) / max_chunks;
-  for (size_t begin = 0; begin < n; begin += per) {
-    chunks.emplace_back(begin, std::min(n, begin + per));
-  }
-  return chunks;
-}
-
-// Applies fn(chunk, begin, end) to every chunk: as stealable tasks dealt
-// round-robin across the pool when it is usable, inline otherwise.
-void RunChunks(ThreadPool* pool,
-               const std::vector<std::pair<size_t, size_t>>& chunks,
-               const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (chunks.empty()) return;
-  if (chunks.size() == 1 || UsableThreads(pool) == 1) {
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      fn(c, chunks[c].first, chunks[c].second);
-    }
-    return;
-  }
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    pool->SubmitStealable(
-        c, [c, &chunks, &fn] { fn(c, chunks[c].first, chunks[c].second); });
-  }
-  pool->Wait();
+// Grain that splits [0, n) into at most `chunks` contiguous near-equal
+// chunks. A fan-out at this grain hands out [k·grain, (k+1)·grain), so
+// `begin / grain` indexes a per-chunk buffer (an inline run is chunk 0).
+size_t GrainFor(size_t n, size_t chunks) {
+  chunks = std::max<size_t>(1, chunks);
+  return std::max<size_t>(1, (n + chunks - 1) / chunks);
 }
 
 // Builds the d-hop preserving partition on top of an existing base
@@ -84,7 +43,7 @@ Result<Partition> BuildFromBase(const Graph& g,
     return Status::InvalidArgument("balance factor must be >= 1");
   }
   const size_t nv = g.num_vertices();
-  const size_t width = UsableThreads(pool);
+  const size_t width = pool != nullptr ? pool->width() : 1;
 
   // --- Border detection: border(v) <=> some vertex of another region is
   // within d undirected hops <=> dist(v, boundary vertices) <= d-1, where
@@ -95,28 +54,28 @@ Result<Partition> BuildFromBase(const Graph& g,
   std::vector<char> border(nv, 0);
   if (d >= 1) {
     std::vector<char> boundary(nv, 0);
-    RunChunks(pool, MakeChunks(nv, width * 4),
-              [&](size_t, size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  const VertexId v = static_cast<VertexId>(i);
-                  bool is_boundary = false;
-                  for (const Neighbor& nb : g.OutNeighbors(v)) {
-                    if (base_region[nb.v] != base_region[v]) {
-                      is_boundary = true;
-                      break;
-                    }
-                  }
-                  if (!is_boundary) {
-                    for (const Neighbor& nb : g.InNeighbors(v)) {
-                      if (base_region[nb.v] != base_region[v]) {
-                        is_boundary = true;
-                        break;
-                      }
-                    }
-                  }
-                  boundary[i] = is_boundary ? 1 : 0;
+    ThreadPool::ParallelForDynamic(
+        pool, nv, GrainFor(nv, width * 4), [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            const VertexId v = static_cast<VertexId>(i);
+            bool is_boundary = false;
+            for (const Neighbor& nb : g.OutNeighbors(v)) {
+              if (base_region[nb.v] != base_region[v]) {
+                is_boundary = true;
+                break;
+              }
+            }
+            if (!is_boundary) {
+              for (const Neighbor& nb : g.InNeighbors(v)) {
+                if (base_region[nb.v] != base_region[v]) {
+                  is_boundary = true;
+                  break;
                 }
-              });
+              }
+            }
+            boundary[i] = is_boundary ? 1 : 0;
+          }
+        });
     std::vector<uint32_t> dist(nv, UINT32_MAX);
     std::vector<VertexId> frontier;
     for (VertexId v = 0; v < nv; ++v) {
@@ -131,10 +90,11 @@ Result<Partition> BuildFromBase(const Graph& g,
       // Expand: dist is frozen this round, so concurrent reads are safe;
       // each chunk appends discoveries (possibly duplicated across
       // chunks) to its own buffer.
-      const auto chunks = MakeChunks(frontier.size(), width * 4);
-      std::vector<std::vector<VertexId>> found(chunks.size());
-      RunChunks(pool, chunks, [&](size_t c, size_t begin, size_t end) {
-        std::vector<VertexId>& out = found[c];
+      const size_t grain = GrainFor(frontier.size(), width * 4);
+      std::vector<std::vector<VertexId>> found(
+          (frontier.size() + grain - 1) / grain);
+      auto expand = [&](size_t begin, size_t end) {
+        std::vector<VertexId>& out = found[begin / grain];
         for (size_t i = begin; i < end; ++i) {
           const VertexId v = frontier[i];
           auto visit = [&](VertexId w) {
@@ -143,7 +103,8 @@ Result<Partition> BuildFromBase(const Graph& g,
           for (const Neighbor& nb : g.OutNeighbors(v)) visit(nb.v);
           for (const Neighbor& nb : g.InNeighbors(v)) visit(nb.v);
         }
-      });
+      };
+      ThreadPool::ParallelForDynamic(pool, frontier.size(), grain, expand);
       // Claim: sequential dedup; every claim gets the same level value,
       // and the sort makes the next frontier canonical, so neither the
       // chunking nor the schedule can affect dist or border.
@@ -172,11 +133,11 @@ Result<Partition> BuildFromBase(const Graph& g,
   // per-chunk partial counts (integer sums: merge order irrelevant).
   std::vector<uint64_t> est_size(n, 0);
   {
-    const auto chunks = MakeChunks(nv, width * 4);
+    const size_t grain = GrainFor(nv, width * 4);
     std::vector<std::vector<uint64_t>> partial(
-        chunks.size(), std::vector<uint64_t>(n, 0));
-    RunChunks(pool, chunks, [&](size_t c, size_t begin, size_t end) {
-      std::vector<uint64_t>& p = partial[c];
+        (nv + grain - 1) / grain, std::vector<uint64_t>(n, 0));
+    auto count = [&](size_t begin, size_t end) {
+      std::vector<uint64_t>& p = partial[begin / grain];
       for (size_t i = begin; i < end; ++i) {
         const VertexId v = static_cast<VertexId>(i);
         p[base_region[v]] += 1;
@@ -184,7 +145,8 @@ Result<Partition> BuildFromBase(const Graph& g,
           if (base_region[nb.v] == base_region[v]) ++p[base_region[v]];
         }
       }
-    });
+    };
+    ThreadPool::ParallelForDynamic(pool, nv, grain, count);
     for (const std::vector<uint64_t>& p : partial) {
       for (size_t k = 0; k < n; ++k) est_size[k] += p[k];
     }
@@ -200,25 +162,26 @@ Result<Partition> BuildFromBase(const Graph& g,
   std::vector<std::vector<VertexId>> balls(border_nodes.size());
   std::vector<MkpItem> items(border_nodes.size());
   std::vector<double> ball_secs(border_nodes.size(), 0.0);
-  RunChunks(pool, MakeChunks(border_nodes.size(), width * 8),
-            [&](size_t, size_t begin, size_t end) {
-              SparseBitset member;
-              member.EnsureUniverse(nv);
-              for (size_t i = begin; i < end; ++i) {
-                WallTimer ball_timer;
-                balls[i] = KHopBall(g, border_nodes[i], d);
-                uint64_t edges = 0;
-                for (VertexId v : balls[i]) member.Set(v);
-                for (VertexId v : balls[i]) {
-                  for (const Neighbor& nb : g.OutNeighbors(v)) {
-                    if (member.Test(nb.v)) ++edges;
-                  }
-                }
-                member.ResetTouched();
-                items[i] = MkpItem{balls[i].size() + edges, i};
-                ball_secs[i] = ball_timer.ElapsedSeconds();
-              }
-            });
+  ThreadPool::ParallelForDynamic(
+      pool, border_nodes.size(), GrainFor(border_nodes.size(), width * 8),
+      [&](size_t begin, size_t end) {
+        SparseBitset member;
+        member.EnsureUniverse(nv);
+        for (size_t i = begin; i < end; ++i) {
+          WallTimer ball_timer;
+          balls[i] = KHopBall(g, border_nodes[i], d);
+          uint64_t edges = 0;
+          for (VertexId v : balls[i]) member.Set(v);
+          for (VertexId v : balls[i]) {
+            for (const Neighbor& nb : g.OutNeighbors(v)) {
+              if (member.Test(nb.v)) ++edges;
+            }
+          }
+          member.ResetTouched();
+          items[i] = MkpItem{balls[i].size() + edges, i};
+          ball_secs[i] = ball_timer.ElapsedSeconds();
+        }
+      });
   if (timings != nullptr) {
     // Ball work is done by the border node's home worker.
     for (size_t i = 0; i < border_nodes.size(); ++i) {
@@ -299,7 +262,7 @@ Result<Partition> BuildFromBase(const Graph& g,
   partition.fragments.resize(n);
   std::vector<Status> frag_status(n, Status::Ok());
   std::vector<double> mat_secs(n, 0.0);
-  RunChunks(pool, MakeChunks(n, n), [&](size_t, size_t begin, size_t end) {
+  ThreadPool::ParallelForDynamic(pool, n, 1, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       WallTimer mat_timer;
       std::sort(node_sets[i].begin(), node_sets[i].end());

@@ -60,7 +60,7 @@ Result<ParallelRunResult> PEnum::Evaluate(const Pattern& pattern,
     weights[i] = partition.fragments[i].SizeCost();
   }
 
-  WorkerSet workers(n, config.mode);
+  WorkerSet workers(n, config.mode, config.pool);
   WorkerSet::Report report = workers.Run([&](size_t i) {
     const Fragment& f = partition.fragments[i];
     if (f.owned_local.empty()) return;

@@ -1,8 +1,6 @@
 #include "parallel/pqmatch.h"
 
-#include <memory>
-
-#include "common/thread_pool.h"
+#include "common/failpoint.h"
 #include "common/timer.h"
 #include "core/qmatch.h"
 
@@ -34,23 +32,18 @@ Result<ParallelRunResult> PQMatch::Evaluate(const Pattern& pattern,
     weights[i] = partition.fragments[i].SizeCost();
   }
 
-  WorkerSet workers(n, config.mode);
+  WorkerSet workers(n, config.mode, config.pool);
   WorkerSet::Report report = workers.Run([&](size_t i) {
+    local_status[i] = QGP_FAILPOINT_STATUS("pqmatch.fragment");
+    if (!local_status[i].ok()) return;
     const Fragment& f = partition.fragments[i];
     if (f.owned_local.empty()) return;
-    // mQMatch intra-fragment threads. In simulated mode workers run one
-    // at a time, so each worker's pool has the whole machine and its
-    // wall time honestly reflects b-way intra parallelism.
-    std::unique_ptr<ThreadPool> pool;
-    if (config.threads_per_worker > 1) {
-      pool = std::make_unique<ThreadPool>(config.threads_per_worker);
-    }
     // Per-fragment intern pool: Π(Q) and every positified Π(Q⁺ᵉ) of this
     // fragment share label/degree candidate sets instead of rebuilding.
     CandidateCache cache(f.sub.graph);
     Result<AnswerSet> local = QMatch::EvaluateSubset(
         pattern, f.sub.graph, f.owned_local, config.match, &local_stats[i],
-        pool.get(), &cache);
+        config.pool, &cache);
     if (!local.ok()) {
       local_status[i] = local.status();
       return;

@@ -9,13 +9,18 @@
 
 namespace qgp {
 
+class ThreadPool;
+
 /// Parallel execution knobs shared by PQMatch and PEnum.
 struct ParallelConfig {
   ExecutionMode mode = ExecutionMode::kSimulated;
-  /// Intra-fragment threads b (mQMatch). Works in both modes: in
-  /// simulated mode workers run sequentially, so each worker's pool has
-  /// the machine to itself and per-worker times reflect b honestly.
-  size_t threads_per_worker = 1;
+  /// The pool everything runs on; null runs everything on the caller.
+  /// kSimulated runs the fragments one at a time on the caller, each
+  /// verifying its foci across the whole pool, so the pool's width is
+  /// the paper's intra-fragment b (mQMatch) and per-worker times reflect
+  /// it honestly. kThreads fans the fragments out on the pool instead;
+  /// each fragment then runs inline on the runner that took it.
+  ThreadPool* pool = nullptr;
   MatchOptions match;
 };
 

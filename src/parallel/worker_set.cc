@@ -12,40 +12,31 @@ WorkerSet::Report WorkerSet::Run(const std::function<void(size_t)>& fn,
   Report report;
   report.worker_seconds.assign(num_workers_, 0.0);
   WallTimer wall;
-  if (mode_ == ExecutionMode::kSimulated) {
-    for (size_t i = 0; i < num_workers_; ++i) {
-      WallTimer t;
-      fn(i);
-      report.worker_seconds[i] = t.ElapsedSeconds();
-    }
-  } else {
-    // Size-ordered work-stealing schedule: heaviest logical worker
-    // first (ties by index, so the order is a pure function of the
-    // weights), dealt round-robin onto the pool's deques. Each task
-    // writes only its own report slot, so the report is deterministic
-    // even though the schedule is not.
-    std::vector<size_t> order(num_workers_);
-    for (size_t i = 0; i < num_workers_; ++i) order[i] = i;
-    if (weights.size() == num_workers_) {
-      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (weights[a] != weights[b]) return weights[a] > weights[b];
-        return a < b;
-      });
-    }
-    ThreadPool pool(num_workers_);
-    for (size_t pos = 0; pos < num_workers_; ++pos) {
-      const size_t i = order[pos];
-      pool.SubmitStealable(pos, [&, i] {
-        WallTimer t;
-        fn(i);
-        report.worker_seconds[i] = t.ElapsedSeconds();
-      });
-    }
-    pool.Wait();
-    const ThreadPool::SchedulerStats sched = pool.scheduler_stats();
-    report.tasks_executed = sched.total_executed();
-    report.tasks_stolen = sched.total_stolen();
+  // Heaviest logical worker first (ties by index, so the order is a pure
+  // function of the weights), one index per chunk. kSimulated is the
+  // same loop run inline on the caller. Each chunk writes only its own
+  // report slot, so the report is deterministic even though the
+  // schedule is not.
+  std::vector<size_t> order(num_workers_);
+  for (size_t i = 0; i < num_workers_; ++i) order[i] = i;
+  if (weights.size() == num_workers_) {
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (weights[a] != weights[b]) return weights[a] > weights[b];
+      return a < b;
+    });
   }
+  const ThreadPool::FanOut fan_out = ThreadPool::ParallelForDynamic(
+      mode_ == ExecutionMode::kThreads ? pool_ : nullptr, num_workers_, 1,
+      [&](size_t begin, size_t end) {
+        for (size_t pos = begin; pos < end; ++pos) {
+          const size_t i = order[pos];
+          WallTimer t;
+          fn(i);
+          report.worker_seconds[i] = t.ElapsedSeconds();
+        }
+      });
+  report.tasks_executed = fan_out.chunks;
+  report.tasks_stolen = fan_out.stolen;
   report.wall_seconds = wall.ElapsedSeconds();
   for (double s : report.worker_seconds) {
     report.makespan_seconds = std::max(report.makespan_seconds, s);

@@ -8,23 +8,27 @@
 
 namespace qgp {
 
+class ThreadPool;
+
 /// How the n logical workers of PQMatch/PEnum execute (DESIGN.md §3).
 enum class ExecutionMode {
-  /// Workers run sequentially; each fragment's work is timed and the
-  /// reported parallel time is the makespan (max worker time plus the
-  /// coordinator's assembly cost). This reproduces the paper's n-machine
-  /// scaling curves faithfully on hosts with fewer cores, and is the
-  /// default for the vary-n benches.
+  /// Workers run sequentially on the caller; each fragment's work is
+  /// timed and the reported parallel time is the makespan (max worker
+  /// time plus the coordinator's assembly cost). This reproduces the
+  /// paper's n-machine scaling curves faithfully on hosts with fewer
+  /// cores, and is the default for the vary-n benches.
   kSimulated,
-  /// Workers run on real threads; parallel time is wall-clock.
+  /// Workers fan out on the pool; parallel time is wall-clock.
   kThreads,
 };
 
 /// Runs one task per logical worker and reports per-worker timings.
 class WorkerSet {
  public:
-  WorkerSet(size_t num_workers, ExecutionMode mode)
-      : num_workers_(num_workers), mode_(mode) {}
+  /// `pool` runs the kThreads fan-out (inline when null); kSimulated
+  /// ignores it.
+  WorkerSet(size_t num_workers, ExecutionMode mode, ThreadPool* pool = nullptr)
+      : num_workers_(num_workers), mode_(mode), pool_(pool) {}
 
   struct Report {
     std::vector<double> worker_seconds;  // per worker
@@ -36,14 +40,14 @@ class WorkerSet {
     uint64_t tasks_stolen = 0;
   };
 
-  /// Executes fn(i) for i in [0, num_workers). In kThreads mode `fn`
-  /// must be thread-safe across distinct i, and the logical workers run
-  /// as stealable tasks on a work-stealing pool instead of one pinned
-  /// thread each: tasks are submitted heaviest-first when `weights`
-  /// (one cost estimate per logical worker, e.g. fragment |Fi|) is
-  /// given, so a skewed fragment starts immediately and lighter
-  /// fragments pack around it. `weights` never affects results — fn(i)
-  /// runs exactly once per i either way — only the schedule.
+  /// Executes fn(i) for i in [0, num_workers), heaviest first when
+  /// `weights` (one cost estimate per logical worker, e.g. fragment
+  /// |Fi|) is given, so a skewed fragment starts immediately and lighter
+  /// fragments pack around it. In kThreads mode `fn` must be
+  /// thread-safe across distinct i: the logical workers run as
+  /// one-index chunks of a fan-out on the pool. `weights` never affects
+  /// results — fn(i) runs exactly once per i either way — only the
+  /// schedule.
   Report Run(const std::function<void(size_t)>& fn,
              std::span<const uint64_t> weights = {}) const;
 
@@ -53,6 +57,7 @@ class WorkerSet {
  private:
   size_t num_workers_;
   ExecutionMode mode_;
+  ThreadPool* pool_;
 };
 
 }  // namespace qgp

@@ -58,8 +58,8 @@ struct ShardQuery {
 
 /// Transport-neutral shard handle. Implementations are NOT thread-safe
 /// per instance; the coordinator drives each shard from one thread at a
-/// time (its admission lock serializes operations, and a scatter uses
-/// one thread per shard).
+/// time (its admission lock serializes operations, and a scatter hands
+/// each shard to exactly one runner of its fan-out).
 class Shard {
  public:
   virtual ~Shard() = default;

@@ -4,7 +4,6 @@
 #include <deque>
 #include <optional>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -68,6 +67,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
   }
   std::unique_ptr<ShardedEngine> engine(
       new ShardedEngine(std::move(graph), options));
+  engine->pool_ = std::make_unique<ThreadPool>(partition.fragments.size());
   engine->shards_.reserve(partition.fragments.size());
   for (size_t i = 0; i < partition.fragments.size(); ++i) {
     Fragment& f = partition.fragments[i];
@@ -152,15 +152,13 @@ Result<ShardedOutcome> ShardedEngine::Submit(const QuerySpec& spec) {
     return shards_[i].shard->Submit(query);
   };
 
+  // Scatter: one fan-out over the shards, this thread running shards
+  // itself next to the pool's workers.
   std::vector<std::optional<Result<QueryOutcome>>> results(n);
-  {
-    std::vector<std::thread> scatter;
-    scatter.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      scatter.emplace_back([&, i] { results[i].emplace(run_one(i)); });
-    }
-    for (std::thread& t : scatter) t.join();
-  }
+  ThreadPool::ParallelForDynamic(
+      pool_.get(), n, 1, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) results[i].emplace(run_one(i));
+      });
 
   // The whole-query deadline / an explicit cancel beats any per-shard
   // policy: a cancelled coordinator reports kCancelled (or

@@ -19,10 +19,13 @@
 ///  * their union over all shards equals the single-engine answer set
 ///    exactly, with identical summed non-scheduler MatchStats.
 ///
-/// Queries scatter to all shards concurrently (one thread per shard,
-/// cooperative per-shard CancelToken deadlines); answers gather through
-/// local→global id mapping into one canonical AnswerSet. A failed or
-/// timed-out shard degrades per ShardedOptions::failure_policy:
+/// Queries scatter to all shards concurrently as one fan-out on the
+/// engine's pool, num_shards wide: the submitting thread runs shards
+/// itself next to num_shards − 1 pool workers, so no query creates a
+/// thread, and a 1-shard engine scatters inline. Per-shard deadlines
+/// are cooperative CancelTokens. Answers gather through local→global id
+/// mapping into one canonical AnswerSet. A failed or timed-out shard
+/// degrades per ShardedOptions::failure_policy:
 /// fail-query (default: first shard error fails the whole query) or
 /// best-effort (answers from live shards, ShardedOutcome::partial set).
 /// An explicit cancellation (kCancelled) always fails the whole query —
@@ -51,6 +54,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "engine/query_engine.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
@@ -189,6 +193,9 @@ class ShardedEngine {
   ShardedOptions options_;
   int d_;
   std::vector<ShardState> shards_;
+  /// The scatter executor, num_shards wide. Each in-process shard's
+  /// engine keeps its own pool for the fan-outs inside its queries.
+  std::unique_ptr<ThreadPool> pool_;
   /// Serializes Submit against ApplyDelta (same discipline as
   /// QueryEngine::admission_mu_): every query sees entirely the pre- or
   /// post-delta system.

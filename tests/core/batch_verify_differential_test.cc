@@ -344,7 +344,7 @@ TEST(BatchVerifyDifferentialTest, QMatchFocusMapAtEveryPoolSize) {
       for (const auto& pool : pools) {
         SCOPED_TRACE(pool == nullptr
                          ? std::string("serial")
-                         : std::to_string(pool->num_threads()) + " threads");
+                         : std::to_string(pool->width()) + " wide");
         MatchStats stats;
         auto got = QMatch::Evaluate(q, g, options, &stats, pool.get());
         ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -4,8 +4,11 @@
 // a standalone DPar build.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 
+#include "common/failpoint.h"
 #include "core/enum_matcher.h"
 #include "core/qmatch.h"
 #include "engine/query_engine.h"
@@ -13,6 +16,7 @@
 #include "gen/synthetic_gen.h"
 #include "parallel/dpar.h"
 #include "parallel/pqmatch.h"
+#include "testing/thread_count.h"
 
 namespace qgp {
 namespace {
@@ -122,6 +126,53 @@ TEST(QueryEngineTest, PartitionAlgosMatchStandalone) {
     EXPECT_EQ(via_engine->answers, standalone->answers)
         << "PEnum disagrees with PQMatch";
   }
+}
+
+// PQMatch fragments fan out on the engine's own pool (num_threads − 1
+// workers, built with the engine) plus the submitting thread: while the
+// fragments are parked at their seam, the process has exactly the
+// threads it had before the query.
+TEST(QueryEngineTest, PartitionQueryCreatesNoThread) {
+  Graph g = MakeGraph(5);
+  std::vector<Pattern> patterns = MakePatterns(g, 3, /*num_negated=*/0);
+  const Pattern* q = nullptr;
+  for (const Pattern& p : patterns) {
+    if (p.Radius() <= 2) q = &p;
+  }
+  ASSERT_NE(q, nullptr);
+  EngineOptions opts;
+  opts.num_threads = 2;
+  opts.partition_fragments = 8;
+  opts.partition_d = 2;
+  QueryEngine engine(&g, opts);
+  QuerySpec spec;
+  spec.pattern = *q;
+  spec.algo = EngineAlgo::kPQMatch;
+  auto warm = engine.Submit(spec);  // builds the partition
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  failpoint::Action a;
+  a.kind = failpoint::Action::Kind::kDelayMs;
+  a.delay_ms = 50;
+  failpoint::Arm("pqmatch.fragment", a);
+  std::atomic<bool> finished{false};
+  std::atomic<size_t> parked_threads{0};
+  std::thread observer([&] {
+    while (failpoint::HitCount("pqmatch.fragment") == 0 && !finished.load()) {
+      std::this_thread::yield();
+    }
+    parked_threads.store(testing::ThreadCount());
+  });
+  const size_t before = testing::SettledThreadCount();
+  auto out = engine.Submit(spec);
+  finished.store(true);
+  observer.join();
+  const uint64_t hits = failpoint::HitCount("pqmatch.fragment");
+  failpoint::DisarmAll();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->answers, warm->answers);
+  EXPECT_EQ(hits, 8u);  // one per fragment
+  EXPECT_EQ(parked_threads.load(), before);
 }
 
 TEST(QueryEngineTest, PartitionIsLazyAndRadiusChecked) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/thread_pool.h"
 #include "core/enum_matcher.h"
 #include "core/qmatch.h"
 #include "gen/pattern_gen.h"
@@ -104,10 +105,12 @@ TEST(PEnumTest, ThreadAndSimulatedModesAgree) {
   for (const Pattern& q : patterns) {
     if (q.Radius() > 2) continue;
     ++usable;
+    ThreadPool pool(3);
     ParallelConfig sim;
     sim.mode = ExecutionMode::kSimulated;
     ParallelConfig thr;
     thr.mode = ExecutionMode::kThreads;
+    thr.pool = &pool;
     auto a = PEnum::Evaluate(q, part, sim);
     auto b = PEnum::Evaluate(q, part, thr);
     ASSERT_TRUE(a.ok());

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/qmatch.h"
 #include "gen/pattern_gen.h"
 #include "gen/social_gen.h"
@@ -71,11 +72,13 @@ TEST(PQMatchTest, ThreadModeMatchesSimulatedMode) {
   ASSERT_FALSE(patterns.empty());
   for (const Pattern& q : patterns) {
     if (q.Radius() > dc.d) continue;
+    ThreadPool pool(2);
     ParallelConfig sim;
     sim.mode = ExecutionMode::kSimulated;
+    sim.pool = &pool;
     ParallelConfig thr;
     thr.mode = ExecutionMode::kThreads;
-    thr.threads_per_worker = 2;
+    thr.pool = &pool;
     auto a = PQMatch::Evaluate(q, *part, sim);
     auto b = PQMatch::Evaluate(q, *part, thr);
     ASSERT_TRUE(a.ok());
@@ -173,7 +176,8 @@ TEST(WorkerSetTest, SimulatedMakespanIsMaxWorkerTime) {
 }
 
 TEST(WorkerSetTest, ThreadModeRunsAllWorkers) {
-  WorkerSet workers(4, ExecutionMode::kThreads);
+  ThreadPool pool(2);
+  WorkerSet workers(4, ExecutionMode::kThreads, &pool);
   std::vector<std::atomic<int>> hits(4);
   auto report = workers.Run([&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);

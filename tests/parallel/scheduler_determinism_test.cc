@@ -163,9 +163,9 @@ TEST(SchedulerDeterminismTest, ParallelDParIsIdenticalToSerial) {
 }
 
 // PQMatch/PEnum through the stealable fragment schedule: thread mode
-// (work-stealing pool) and simulated mode (sequential spec) must return
-// identical answers and work stats, and both must equal sequential
-// QMatch over the whole graph.
+// (fragments fanned out on pools of width {1, 2, 4, 8}) and simulated
+// mode (sequential spec) must return identical answers and work stats,
+// and both must equal sequential QMatch over the whole graph.
 TEST(SchedulerDeterminismTest, StealableFragmentScheduleMatchesSimulated) {
   size_t compared = 0;
   for (uint64_t seed = 2; seed <= 7; ++seed) {
@@ -185,19 +185,25 @@ TEST(SchedulerDeterminismTest, StealableFragmentScheduleMatchesSimulated) {
       ASSERT_TRUE(sequential.ok());
       ParallelConfig sim;
       sim.mode = ExecutionMode::kSimulated;
-      ParallelConfig thr;
-      thr.mode = ExecutionMode::kThreads;
       for (const bool enum_based : {false, true}) {
         auto a = enum_based ? PEnum::Evaluate(q, *part, sim)
                             : PQMatch::Evaluate(q, *part, sim);
-        auto b = enum_based ? PEnum::Evaluate(q, *part, thr)
-                            : PQMatch::Evaluate(q, *part, thr);
         ASSERT_TRUE(a.ok()) << a.status().ToString();
-        ASSERT_TRUE(b.ok()) << b.status().ToString();
         EXPECT_EQ(a->answers, sequential.value());
-        EXPECT_EQ(b->answers, sequential.value());
-        ExpectWorkStatsEqual(a->stats, b->stats,
-                             enum_based ? "penum" : "pqmatch");
+        for (size_t width : kThreadCounts) {
+          const std::string what =
+              std::string(enum_based ? "penum" : "pqmatch") + " width " +
+              std::to_string(width);
+          ThreadPool pool(width);
+          ParallelConfig thr;
+          thr.mode = ExecutionMode::kThreads;
+          thr.pool = &pool;
+          auto b = enum_based ? PEnum::Evaluate(q, *part, thr)
+                              : PQMatch::Evaluate(q, *part, thr);
+          ASSERT_TRUE(b.ok()) << what << ": " << b.status().ToString();
+          EXPECT_EQ(b->answers, a->answers) << what;
+          ExpectWorkStatsEqual(a->stats, b->stats, what);
+        }
       }
       ++compared;
     }

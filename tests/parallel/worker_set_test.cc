@@ -1,6 +1,6 @@
 // WorkerSet lifecycle: task dispatch, per-worker timing reports, and
-// clean shutdown (Run must join every thread before returning, so no
-// callback may outlive the call).
+// clean shutdown (Run joins its fan-out before returning, so no callback
+// may outlive the call).
 #include "parallel/worker_set.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 #include <set>
 #include <thread>
 #include <vector>
+
+#include "common/thread_pool.h"
 
 namespace qgp {
 namespace {
@@ -33,17 +35,31 @@ TEST(WorkerSetTest, SimulatedModeRunsEachWorkerExactlyOnceInOrder) {
 }
 
 TEST(WorkerSetTest, ThreadModeRunsEachWorkerExactlyOnce) {
-  WorkerSet workers(8, ExecutionMode::kThreads);
+  ThreadPool pool(4);
+  WorkerSet workers(8, ExecutionMode::kThreads, &pool);
   std::vector<std::atomic<int>> hits(8);
   auto report = workers.Run([&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(report.worker_seconds.size(), 8u);
+  EXPECT_EQ(report.tasks_executed, 8u);  // one chunk per logical worker
+}
+
+// Heaviest first: on a null pool the kThreads fan-out runs inline, so
+// the run order is exactly the weight order (ties by index).
+TEST(WorkerSetTest, ThreadModeRunsHeaviestFirst) {
+  WorkerSet workers(4, ExecutionMode::kThreads);
+  const std::vector<uint64_t> weights = {5, 9, 5, 7};
+  std::vector<size_t> order;
+  auto report = workers.Run([&](size_t i) { order.push_back(i); }, weights);
+  EXPECT_EQ(order, (std::vector<size_t>{1, 3, 0, 2}));
+  EXPECT_EQ(report.tasks_executed, 0u);  // inline: nothing dispatched
 }
 
 TEST(WorkerSetTest, RunJoinsBeforeReturning) {
   // Shutdown correctness: after Run returns, all callbacks must have
   // completed — a still-running worker would see `done` flip and fail.
-  WorkerSet workers(4, ExecutionMode::kThreads);
+  ThreadPool pool(4);
+  WorkerSet workers(4, ExecutionMode::kThreads, &pool);
   std::atomic<int> completed{0};
   std::atomic<bool> done{false};
   workers.Run([&](size_t) {
@@ -56,9 +72,10 @@ TEST(WorkerSetTest, RunJoinsBeforeReturning) {
 }
 
 TEST(WorkerSetTest, ReportTotalsAreConsistent) {
+  ThreadPool pool(3);
   for (ExecutionMode mode :
        {ExecutionMode::kSimulated, ExecutionMode::kThreads}) {
-    WorkerSet workers(3, mode);
+    WorkerSet workers(3, mode, &pool);
     auto report = workers.Run([](size_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     });
@@ -80,7 +97,8 @@ TEST(WorkerSetTest, ReportTotalsAreConsistent) {
 }
 
 TEST(WorkerSetTest, IsReusableAcrossRuns) {
-  WorkerSet workers(2, ExecutionMode::kThreads);
+  ThreadPool pool(2);
+  WorkerSet workers(2, ExecutionMode::kThreads, &pool);
   std::atomic<int> total{0};
   for (int round = 0; round < 3; ++round) {
     auto report = workers.Run([&](size_t) { total.fetch_add(1); });
@@ -100,7 +118,8 @@ TEST(WorkerSetTest, ZeroWorkersIsANoOp) {
 }
 
 TEST(WorkerSetTest, SingleWorkerThreadModeWorks) {
-  WorkerSet workers(1, ExecutionMode::kThreads);
+  ThreadPool pool(2);
+  WorkerSet workers(1, ExecutionMode::kThreads, &pool);
   std::set<size_t> seen;
   std::atomic<int> calls{0};
   auto report = workers.Run([&](size_t i) {

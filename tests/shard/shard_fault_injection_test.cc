@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -28,6 +30,7 @@
 #include "service/query_service.h"
 #include "shard/shard.h"
 #include "shard/sharded_engine.h"
+#include "testing/thread_count.h"
 
 namespace qgp {
 namespace {
@@ -208,6 +211,38 @@ TEST_F(ShardFaultTest, ShardTimeoutFailsQueryUnderStrictPolicy) {
   auto out = sharded->Submit(spec_);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// ---- the scatter creates no thread ---------------------------------
+
+// The scatter is one fan-out on the sharded engine's own pool, built
+// with the engine, and the submitting thread runs a shard itself: while
+// the shards are parked at the scatter seam, the process has exactly
+// the threads it had before the query.
+TEST_F(ShardFaultTest, ScatterCreatesNoThread) {
+  auto sharded = MakeInProcess(FailurePolicy::kFailQuery);
+  ASSERT_NE(sharded, nullptr);
+  failpoint::Action a;
+  a.kind = failpoint::Action::Kind::kDelayMs;
+  a.delay_ms = 50;
+  failpoint::Arm("shard.scatter", a);
+
+  std::atomic<bool> finished{false};
+  std::atomic<size_t> parked_threads{0};
+  std::thread observer([&] {
+    while (failpoint::HitCount("shard.scatter") == 0 && !finished.load()) {
+      std::this_thread::yield();
+    }
+    parked_threads.store(testing::ThreadCount());
+  });
+  const size_t before = testing::SettledThreadCount();
+  auto out = sharded->Submit(spec_);
+  finished.store(true);
+  observer.join();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->answers, full_);
+  EXPECT_GE(failpoint::HitCount("shard.scatter"), 1u);
+  EXPECT_EQ(parked_threads.load(), before);
 }
 
 // ---- whole-query cancel beats every policy ---------------------------
