@@ -106,7 +106,8 @@ ThreadPool::FanOut ThreadPool::Dispatch(
     Worker& worker = *workers_[w];
     std::lock_guard<std::mutex> lock(worker.mu);
     for (size_t c = w; c < chunks; c += nw) {
-      worker.deque.push_back({&call, c * grain, std::min(n, c * grain + grain)});
+      const size_t begin = c * grain;
+      worker.deque.push_back({&call, begin, std::min(n, begin + grain)});
     }
   }
   if (chunks >= nw) {
