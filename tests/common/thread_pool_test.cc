@@ -115,7 +115,9 @@ TEST(ThreadPoolTest, WidthOneStartsNoThreadAndRunsInline) {
   EXPECT_EQ(pool.scheduler_stats().total_executed(), 0u);
 }
 
-TEST(ThreadPoolTest, DestructorJoinsEveryWorker) {
+// Every fan-out joins before it returns, so the destructor finds every
+// deque empty: it runs nothing, only stops and joins the workers.
+TEST(ThreadPoolTest, DestructorDrainsQueue) {
   // The thread sanitizer starts a helper thread along with the first
   // thread a process creates; let that happen before counting.
   std::thread([] {}).join();
@@ -236,6 +238,32 @@ TEST(ThreadPoolSchedulerTest, ForcedStealDrainsOneWorkersDeque) {
   for (size_t w = 0; w + 1 < after.executed.size(); ++w) {
     EXPECT_LE(after.stolen[w], after.executed[w]);
   }
+}
+
+// Destroying the pool right after a fan-out whose chunks were dealt to
+// a held worker's deque: the free runners drained that deque before the
+// fan-out returned, so nothing is left for the destructor, every chunk
+// ran exactly once, and the destructor joins every worker.
+TEST(ThreadPoolSchedulerTest, DestructorDrainsStealableDeques) {
+  std::thread([] {}).join();
+  const size_t before = SettledThreadCount();
+  constexpr size_t kChunks = 50;
+  std::vector<std::atomic<int>> hits(kChunks);
+  {
+    ThreadPool pool(3);
+    BusyWorker busy(&pool);
+    const ThreadPool::SchedulerStats stats_before = pool.scheduler_stats();
+    const ThreadPool::FanOut fan_out = ThreadPool::ParallelForDynamic(
+        &pool, kChunks, 1, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        });
+    const ThreadPool::SchedulerStats stats_after = pool.scheduler_stats();
+    EXPECT_EQ(fan_out.chunks, kChunks);
+    EXPECT_EQ(stats_after.total_executed() - stats_before.total_executed(),
+              kChunks);
+  }  // ~BusyWorker releases the held worker, then ~ThreadPool runs.
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(SettledThreadCount(), before);
 }
 
 TEST(ThreadPoolSchedulerTest, ParallelForDynamicCoversAllIndices) {
