@@ -1,7 +1,9 @@
 // Ablation A1 (Appendix B): contribution of each DMatch optimization —
 // dual-simulation candidate filtering, quantifier upper-bound pruning,
 // potential-score ordering, and early-stopped counting. Each row turns
-// ONE strategy off; the last row turns all off.
+// ONE strategy off; the last row turns all off. The no-early-stop row
+// counts every child of a quantified edge: it turns off both the stop
+// once a threshold is met and the stop once it is out of reach.
 #include "bench/common/bench_common.h"
 #include "core/qmatch.h"
 

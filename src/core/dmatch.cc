@@ -225,25 +225,50 @@ class FocusVerifier {
   }
 
   // Does v satisfy the counting quantifier of edge e = (u, u') given the
-  // focus pin? Counts distinct witnessed children (the §2.2 Me set) with
-  // early stop on monotone thresholds.
+  // focus pin? Counts distinct witnessed children (the §2.2 Me set). With
+  // early_stop_counting the count stops once the verdict is settled in
+  // either direction: a monotone threshold is met, an exact one is
+  // overshot, or the upper bound `ub` (children in Lπ(u') not yet proven
+  // witness-free) drops below the minimum Eval accepts. The cuts are
+  // exact: the final count never exceeds `ub`, and Eval holds only at
+  // counts >= MinCountNeeded (only at it, for `=` forms).
   bool CountSatisfies(PatternEdgeId e, VertexId v) {
     const PatternEdge& pe = q_.edge(e);
     const Quantifier& f = pe.quantifier;
     const uint64_t total = g_.OutDegreeWithLabel(v, pe.label);
     std::optional<uint64_t> needed = f.MinCountNeeded(total);
     if (!needed.has_value()) return false;  // unsatisfiable at v
+    const bool cut = options_.early_stop_counting;
+    const bool is_eq = f.op() == QuantOp::kEq;
     std::optional<uint64_t> early;
-    if (options_.early_stop_counting) early = f.EarlyStopCount(total);
+    uint64_t ub = 0;
+    if (cut) {
+      early = f.EarlyStopCount(total);
+      ub = LocalChildren(pe, v);
+      if (ub < *needed) return false;
+    }
     uint64_t count = 0;
     for (const Neighbor& n : g_.OutNeighborsWithLabel(v, pe.label)) {
       if (!InLocal(pe.dst, n.v)) continue;
       if (WitnessPair(e, v, n.v)) {
         ++count;
         if (early.has_value() && count >= *early) return true;
+        if (cut && is_eq && count > *needed) return false;
+      } else if (cut && --ub < *needed) {
+        return false;
       }
     }
     return f.Eval(count, total);
+  }
+
+  // Children of v via e's label that lie in Lπ(u'): the upper bound on
+  // v's witnessed count before any search (U(v, e) of Appendix B).
+  uint64_t LocalChildren(const PatternEdge& pe, VertexId v) const {
+    uint64_t n = 0;
+    for (const Neighbor& c : g_.OutNeighborsWithLabel(v, pe.label)) {
+      if (InLocal(pe.dst, c.v)) ++n;
+    }
+    return n;
   }
 
   // Quantifier goodness of (u, v), memoized per edge.
@@ -268,11 +293,8 @@ class FocusVerifier {
       uint64_t total = g_.OutDegreeWithLabel(v, pe.label);
       std::optional<uint64_t> needed = pe.quantifier.MinCountNeeded(total);
       if (!needed.has_value() || *needed == 0) continue;
-      uint64_t ub = 0;
-      for (const Neighbor& n : g_.OutNeighborsWithLabel(v, pe.label)) {
-        if (InLocal(pe.dst, n.v)) ++ub;
-      }
-      score += static_cast<double>(ub) / static_cast<double>(*needed);
+      score += static_cast<double>(LocalChildren(pe, v)) /
+               static_cast<double>(*needed);
     }
     return score;
   }

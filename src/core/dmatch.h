@@ -56,9 +56,10 @@ struct SpaceRepairHint {
 /// interleaves quantifier counting with the Fig. 4 search; this
 /// implementation factors the same strategy into per-focus phases (see
 /// DESIGN.md §2): ball-restricted candidate space, lazily-counted
-/// quantifier "goodness" with memoized pinned witness searches, early
-/// stop on monotone thresholds, upper-bound pruning, and potential-score
-/// child ordering (Appendix B).
+/// quantifier "goodness" with memoized pinned witness searches, upper-bound
+/// pruning of candidates, counting that stops once its verdict is settled
+/// (threshold met, or out of reach of the children not yet proven
+/// witness-free), and potential-score child ordering (Appendix B).
 ///
 /// The evaluator is immutable after Create(); VerifyFocus is const and
 /// thread-safe, which is what mQMatch exploits for intra-fragment

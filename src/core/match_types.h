@@ -28,7 +28,11 @@ struct MatchOptions {
   bool use_quantifier_pruning = true;
   /// Potential-score ordering of children during search (Appendix B).
   bool use_potential_ordering = true;
-  /// Stop counting children once a monotone (>=) quantifier is met.
+  /// Stop counting a quantified edge's children once the verdict is
+  /// settled in either direction: a monotone (>=) threshold is met, an
+  /// exact (=) one is overshot, or too many children have proven
+  /// witness-free for the threshold to be reached (§4.1 upper bound).
+  /// Answers never depend on it; false counts every child.
   bool early_stop_counting = true;
   /// Process negated edges incrementally (IncQMatch, §4.2). When false,
   /// each Π(Q⁺ᵉ) is recomputed from scratch (the QMatchn baseline).

@@ -11,6 +11,21 @@ namespace {
 // compare exactly, while accumulated floating error stays far below this.
 constexpr double kRatioEps = 1e-9;
 
+// The ratio test: matched*100 ⊙ percent*total, without division and with
+// the tolerance on that x100 scale. Eval and MinCountNeeded both decide
+// through it, so they cannot disagree.
+bool RatioHolds(QuantOp op, double lhs, double rhs) {
+  switch (op) {
+    case QuantOp::kGe:
+      return lhs >= rhs - kRatioEps;
+    case QuantOp::kEq:
+      return std::fabs(lhs - rhs) <= kRatioEps;
+    case QuantOp::kGt:
+      return lhs > rhs + kRatioEps;
+  }
+  return false;
+}
+
 }  // namespace
 
 bool Quantifier::Eval(uint64_t matched, uint64_t total) const {
@@ -29,18 +44,8 @@ bool Quantifier::Eval(uint64_t matched, uint64_t total) const {
       return false;
     case QuantKind::kRatio: {
       if (total == 0) return false;
-      // Compare matched * 100 against percent_ * total without division.
-      double lhs = static_cast<double>(matched) * 100.0;
-      double rhs = percent_ * static_cast<double>(total);
-      switch (op_) {
-        case QuantOp::kGe:
-          return lhs >= rhs - kRatioEps;
-        case QuantOp::kEq:
-          return std::fabs(lhs - rhs) <= kRatioEps;
-        case QuantOp::kGt:
-          return lhs > rhs + kRatioEps;
-      }
-      return false;
+      return RatioHolds(op_, static_cast<double>(matched) * 100.0,
+                        percent_ * static_cast<double>(total));
     }
   }
   return false;
@@ -61,26 +66,25 @@ std::optional<uint64_t> Quantifier::MinCountNeeded(uint64_t total) const {
       }
       return std::nullopt;
     case QuantKind::kRatio: {
-      double exact = percent_ * static_cast<double>(total) / 100.0;
-      switch (op_) {
-        case QuantOp::kGe: {
-          // Smallest integer m with m*100 >= p*total (ceiling; DESIGN.md
-          // deviation 1 corrects the paper's floor).
-          uint64_t m = static_cast<uint64_t>(std::ceil(exact - kRatioEps));
-          return m;
-        }
-        case QuantOp::kGt: {
-          uint64_t m = static_cast<uint64_t>(std::floor(exact + kRatioEps)) + 1;
-          return m;
-        }
-        case QuantOp::kEq: {
-          // Satisfiable only when p% of total is an integer.
-          double rounded = std::round(exact);
-          if (std::fabs(exact - rounded) > kRatioEps) return std::nullopt;
-          return static_cast<uint64_t>(rounded);
-        }
+      if (total == 0) return std::nullopt;  // Eval is false at every count
+      const double rhs = percent_ * static_cast<double>(total);
+      const auto holds = [&](uint64_t m) {
+        return RatioHolds(op_, static_cast<double>(m) * 100.0, rhs);
+      };
+      // The test never holds below floor(rhs / 100) and, for `>=` and `>`,
+      // always holds two above it; the test itself settles the steps in
+      // between, so the result agrees with Eval exactly.
+      uint64_t m = static_cast<uint64_t>(rhs * 0.01);
+      if (op_ == QuantOp::kEq) {
+        // Satisfiable only when p% of total is an integer.
+        if (holds(m)) return m;
+        if (holds(m + 1)) return m + 1;
+        return std::nullopt;
       }
-      return std::nullopt;
+      // >= and >: the smallest m the test accepts, a ceiling (DESIGN.md
+      // deviation 1 corrects the paper's floor).
+      for (int step = 0; step < 2 && !holds(m); ++step) ++m;
+      return m;
     }
   }
   return std::nullopt;

@@ -84,10 +84,13 @@ class Quantifier {
   bool Eval(uint64_t matched, uint64_t total) const;
 
   /// Smallest child count that could still satisfy the quantifier at a
-  /// vertex whose |Me(v)| equals `total`; nullopt when unsatisfiable
-  /// (e.g. `= 40%` of 3 children, or negation). Used by the upper-bound
-  /// pruning rules (§4.1 / Appendix B). Note §4.1's ⌊·⌋ is corrected to a
-  /// ceiling for `>=` — see DESIGN.md deviation 1.
+  /// vertex whose |Me(v)| equals `total`; nullopt when no count does
+  /// (e.g. `= 40%` of 3 children, a ratio over 0 children, or negation).
+  /// Derived from Eval, so for every count c: `>=`/`>` give
+  /// Eval(c, total) ⇔ c >= result, and `=` gives Eval(c, total) ⇔
+  /// c == result. Used by the upper-bound pruning rules (§4.1 /
+  /// Appendix B). Note §4.1's ⌊·⌋ is corrected to a ceiling for `>=` —
+  /// see DESIGN.md deviation 1.
   std::optional<uint64_t> MinCountNeeded(uint64_t total) const;
 
   /// For `>=`-style quantifiers, the count at which further counting can

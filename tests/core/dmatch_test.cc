@@ -12,6 +12,7 @@
 #include "core/enum_matcher.h"
 #include "gen/pattern_gen.h"
 #include "gen/social_gen.h"
+#include "graph/graph_builder.h"
 #include "testing/paper_graphs.h"
 
 namespace qgp {
@@ -173,6 +174,123 @@ TEST(DMatchDirectTest, TinyBallLimitFallsBackCorrectly) {
   auto res = DMatchEvaluate(q2, g, capped, nullptr);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(*res, (AnswerSet{ids.x1, ids.x2}));
+}
+
+// Star fixture for the counting cut: one focus `x` follows `bad` leading
+// children (lower ids, so counted first) and then `good` trailing ones.
+// Every child buys an item, so all pass the label filter and dual
+// simulation, but the pattern needs two DISTINCT items per child and a
+// bad child buys only one: each bad child costs one witness search that
+// fails, each good child one that succeeds.
+struct Star {
+  Graph g;
+  VertexId x = kInvalidVertex;
+};
+
+Star BuildStar(int bad, int good) {
+  GraphBuilder b;
+  Star s;
+  s.x = b.AddVertex("person");
+  std::vector<VertexId> children;
+  for (int i = 0; i < bad + good; ++i) {
+    children.push_back(b.AddVertex("person"));
+  }
+  const VertexId lone = b.AddVertex("item");
+  const VertexId i1 = b.AddVertex("item");
+  const VertexId i2 = b.AddVertex("item");
+  for (int i = 0; i < bad + good; ++i) {
+    (void)b.AddEdge(s.x, children[i], "follow");
+    if (i < bad) {
+      (void)b.AddEdge(children[i], lone, "buys");
+    } else {
+      (void)b.AddEdge(children[i], i1, "buys");
+      (void)b.AddEdge(children[i], i2, "buys");
+    }
+  }
+  s.g = std::move(b).Build().value();
+  return s;
+}
+
+// xo -follow(f)-> z, z -buys-> a, z -buys-> b (a != b by injectivity).
+Pattern StarPattern(LabelDict& dict, Quantifier f) {
+  Pattern q;
+  PatternNodeId xo = q.AddNode(dict.Intern("person"), "xo");
+  PatternNodeId z = q.AddNode(dict.Intern("person"), "z");
+  PatternNodeId a = q.AddNode(dict.Intern("item"), "a");
+  PatternNodeId b = q.AddNode(dict.Intern("item"), "b");
+  (void)q.AddEdge(xo, z, dict.Intern("follow"), f);
+  (void)q.AddEdge(z, a, dict.Intern("buys"));
+  (void)q.AddEdge(z, b, dict.Intern("buys"));
+  (void)q.set_focus(xo);
+  return q;
+}
+
+struct CutCase {
+  const char* name;
+  Quantifier f;
+  int bad;
+  int good;
+  bool member;               // x ∈ Q(xo, G)
+  uint64_t searches_cut;     // witness searches with early_stop_counting
+};
+
+// Counting stops once the verdict is settled in either direction; with
+// early_stop_counting off every child in Lπ(z) is searched, as before.
+TEST(DMatchDirectTest, CountingStopsOnceTheVerdictIsSettled) {
+  const CutCase cases[] = {
+      // Two leading failures leave 8 < 9 reachable: stop after 2.
+      {">=90% unreachable", Quantifier::Ratio(QuantOp::kGe, 90.0), 2, 8,
+       false, 2},
+      // One failure still leaves 9 reachable; the ninth witness meets it.
+      {">=90% met", Quantifier::Ratio(QuantOp::kGe, 90.0), 1, 9, true, 10},
+      // A single failure rules out =100%.
+      {"=100% unreachable", Quantifier::Universal(), 1, 9, false, 1},
+      {">=9 unreachable", Quantifier::Numeric(QuantOp::kGe, 9), 2, 8, false,
+       2},
+      // Success still stops early: 3 witnesses after the 2 failures.
+      {">=3 met", Quantifier::Numeric(QuantOp::kGe, 3), 2, 8, true, 5},
+      // =p landing exactly on p must count every child.
+      {"=8 exact", Quantifier::Numeric(QuantOp::kEq, 8), 2, 8, true, 10},
+      // =p overshot: the sixth witness settles it after 2 + 6 searches.
+      {"=5 overshot", Quantifier::Numeric(QuantOp::kEq, 5), 2, 8, false, 8},
+      {"=9 unreachable", Quantifier::Numeric(QuantOp::kEq, 9), 2, 8, false,
+       2},
+  };
+  for (const CutCase& c : cases) {
+    Star star = BuildStar(c.bad, c.good);
+    Pattern q = StarPattern(star.g.mutable_dict(), c.f);
+    for (bool cut : {true, false}) {
+      MatchOptions o;
+      o.early_stop_counting = cut;
+      MatchStats stats;
+      auto res = DMatchEvaluate(q, star.g, o, &stats);
+      ASSERT_TRUE(res.ok()) << c.name << ": " << res.status().ToString();
+      EXPECT_EQ(*res, c.member ? AnswerSet{star.x} : AnswerSet{})
+          << c.name << " cut=" << cut;
+      EXPECT_EQ(stats.focus_candidates_checked, 1u) << c.name;
+      const uint64_t every_child = c.bad + c.good;
+      EXPECT_EQ(stats.witness_searches, cut ? c.searches_cut : every_child)
+          << c.name << " cut=" << cut;
+    }
+  }
+}
+
+// A bound already below the threshold settles the verdict before any
+// search. Candidate pruning would drop x first, so it is off here.
+TEST(DMatchDirectTest, CountingSkipsSearchesWhenTheBoundIsShort) {
+  Star star = BuildStar(0, 10);
+  Pattern q =
+      StarPattern(star.g.mutable_dict(), Quantifier::Numeric(QuantOp::kGe, 11));
+  for (bool cut : {true, false}) {
+    MatchOptions o;
+    o.use_quantifier_pruning = false;
+    o.early_stop_counting = cut;
+    MatchStats stats;
+    auto res = DMatchEvaluate(q, star.g, o, &stats);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_TRUE(res->empty());
+    EXPECT_EQ(stats.witness_searches, cut ? 0u : 10u) << "cut=" << cut;
+  }
 }
 
 }  // namespace

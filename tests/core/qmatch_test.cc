@@ -4,6 +4,8 @@
 
 #include "core/dmatch.h"
 #include "core/inc_qmatch.h"
+#include "core/naive_matcher.h"
+#include "graph/graph_builder.h"
 #include "testing/paper_graphs.h"
 
 namespace qgp {
@@ -179,6 +181,44 @@ TEST(IncQMatchTest, MatchesDirectEvaluation) {
   // they must agree.
   EXPECT_EQ(incremental, SetIntersection(direct, a0));
   EXPECT_EQ(incremental, (AnswerSet{ids.x3}));
+}
+
+// x follows six people, two of whom buy an item: 2/6 = 33.33...% is above
+// 33.333333333%. The strict ratio's minimum count once came out as 3, so
+// candidate pruning (2 buying followees < 3) dropped x, a true answer.
+TEST(QMatchTest, StrictRatioNearABoundaryAgreesWithNaive) {
+  GraphBuilder b;
+  const VertexId x = b.AddVertex("person");
+  const VertexId item = b.AddVertex("item");
+  for (int i = 0; i < 6; ++i) {
+    const VertexId c = b.AddVertex("person");
+    (void)b.AddEdge(x, c, "follow");
+    if (i < 2) (void)b.AddEdge(c, item, "buys");
+  }
+  Graph g = std::move(b).Build().value();
+  LabelDict& dict = g.mutable_dict();
+  Pattern q;
+  PatternNodeId xo = q.AddNode(dict.Intern("person"), "xo");
+  PatternNodeId z = q.AddNode(dict.Intern("person"), "z");
+  PatternNodeId it = q.AddNode(dict.Intern("item"), "it");
+  ASSERT_TRUE(q.AddEdge(xo, z, dict.Intern("follow"),
+                        Quantifier::Ratio(QuantOp::kGt, 33.333333333))
+                  .ok());
+  ASSERT_TRUE(q.AddEdge(z, it, dict.Intern("buys")).ok());
+  ASSERT_TRUE(q.set_focus(xo).ok());
+  auto oracle = NaiveMatcher::Evaluate(q, g);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(*oracle, (AnswerSet{x}));
+  for (bool prune : {true, false}) {
+    for (bool early : {true, false}) {
+      MatchOptions opts;
+      opts.use_quantifier_pruning = prune;
+      opts.early_stop_counting = early;
+      auto answers = QMatch::Evaluate(q, g, opts);
+      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+      EXPECT_EQ(*answers, *oracle) << "prune=" << prune << " early=" << early;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 namespace qgp {
 namespace {
 
@@ -126,6 +130,57 @@ TEST(QuantifierTest, Equality) {
 TEST(QuantifierTest, ToStringFractionalRatio) {
   Quantifier q = Quantifier::Ratio(QuantOp::kGe, 33.5);
   EXPECT_EQ(q.ToString(), ">=33.5%");
+}
+
+// The minimum a quantifier needs must agree with Eval at every count,
+// or the upper-bound cuts built on it (candidate pruning, counting that
+// stops once the threshold is out of reach) drop true answers. Swept
+// over every total up to 64 (a ratio over 0 children has no minimum)
+// and percents on, just above and just below each count boundary
+// k/total. 33.333333333% once needed 3 of 6 children although 2 of 6
+// satisfy it.
+TEST(QuantifierTest, MinCountNeededAgreesWithEval) {
+  std::vector<double> percents = {0.5, 12.5, 33.333333333, 66.666666667,
+                                  80.0, 99.99999999, 100.0};
+  for (int total = 1; total <= 64; ++total) {
+    for (int k = 1; k <= total; ++k) {
+      const double p = 100.0 * k / total;
+      for (double d : {0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9, 1e-7,
+                       -1e-7}) {
+        percents.push_back(p + d);
+      }
+    }
+  }
+  std::vector<Quantifier> quantifiers;
+  for (QuantOp op : {QuantOp::kGe, QuantOp::kGt, QuantOp::kEq}) {
+    for (double p : percents) {
+      if (p > 0.0 && p <= 100.0) {
+        quantifiers.push_back(Quantifier::Ratio(op, p));
+      }
+    }
+    for (uint32_t n = 1; n <= 66; ++n) {
+      quantifiers.push_back(Quantifier::Numeric(op, n));
+    }
+  }
+  int violations = 0;
+  for (const Quantifier& q : quantifiers) {
+    for (uint64_t total = 0; total <= 64; ++total) {
+      const std::optional<uint64_t> needed = q.MinCountNeeded(total);
+      for (uint64_t c = 0; c <= total + 1; ++c) {
+        bool expected = false;
+        if (needed.has_value()) {
+          expected = q.op() == QuantOp::kEq ? c == *needed : c >= *needed;
+        }
+        if (q.Eval(c, total) != expected && ++violations <= 5) {
+          ADD_FAILURE() << q.ToString() << " (percent " << q.percent()
+                        << ") total=" << total << " count=" << c
+                        << " Eval=" << q.Eval(c, total) << " needed="
+                        << (needed ? std::to_string(*needed) : "none");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0);
 }
 
 }  // namespace
