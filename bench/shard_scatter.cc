@@ -6,7 +6,16 @@
 // itself costs or buys:
 //
 //   * single/suite         — the reference pass, one engine;
+//   * shardsN/create       — ShardedEngine::Create (DPar, partition
+//                            validation, shard engines), CPU time in
+//                            metrics.cpu_ms;
 //   * shardsN/suite        — the same pass scattered over N shards;
+//   * shards4/delta        — mean wall time per batch of a fixed
+//                            stream of inverse pairs (add four absent
+//                            follow edges, then remove them) routed
+//                            through the 4-shard coordinator; the suite
+//                            is re-asserted against the reference after
+//                            the stream;
 //   * per-row metrics      — summed answers, the slowest shard's wall
 //                            clock (the scatter's critical path) and
 //                            gather_overhead_ms = coordinator wall
@@ -17,6 +26,7 @@
 // Emits BENCH_shard_scatter.json; the shards1 row is the pure
 // coordination tax (one shard, zero distribution win).
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -34,6 +44,33 @@ namespace {
 void Die(const char* what) {
   std::printf("FATAL: %s\n", what);
   std::exit(1);
+}
+
+double CpuMillis() {
+  return 1000.0 * static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
+
+// Inverse pairs over the persons of `g` (ids [0, users)): batch 2i adds
+// four follow edges the graph lacks, batch 2i + 1 removes the same four.
+std::vector<NamedGraphDelta> InversePairStream(const Graph& g, size_t pairs) {
+  const size_t users = g.NumVerticesWithLabel(g.dict().Find("person"));
+  const Label follow = g.dict().Find("follow");
+  std::vector<NamedGraphDelta> stream;
+  uint64_t k = 0;
+  for (size_t p = 0; p < pairs; ++p) {
+    NamedGraphDelta add, remove;
+    while (add.add_edges.size() < 4) {
+      ++k;
+      const auto src = static_cast<VertexId>((k * 37) % users);
+      const auto dst = static_cast<VertexId>((k * 91 + 13) % users);
+      if (src == dst || g.HasEdge(src, dst, follow)) continue;
+      add.add_edges.push_back({src, dst, "follow"});
+      remove.remove_edges.push_back({src, dst, "follow"});
+    }
+    stream.push_back(std::move(add));
+    stream.push_back(std::move(remove));
+  }
+  return stream;
 }
 
 }  // namespace
@@ -82,8 +119,20 @@ int main() {
     sopts.num_shards = shards;
     sopts.d = d;
     sopts.engine = engine_options;
-    auto sharded = ShardedEngine::Create(g, sopts);
+    Graph copy = g;
+    const double cpu_start = CpuMillis();
+    WallTimer create_timer;
+    auto sharded = ShardedEngine::Create(std::move(copy), sopts);
+    const double create_ms = create_timer.ElapsedMillis();
+    const double create_cpu_ms = CpuMillis() - cpu_start;
     if (!sharded.ok()) Die("ShardedEngine::Create failed");
+    const std::string create_config =
+        "shards" + std::to_string(shards) + "/create";
+    std::printf("%-14s %10.2f ms   cpu=%.2f ms\n", create_config.c_str(),
+                create_ms, create_cpu_ms);
+    reporter.Add(create_config, create_ms,
+                 {{"num_shards", static_cast<double>(shards)},
+                  {"cpu_ms", create_cpu_ms}});
 
     double critical_path_ms = 0;  // sum over queries of slowest shard
     double coordinator_ms = 0;    // sum of ShardedOutcome wall clocks
@@ -115,6 +164,36 @@ int main() {
                   {"num_shards", static_cast<double>(shards)},
                   {"critical_path_ms", critical_path_ms},
                   {"gather_overhead_ms", gather_overhead_ms}});
+    if (shards != 4) continue;
+
+    const std::vector<NamedGraphDelta> stream =
+        InversePairStream(g, /*pairs=*/8);
+    size_t touched = 0, imported = 0;
+    const double delta_ms =
+        TimeSeconds([&] {
+          for (const NamedGraphDelta& delta : stream) {
+            auto out = (*sharded)->ApplyDelta(delta);
+            if (!out.ok()) Die("routed delta failed");
+            touched += out->shards_touched;
+            imported += out->vertices_imported;
+          }
+        }) *
+        1000.0 / static_cast<double>(stream.size());
+    // Every pair restores the graph, so the suite must answer as before.
+    for (size_t i = 0; i < suite.size(); ++i) {
+      QuerySpec spec;
+      spec.pattern = suite[i];
+      auto out = (*sharded)->Submit(spec);
+      if (!out.ok() || out->answers != reference[i]) {
+        Die("answers diverged after the delta stream");
+      }
+    }
+    std::printf("%-14s %10.2f ms   per batch, %zu batches, imported=%zu\n",
+                "shards4/delta", delta_ms, stream.size(), imported);
+    reporter.Add("shards4/delta", delta_ms,
+                 {{"batches", static_cast<double>(stream.size())},
+                  {"shards_touched", static_cast<double>(touched)},
+                  {"vertices_imported", static_cast<double>(imported)}});
   }
 
   if (!reporter.Write()) Die("failed to write BENCH_shard_scatter.json");

@@ -9,12 +9,20 @@
 namespace qgp {
 
 std::vector<VertexId> KHopBall(const Graph& g, VertexId src, int depth) {
+  return KHopBall(g, std::span<const VertexId>(&src, 1), depth);
+}
+
+std::vector<VertexId> KHopBall(const Graph& g,
+                               std::span<const VertexId> sources, int depth) {
   std::vector<VertexId> ball;
-  if (src >= g.num_vertices()) return ball;
+  std::vector<VertexId> frontier;
   DynamicBitset visited(g.num_vertices());
-  visited.Set(src);
-  ball.push_back(src);
-  std::vector<VertexId> frontier{src};
+  for (VertexId src : sources) {
+    if (src < g.num_vertices() && visited.TestAndSet(src)) {
+      ball.push_back(src);
+      frontier.push_back(src);
+    }
+  }
   for (int hop = 0; hop < depth && !frontier.empty(); ++hop) {
     std::vector<VertexId> next;
     for (VertexId v : frontier) {

@@ -19,6 +19,14 @@ namespace qgp {
 /// sorted ascending and includes `src`.
 std::vector<VertexId> KHopBall(const Graph& g, VertexId src, int depth);
 
+/// Union of KHopBall over `sources` from one BFS seeded with all of them
+/// (a vertex is within `depth` hops of some source iff its distance from
+/// the source set is at most `depth`), so a region costs one traversal
+/// however many balls overlap in it. Sorted ascending; out-of-range
+/// sources contribute nothing.
+std::vector<VertexId> KHopBall(const Graph& g,
+                               std::span<const VertexId> sources, int depth);
+
 /// Ball variant used by DMatch's per-focus locality: only edges whose
 /// label is set in `edge_labels` are traversed (an embedding can only
 /// walk pattern edge labels), and expansion aborts once more than

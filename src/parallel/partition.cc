@@ -1,6 +1,7 @@
 #include "parallel/partition.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/bitset.h"
 
@@ -46,29 +47,63 @@ Status Partition::Validate(const Graph& g) const {
                                 " owned by no fragment");
     }
   }
-  // (2) d-hop preservation per owned vertex.
+  // (2) d-hop preservation, kMaxBallSources owned vertices per
+  // multi-source BFS. mask[w] has bit i set iff w is in the ball of the
+  // batch's i-th source, so an edge (w, x) is an induced edge of some
+  // owned vertex's ball exactly when mask[w] & mask[x] != 0.
+  const size_t n = g.num_vertices();
+  std::vector<VertexId> local(n, kInvalidVertex);  // dense global -> local
+  std::vector<uint64_t> mask(n, 0);
+  std::vector<VertexId> members;  // vertices with a nonzero mask, ascending
+  MultiBallScratch scratch;
+  const DynamicBitset all_labels;
   for (const Fragment& f : fragments) {
-    for (VertexId v : f.owned_global) {
-      std::vector<VertexId> ball = KHopBall(g, v, d);
-      for (VertexId w : ball) {
-        if (f.sub.global_to_local.count(w) == 0) {
+    for (const auto& [global, l] : f.sub.global_to_local) {
+      if (global < n) local[global] = l;
+    }
+    const std::vector<VertexId>& owned = f.owned_global;
+    for (size_t begin = 0; begin < owned.size(); begin += kMaxBallSources) {
+      const size_t k = std::min(kMaxBallSources, owned.size() - begin);
+      const std::span<const VertexId> sources(owned.data() + begin, k);
+      KHopBallsFiltered(g, sources, d, all_labels, SIZE_MAX, &scratch);
+      members.clear();
+      for (uint32_t word : scratch.touched_words) {
+        uint64_t any = 0;
+        for (size_t i = 0; i < k; ++i) {
+          uint64_t bits = scratch.BallWords(i)[word];
+          any |= bits;
+          while (bits != 0) {
+            mask[(static_cast<size_t>(word) << 6) + __builtin_ctzll(bits)] |=
+                1ULL << i;
+            bits &= bits - 1;
+          }
+        }
+        while (any != 0) {
+          members.push_back(static_cast<VertexId>(
+              (static_cast<size_t>(word) << 6) + __builtin_ctzll(any)));
+          any &= any - 1;
+        }
+      }
+      for (VertexId w : members) {
+        if (local[w] == kInvalidVertex) {
           return Status::Corruption(
-              "ball of owned vertex " + std::to_string(v) +
+              "ball of owned vertex " +
+              std::to_string(sources[__builtin_ctzll(mask[w])]) +
               " misses vertex " + std::to_string(w));
         }
       }
-      // Induced edges among ball members must exist locally.
-      for (VertexId w : ball) {
-        VertexId lw = f.sub.global_to_local.at(w);
-        for (const Neighbor& n : g.OutNeighbors(w)) {
-          auto it = f.sub.global_to_local.find(n.v);
-          if (it == f.sub.global_to_local.end()) continue;
-          if (!std::binary_search(ball.begin(), ball.end(), n.v)) continue;
-          if (!f.sub.graph.HasEdge(lw, it->second, n.label)) {
+      for (VertexId w : members) {
+        for (const Neighbor& nb : g.OutNeighbors(w)) {
+          if ((mask[w] & mask[nb.v]) != 0 &&
+              !f.sub.graph.HasEdge(local[w], local[nb.v], nb.label)) {
             return Status::Corruption("ball edge missing in fragment");
           }
         }
       }
+      for (VertexId w : members) mask[w] = 0;
+    }
+    for (const auto& [global, l] : f.sub.global_to_local) {
+      if (global < n) local[global] = kInvalidVertex;
     }
   }
   return Status::Ok();

@@ -47,6 +47,11 @@ struct Partition {
   ///  (1) covering & unique ownership: every vertex owned exactly once;
   ///  (2) d-hop preservation: for every owned v, Nd(v) (vertices AND
   ///      induced edges) is present in the owner's local graph.
+  /// Cost: (2) runs one multi-source BFS (KHopBallsFiltered) per
+  /// kMaxBallSources owned vertices of a fragment and checks each reached
+  /// vertex's out-edges once against the batch's per-vertex source masks,
+  /// with array lookups for local ids, instead of one BFS, sort and hash
+  /// probe per ball member. Scratch is about 44 bytes per vertex of `g`.
   Status Validate(const Graph& g) const;
 };
 

@@ -28,10 +28,7 @@ Status GatherSeam() {
 /// True iff the directed labeled edge exists in the (post-delta) graph.
 bool EdgeExists(const Graph& g, VertexId src, VertexId dst, Label label) {
   if (src >= g.num_vertices() || dst >= g.num_vertices()) return false;
-  for (const Neighbor& nb : g.OutNeighborsWithLabel(src, label)) {
-    if (nb.v == dst) return true;
-  }
-  return false;
+  return g.HasEdge(src, dst, label);
 }
 
 }  // namespace
@@ -279,16 +276,10 @@ Result<ShardedDeltaOutcome> ShardedEngine::ApplyDeltaAdmitted(
   // The perturbed region: every vertex within d hops of a touched
   // vertex can see its candidacy change. Only shards owning part of
   // that region need a routed hop; the rest keep their warm caches.
-  const std::vector<VertexId> touched =
-      TouchedVertices(summary, nullptr, nullptr, /*additions_only=*/false);
-  std::vector<VertexId> region_d;
-  for (VertexId t : touched) {
-    std::vector<VertexId> ball = KHopBall(graph_, t, d_);
-    region_d.insert(region_d.end(), ball.begin(), ball.end());
-  }
-  std::sort(region_d.begin(), region_d.end());
-  region_d.erase(std::unique(region_d.begin(), region_d.end()),
-                 region_d.end());
+  const std::vector<VertexId> region_d = KHopBall(
+      graph_,
+      TouchedVertices(summary, nullptr, nullptr, /*additions_only=*/false),
+      d_);
 
   for (size_t i = 0; i < shards_.size(); ++i) {
     ShardState& state = shards_[i];
@@ -300,15 +291,8 @@ Result<ShardedDeltaOutcome> ShardedEngine::ApplyDeltaAdmitted(
     // The fragment must keep covering N_d(v) for every affected owned
     // vertex: anything in those balls the shard has never replicated
     // becomes an import.
-    std::vector<VertexId> need;
-    for (VertexId a : affected) {
-      std::vector<VertexId> ball = KHopBall(graph_, a, d_);
-      need.insert(need.end(), ball.begin(), ball.end());
-    }
-    std::sort(need.begin(), need.end());
-    need.erase(std::unique(need.begin(), need.end()), need.end());
     std::vector<VertexId> imports;
-    for (VertexId g : need) {
+    for (VertexId g : KHopBall(graph_, affected, d_)) {
       if (state.global_to_local.find(g) == state.global_to_local.end()) {
         imports.push_back(g);
       }
