@@ -17,8 +17,8 @@
 ///                               the shard evaluates
 ///  * shard.gather             — ShardedEngine per-shard merge, before a
 ///                               slice's answers join the union
-///  * pqmatch.fragment         — PQMatch per-fragment worker, before the
-///                               fragment evaluates
+///  * pqmatch.fragment         — PQMatch per-fragment worker, before a
+///                               fragment that owns foci evaluates
 ///
 /// Cost when unarmed: QGP_FAILPOINT expands to one relaxed atomic load
 /// of a global armed counter — the registry mutex and the name lookup

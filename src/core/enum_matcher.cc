@@ -105,11 +105,10 @@ Result<AnswerSet> EnumMatcher::EvaluatePositive(
   return answers;
 }
 
-Result<AnswerSet> EnumMatcher::Evaluate(const Pattern& pattern,
-                                        const Graph& g,
-                                        const MatchOptions& options,
-                                        MatchStats* stats,
-                                        CandidateCache* cache) {
+Result<AnswerSet> EnumMatcher::Evaluate(
+    const Pattern& pattern, const Graph& g, const MatchOptions& options,
+    MatchStats* stats, CandidateCache* cache,
+    std::span<const VertexId> focus_subset) {
   QGP_RETURN_IF_ERROR(pattern.Validate(options.max_quantified_per_path));
   auto pi = pattern.Pi();
   if (!pi.ok()) return pi.status();
@@ -120,7 +119,8 @@ Result<AnswerSet> EnumMatcher::Evaluate(const Pattern& pattern,
   if (cache == nullptr) cache = &local_cache.emplace(g);
   QGP_ASSIGN_OR_RETURN(
       AnswerSet answers,
-      EvaluatePositive(pi.value().first, g, options, stats, {}, cache));
+      EvaluatePositive(pi.value().first, g, options, stats, focus_subset,
+                       cache));
   for (PatternEdgeId e : pattern.NegatedEdgeIds()) {
     QGP_CHECK_CANCEL(options.cancel);
     QGP_ASSIGN_OR_RETURN(Pattern positified, pattern.Positify(e));
@@ -128,7 +128,8 @@ Result<AnswerSet> EnumMatcher::Evaluate(const Pattern& pattern,
     if (!pi_pos.ok()) return pi_pos.status();
     QGP_ASSIGN_OR_RETURN(
         AnswerSet negative,
-        EvaluatePositive(pi_pos.value().first, g, options, stats, {}, cache));
+        EvaluatePositive(pi_pos.value().first, g, options, stats,
+                         focus_subset, cache));
     answers = SetDifference(answers, negative);
   }
   return answers;

@@ -22,22 +22,22 @@ namespace qgp {
 /// exactly the contrast Figures 8(a), 8(h)–8(k) measure.
 class EnumMatcher {
  public:
-  /// Full QGP evaluation. `cache` (optional, constructed for `g`)
-  /// interns the plain label/degree candidate sets across Π(Q), every
-  /// positified Π(Q⁺ᵉ), and — when the QueryEngine shares one cache
-  /// across calls — across whole queries; when null, an evaluation-local
-  /// pool still shares them between the positified patterns.
-  static Result<AnswerSet> Evaluate(const Pattern& pattern, const Graph& g,
-                                    const MatchOptions& options = {},
-                                    MatchStats* stats = nullptr,
-                                    CandidateCache* cache = nullptr);
+  /// Full QGP evaluation: Π(Q) minus each re-enumerated Π(Q⁺ᵉ),
+  /// optionally restricted to `focus_subset` (the PEnum per-fragment and
+  /// shard-engine entry point; empty span = all candidates). `cache`
+  /// (optional, constructed for `g`) interns the plain label/degree
+  /// candidate sets across Π(Q), every positified Π(Q⁺ᵉ), and — when the
+  /// QueryEngine shares one cache across calls — across whole queries;
+  /// when null, an evaluation-local pool still shares them between the
+  /// positified patterns.
+  static Result<AnswerSet> Evaluate(
+      const Pattern& pattern, const Graph& g, const MatchOptions& options = {},
+      MatchStats* stats = nullptr, CandidateCache* cache = nullptr,
+      std::span<const VertexId> focus_subset = {});
 
-  /// Positive-pattern evaluation, optionally restricted to a focus subset
-  /// (PEnum's per-fragment entry point). Empty span = all candidates.
-  /// `cache` (optional, constructed for `g`) interns the plain
-  /// label/degree candidate sets this baseline builds, sharing them
-  /// across the positified patterns of Evaluate and across a PEnum
-  /// worker's calls on one fragment.
+  /// Positive-pattern evaluation, optionally restricted to a focus subset.
+  /// Empty span = all candidates. `cache` (optional, constructed for `g`)
+  /// interns the plain label/degree candidate sets this baseline builds.
   static Result<AnswerSet> EvaluatePositive(
       const Pattern& positive, const Graph& g, const MatchOptions& options,
       MatchStats* stats, std::span<const VertexId> focus_subset = {},

@@ -92,7 +92,9 @@ PlanDecision Planner::Plan(const Pattern& q, const MatchOptions& submitted,
 
     if (!q.IsPositive()) {
       // Negated edges need the Π(Q)/Q⁺ᵉ set-difference machinery;
-      // QMatch's incremental negation is the specialist.
+      // QMatch's incremental negation is the specialist. A submitted
+      // use_incremental_negation = false passes through and makes it
+      // the QMatchn baseline, under the same family plan.
       base = EngineAlgo::kQMatch;
     } else if (q.IsConventional() &&
                focus_count <= config_.enum_focus_cutoff) {
@@ -114,11 +116,12 @@ PlanDecision Planner::Plan(const Pattern& q, const MatchOptions& submitted,
     grain = std::max<size_t>(1, focus_count / slots);
 
     if (ctx.cache != nullptr) {
+      // Plan-cache capacity in pattern families, LRU.
+      constexpr size_t kPlanCacheMaxEntries = 256;
       lru_.push_front(key);
       plans_[std::move(key)] =
           CachedPlan{base, grain, ctx.graph_version, lru_.begin()};
-      if (config_.plan_cache_max_entries > 0 &&
-          plans_.size() > config_.plan_cache_max_entries) {
+      if (plans_.size() > kPlanCacheMaxEntries) {
         plans_.erase(lru_.back());  // least recently used
         lru_.pop_back();
       }
@@ -126,14 +129,6 @@ PlanDecision Planner::Plan(const Pattern& q, const MatchOptions& submitted,
   }
 
   decision.algo = base;
-  // The qmatch/qmatchn split is a pure function of the submitted
-  // options, not of statistics: dispatching kQMatch with incremental
-  // negation disabled IS the QMatchn baseline, so report it as such.
-  // Applied after the cache so family-mates with different option sets
-  // still share one entry.
-  if (base == EngineAlgo::kQMatch && !submitted.use_incremental_negation) {
-    decision.algo = EngineAlgo::kQMatchn;
-  }
   if (decision.options.scheduler_grain == 0) {
     decision.options.scheduler_grain = grain;
   }

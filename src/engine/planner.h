@@ -4,7 +4,7 @@
 /// \file
 /// The cost-based query planner behind `algo=auto`. Given a pattern and
 /// the submitted MatchOptions, the planner picks which matcher evaluates
-/// the query (qmatch / qmatchn / enum / pqmatch / penum) and fills the
+/// the query (qmatch / enum / pqmatch / penum) and fills the
 /// scheduler knobs from cheap, deterministic statistics:
 ///
 ///  * graph size and degree profile (O(1) off the CSR),
@@ -50,11 +50,9 @@ namespace qgp {
 
 enum class EngineAlgo;  // engine/query_engine.h
 
-/// Cost-model cutoffs and the plan-cache bound. Exposed as engine
-/// options so benches and tests can pin decision boundaries exactly.
+/// Cost-model cutoffs. Exposed as engine options so benches and tests
+/// can pin decision boundaries exactly.
 struct PlannerConfig {
-  /// Plan-cache capacity (pattern families, LRU). 0 = unbounded.
-  size_t plan_cache_max_entries = 256;
   /// Focus-candidate cardinality at or below which enumerate-then-verify
   /// wins for conventional patterns: with a handful of foci there is no
   /// dual-simulation fixpoint worth amortizing.

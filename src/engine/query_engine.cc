@@ -78,46 +78,12 @@ void NormalizeFocusSubset(std::optional<std::vector<VertexId>>& subset,
   }
 }
 
-/// Enum over a focus subset: Π(Q) restricted to the subset, minus each
-/// Π(Q⁺ᵉ) re-enumerated over the same subset — the PEnum per-fragment
-/// recipe (parallel/penum.cc), here running against the engine's shared
-/// intern pool instead of a fresh per-fragment one (warm sets are equal
-/// by value, so answers and work counters match either way).
-Result<AnswerSet> EnumSubset(const Pattern& pattern, const Graph& g,
-                             std::span<const VertexId> subset,
-                             const MatchOptions& options, MatchStats* stats,
-                             CandidateCache* shared_cache) {
-  QGP_RETURN_IF_ERROR(pattern.Validate(options.max_quantified_per_path));
-  auto pi = pattern.Pi();
-  if (!pi.ok()) return pi.status();
-  std::optional<CandidateCache> local;
-  CandidateCache* cache =
-      shared_cache != nullptr ? shared_cache : &local.emplace(g);
-  QGP_ASSIGN_OR_RETURN(
-      AnswerSet answers,
-      EnumMatcher::EvaluatePositive(pi.value().first, g, options, stats,
-                                    subset, cache));
-  for (PatternEdgeId e : pattern.NegatedEdgeIds()) {
-    QGP_ASSIGN_OR_RETURN(Pattern positified, pattern.Positify(e));
-    auto pi_pos = positified.Pi();
-    if (!pi_pos.ok()) return pi_pos.status();
-    QGP_ASSIGN_OR_RETURN(
-        AnswerSet negative,
-        EnumMatcher::EvaluatePositive(pi_pos.value().first, g, options,
-                                      stats, subset, cache));
-    answers = SetDifference(answers, negative);
-  }
-  return answers;
-}
-
 }  // namespace
 
 const char* EngineAlgoName(EngineAlgo algo) {
   switch (algo) {
     case EngineAlgo::kQMatch:
       return "qmatch";
-    case EngineAlgo::kQMatchn:
-      return "qmatchn";
     case EngineAlgo::kEnum:
       return "enum";
     case EngineAlgo::kPQMatch:
@@ -132,7 +98,6 @@ const char* EngineAlgoName(EngineAlgo algo) {
 
 std::optional<EngineAlgo> ParseEngineAlgo(std::string_view name) {
   if (name == "qmatch") return EngineAlgo::kQMatch;
-  if (name == "qmatchn") return EngineAlgo::kQMatchn;
   if (name == "enum") return EngineAlgo::kEnum;
   if (name == "pqmatch") return EngineAlgo::kPQMatch;
   if (name == "penum") return EngineAlgo::kPEnum;
@@ -236,7 +201,7 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
   // Shard mode, engaged-but-empty subset: this engine owns no foci, so
   // every (valid) query answers with the empty set. Short-circuited
   // HERE because the lower-level subset entry points read an empty span
-  // as "all candidates" (EnumMatcher::EvaluatePositive) — the opposite
+  // as "all candidates" (EnumMatcher::Evaluate) — the opposite
   // meaning. Mirrors the parallel workers' empty-fragment skip: zero
   // work counters, nothing admitted into any cache.
   if (options_.focus_subset.has_value() && options_.focus_subset->empty()) {
@@ -288,7 +253,7 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
   CandidateCache* cache = spec.share_cache ? &cache_ : nullptr;
   WallTimer timer;
   Result<AnswerSet> answers = Status::Ok();
-  // Delta-repair fast path: a positive qmatch/qmatchn query whose
+  // Delta-repair fast path: a positive qmatch query whose
   // artifacts we stored at an earlier graph version is re-answered by
   // repairing its candidate space and re-verifying only affected foci.
   // Negated patterns are ineligible (every positified subtrahend would
@@ -298,9 +263,8 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
   // full-graph seed would repair to the UNRESTRICTED answer set.
   const bool repair_eligible =
       options_.enable_delta_repair && spec.share_cache &&
-      (effective == EngineAlgo::kQMatch ||
-       effective == EngineAlgo::kQMatchn) &&
-      spec.pattern.IsPositive() && !options_.focus_subset.has_value();
+      effective == EngineAlgo::kQMatch && spec.pattern.IsPositive() &&
+      !options_.focus_subset.has_value();
   QMatchArtifacts artifacts;
   QMatchArtifacts* artifacts_out = repair_eligible ? &artifacts : nullptr;
   std::string repair_key;
@@ -314,13 +278,9 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
       std::optional<GraphDeltaSummary> composed =
           ComposeDeltasSince(rit->second.version);
       if (composed.has_value()) {
-        MatchOptions opts = effective_options;
-        if (effective == EngineAlgo::kQMatchn) {
-          opts.use_incremental_negation = false;
-        }
         bool fell_back = false;
         Result<AnswerSet> repaired = QMatch::EvaluateRepaired(
-            spec.pattern, *graph_, opts, rit->second.space,
+            spec.pattern, *graph_, effective_options, rit->second.space,
             rit->second.answers, *composed, &outcome.stats, pool_.get(),
             cache, artifacts_out, &fell_back);
         if (repaired.ok()) {
@@ -359,27 +319,11 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
                                          effective_options, &outcome.stats,
                                          pool_.get(), cache, artifacts_out);
         break;
-      case EngineAlgo::kQMatchn: {
-        MatchOptions naive = effective_options;
-        naive.use_incremental_negation = false;
-        answers = subset
-                      ? QMatch::EvaluateSubset(spec.pattern, *graph_,
-                                               *options_.focus_subset, naive,
-                                               &outcome.stats, pool_.get(),
-                                               cache)
-                      : QMatch::Evaluate(spec.pattern, *graph_, naive,
-                                         &outcome.stats, pool_.get(), cache,
-                                         artifacts_out);
-        break;
-      }
       case EngineAlgo::kEnum:
-        answers = subset ? EnumSubset(spec.pattern, *graph_,
-                                      *options_.focus_subset,
-                                      effective_options, &outcome.stats,
-                                      cache)
-                         : EnumMatcher::Evaluate(spec.pattern, *graph_,
-                                                 effective_options,
-                                                 &outcome.stats, cache);
+        answers = EnumMatcher::Evaluate(
+            spec.pattern, *graph_, effective_options, &outcome.stats, cache,
+            subset ? std::span<const VertexId>(*options_.focus_subset)
+                   : std::span<const VertexId>());
         break;
       case EngineAlgo::kPQMatch:
       case EngineAlgo::kPEnum: {
@@ -450,9 +394,9 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
     // Store (or refresh) the repair seed at the current version. The
     // bound sheds an arbitrary entry — the store is a seed cache, not a
     // correctness structure, so any victim is acceptable.
-    if (options_.repair_store_max_entries > 0 &&
-        repair_.find(repair_key) == repair_.end() &&
-        repair_.size() >= options_.repair_store_max_entries) {
+    constexpr size_t kRepairStoreMaxEntries = 64;
+    if (repair_.find(repair_key) == repair_.end() &&
+        repair_.size() >= kRepairStoreMaxEntries) {
       repair_.erase(repair_.begin());
     }
     repair_[std::move(repair_key)] = RepairEntry{
@@ -566,11 +510,11 @@ Result<DeltaOutcome> QueryEngine::ApplyDeltaAdmitted(const GraphDelta& delta) {
   out.vertices_removed = summary.vertices_removed.size();
   out.edges_added = summary.edges_added.size();
   out.edges_removed = summary.edges_removed.size();
+  // The log composes multi-version repairs; a repair whose stored seed
+  // predates it falls back to full evaluation.
+  constexpr size_t kDeltaLogMaxEntries = 64;
   delta_log_.push_back(std::move(summary));
-  while (options_.delta_log_max_entries > 0 &&
-         delta_log_.size() > options_.delta_log_max_entries) {
-    delta_log_.pop_front();
-  }
+  if (delta_log_.size() > kDeltaLogMaxEntries) delta_log_.pop_front();
   // Version-keyed invalidation: exactly the stale entries go. The
   // candidate cache compares stamps internally; the result cache is
   // swept here (every pre-delta entry is stale by construction), and so

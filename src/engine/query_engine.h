@@ -41,8 +41,9 @@ namespace qgp {
 /// identical either way (the differential suite in
 /// tests/engine/engine_differential_test.cc locks this down).
 enum class EngineAlgo {
-  kQMatch,   ///< QMatch::Evaluate — incremental negation (§4.2).
-  kQMatchn,  ///< QMatch without incremental negation (the §7 baseline).
+  kQMatch,   ///< QMatch::Evaluate — incremental negation (§4.2); with
+             ///< MatchOptions::use_incremental_negation = false, the §7
+             ///< QMatchn baseline.
   kEnum,     ///< EnumMatcher::Evaluate — enumerate-then-verify baseline.
   kPQMatch,  ///< PQMatch over the engine's lazily built DPar partition.
   kPEnum,    ///< PEnum over the same partition.
@@ -179,7 +180,7 @@ struct EngineOptions {
   bool enable_result_cache = false;
   /// LRU capacity of the result cache (entries). 0 = unbounded.
   size_t result_cache_max_entries = 1024;
-  /// Delta repair: when a positive qmatch/qmatchn query that was
+  /// Delta repair: when a positive qmatch query that was
   /// answered before returns after ApplyDelta calls, repair its
   /// candidate space incrementally and re-verify only foci within
   /// pattern radius of the changes, keeping every other cached answer
@@ -188,13 +189,6 @@ struct EngineOptions {
   /// workloads that assert stats identity should leave this off (the
   /// default).
   bool enable_delta_repair = false;
-  /// Entries retained in the repair store (per canonical query key).
-  /// 0 = unbounded.
-  size_t repair_store_max_entries = 64;
-  /// ApplyDelta summaries retained for composing multi-version repairs.
-  /// A repair whose stored artifacts predate the log falls back to full
-  /// evaluation.
-  size_t delta_log_max_entries = 64;
   /// While the engine is draining (SetDraining(true), service shutdown),
   /// an ApplyDelta parked behind an in-flight evaluation waits at most
   /// this long for admission before giving up with kUnavailable. A delta
@@ -221,7 +215,7 @@ struct EngineOptions {
   /// EngineAlgo::kAuto to hand every such query to the planner without
   /// touching the specs.
   EngineAlgo default_algo = EngineAlgo::kQMatch;
-  /// Cost-model cutoffs and plan-cache bound for algo = auto.
+  /// Cost-model cutoffs for algo = auto.
   PlannerConfig planner;
 };
 
@@ -433,7 +427,7 @@ class QueryEngine {
     uint64_t version = 0;
   };
 
-  /// Stored artifacts of one positive qmatch/qmatchn evaluation, the
+  /// Stored artifacts of one positive qmatch evaluation, the
   /// seed for the delta-repair fast path. Unlike result-cache entries
   /// these survive ApplyDelta — a stale space is exactly what Repair
   /// starts from.

@@ -6,9 +6,10 @@
 
 namespace qgp {
 
-Result<ParallelRunResult> PQMatch::Evaluate(const Pattern& pattern,
-                                            const Partition& partition,
-                                            const ParallelConfig& config) {
+Result<ParallelRunResult> RunFragments(const Pattern& pattern,
+                                       const Partition& partition,
+                                       const ParallelConfig& config,
+                                       const FragmentEvaluator& evaluate) {
   QGP_RETURN_IF_ERROR(
       pattern.Validate(config.match.max_quantified_per_path));
   if (pattern.Radius() > partition.d) {
@@ -34,16 +35,9 @@ Result<ParallelRunResult> PQMatch::Evaluate(const Pattern& pattern,
 
   WorkerSet workers(n, config.mode, config.pool);
   WorkerSet::Report report = workers.Run([&](size_t i) {
-    local_status[i] = QGP_FAILPOINT_STATUS("pqmatch.fragment");
-    if (!local_status[i].ok()) return;
     const Fragment& f = partition.fragments[i];
     if (f.owned_local.empty()) return;
-    // Per-fragment intern pool: Π(Q) and every positified Π(Q⁺ᵉ) of this
-    // fragment share label/degree candidate sets instead of rebuilding.
-    CandidateCache cache(f.sub.graph);
-    Result<AnswerSet> local = QMatch::EvaluateSubset(
-        pattern, f.sub.graph, f.owned_local, config.match, &local_stats[i],
-        config.pool, &cache);
+    Result<AnswerSet> local = evaluate(f, &local_stats[i]);
     if (!local.ok()) {
       local_status[i] = local.status();
       return;
@@ -78,6 +72,23 @@ Result<ParallelRunResult> PQMatch::Evaluate(const Pattern& pattern,
                     : report.wall_seconds;
   result.parallel_seconds = base + result.coordinator_seconds;
   return result;
+}
+
+Result<ParallelRunResult> PQMatch::Evaluate(const Pattern& pattern,
+                                            const Partition& partition,
+                                            const ParallelConfig& config) {
+  return RunFragments(
+      pattern, partition, config,
+      [&](const Fragment& f, MatchStats* stats) -> Result<AnswerSet> {
+        QGP_RETURN_IF_ERROR(QGP_FAILPOINT_STATUS("pqmatch.fragment"));
+        // Per-fragment intern pool: Π(Q) and every positified Π(Q⁺ᵉ) of
+        // this fragment share label/degree candidate sets instead of
+        // rebuilding.
+        CandidateCache cache(f.sub.graph);
+        return QMatch::EvaluateSubset(pattern, f.sub.graph, f.owned_local,
+                                      config.match, stats, config.pool,
+                                      &cache);
+      });
 }
 
 }  // namespace qgp

@@ -1,6 +1,8 @@
 #ifndef QGP_PARALLEL_PQMATCH_H_
 #define QGP_PARALLEL_PQMATCH_H_
 
+#include <functional>
+
 #include "common/result.h"
 #include "core/match_types.h"
 #include "core/pattern.h"
@@ -35,6 +37,23 @@ struct ParallelRunResult {
   double coordinator_seconds = 0;  // union / assembly
   MatchStats stats;                // aggregated over fragments
 };
+
+/// Evaluates one fragment that owns foci: its answers in the fragment's
+/// LOCAL vertex ids, its work counted into `stats`. Runs concurrently
+/// with the other fragments' calls under ExecutionMode::kThreads.
+using FragmentEvaluator =
+    std::function<Result<AnswerSet>(const Fragment& fragment,
+                                    MatchStats* stats)>;
+
+/// The fragment runner behind PQMatch and PEnum. Checks that the pattern
+/// fits the partition's hop preservation d, runs `evaluate` once per
+/// fragment that owns foci (heaviest |Fi| first on a WorkerSet), maps
+/// the local answers to global ids, and unions them on the coordinator.
+/// Fails with the first failing fragment's status, in fragment order.
+Result<ParallelRunResult> RunFragments(const Pattern& pattern,
+                                       const Partition& partition,
+                                       const ParallelConfig& config,
+                                       const FragmentEvaluator& evaluate);
 
 /// PQMatch (Fig. 6): evaluates a QGP over a d-hop preserving partition.
 /// Each worker runs QMatch on its fragment restricted to owned focus

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "gen/pattern_gen.h"
+#include "gen/synthetic_gen.h"
 #include "testing/paper_graphs.h"
 
 namespace qgp {
@@ -26,6 +30,60 @@ TEST(EnumMatcherTest, FocusSubset) {
       EnumMatcher::EvaluatePositive(q2, g, opts, nullptr, subset);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers.value(), (AnswerSet{ids.x1}));
+}
+
+// A focus subset restricts Π(Q) and every Π(Q⁺ᵉ) alike, so evaluating
+// over it yields the full answer set cut to the subset; an empty span is
+// the full evaluation, work counters included.
+TEST(EnumMatcherTest, NegatedPatternsOverFocusSubset) {
+  size_t checked = 0;
+  size_t answers_seen = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SyntheticConfig gc;
+    gc.num_vertices = 60;
+    gc.num_edges = 180;
+    gc.num_node_labels = 4;
+    gc.num_edge_labels = 3;
+    gc.seed = seed;
+    Graph g = std::move(GenerateSynthetic(gc)).value();
+    PatternGenConfig pc;
+    pc.num_nodes = 4;
+    pc.num_edges = 4;
+    pc.num_quantified = 1;
+    pc.num_negated = 1;
+    MatchOptions opts;
+    opts.max_isomorphisms = 2'000'000;
+    std::vector<VertexId> subset;
+    for (VertexId v = seed % 3; v < g.num_vertices(); v += 3) {
+      subset.push_back(v);
+    }
+    for (const Pattern& q : GeneratePatternSuite(g, 4, pc, seed * 7 + 1)) {
+      if (q.IsPositive()) continue;
+      MatchStats full_stats;
+      auto full = EnumMatcher::Evaluate(q, g, opts, &full_stats);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      auto restricted =
+          EnumMatcher::Evaluate(q, g, opts, nullptr, nullptr, subset);
+      ASSERT_TRUE(restricted.ok()) << restricted.status().ToString();
+      EXPECT_EQ(restricted.value(), SetIntersection(full.value(), subset));
+
+      MatchStats all_stats;
+      auto all = EnumMatcher::Evaluate(q, g, opts, &all_stats, nullptr, {});
+      ASSERT_TRUE(all.ok()) << all.status().ToString();
+      EXPECT_EQ(all.value(), full.value());
+      EXPECT_EQ(all_stats.isomorphisms_enumerated,
+                full_stats.isomorphisms_enumerated);
+      EXPECT_EQ(all_stats.search_extensions, full_stats.search_extensions);
+      EXPECT_EQ(all_stats.candidates_initial, full_stats.candidates_initial);
+      EXPECT_EQ(all_stats.candidates_pruned, full_stats.candidates_pruned);
+      EXPECT_EQ(all_stats.focus_candidates_checked,
+                full_stats.focus_candidates_checked);
+      ++checked;
+      answers_seen += full.value().size();
+    }
+  }
+  EXPECT_GE(checked, 4u);
+  EXPECT_GT(answers_seen, 0u);
 }
 
 TEST(EnumMatcherTest, CapReturnsError) {

@@ -43,7 +43,9 @@ std::vector<QuerySpec> MakeWorkload(Graph& g, uint64_t seed, size_t repeats) {
     for (size_t i = 0; i < patterns.size(); ++i) {
       QuerySpec spec;
       spec.pattern = patterns[i];
-      spec.algo = (i % 2 == 0) ? EngineAlgo::kQMatch : EngineAlgo::kQMatchn;
+      spec.algo = EngineAlgo::kQMatch;
+      // Odd entries run the QMatchn baseline.
+      spec.options.use_incremental_negation = (i % 2 == 0);
       spec.tag = "q" + std::to_string(i);
       workload.push_back(std::move(spec));
     }

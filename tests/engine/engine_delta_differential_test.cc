@@ -1,8 +1,8 @@
 // Delta differential harness, engine layer: after every ApplyDelta, an
 // engine evaluating a mixed-algorithm workload on the mutated graph must
 // be ANSWER- and MATCHSTATS-identical to a fresh engine on a from-scratch
-// rebuilt copy of the same content — for qmatch / qmatchn / enum /
-// pqmatch at thread counts {1, 2, 4, 8}, across randomized delta batches
+// rebuilt copy of the same content — for qmatch / QMatchn (qmatch with
+// use_incremental_negation = false) / enum / pqmatch at thread counts {1, 2, 4, 8}, across randomized delta batches
 // (including no-ops and inverse pairs that must round-trip answers).
 // CSR invariants are re-asserted after every delta. Both engines run
 // with the result cache and delta repair OFF (the defaults), which is
@@ -105,13 +105,21 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
   pc.num_quantified = 1;
   pc.num_negated = seed % 2;
   std::vector<Pattern> suite = GeneratePatternSuite(g, 6, pc, seed * 13 + 1);
-  const EngineAlgo algos[] = {EngineAlgo::kQMatch, EngineAlgo::kQMatchn,
-                              EngineAlgo::kEnum, EngineAlgo::kPQMatch};
+  struct Matcher {
+    EngineAlgo algo;
+    bool incremental_negation;
+  };
+  const Matcher matchers[] = {{EngineAlgo::kQMatch, true},
+                              {EngineAlgo::kQMatch, false},
+                              {EngineAlgo::kEnum, true},
+                              {EngineAlgo::kPQMatch, true}};
   std::vector<QuerySpec> workload;
   for (size_t i = 0; i < suite.size(); ++i) {
     QuerySpec spec;
     spec.pattern = std::move(suite[i]);
-    spec.algo = algos[i % 4];
+    spec.algo = matchers[i % 4].algo;
+    spec.options.use_incremental_negation =
+        matchers[i % 4].incremental_negation;
     spec.options.max_isomorphisms = 2'000'000;
     spec.tag = "q" + std::to_string(i);
     workload.push_back(std::move(spec));

@@ -35,8 +35,9 @@ Graph MakeGraph(uint64_t seed) {
 }
 
 // A mixed workload: two pattern families (different shapes, one with
-// negated edges) interleaved, algorithms rotating qmatch / qmatchn /
-// enum so one batch exercises every sequential dispatch path.
+// negated edges) interleaved, matchers rotating qmatch / QMatchn (qmatch
+// with use_incremental_negation = false) / enum so one batch exercises
+// every sequential dispatch path.
 std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
   PatternGenConfig small;
   small.num_nodes = 4;
@@ -52,13 +53,20 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
   std::vector<Pattern> b = GeneratePatternSuite(g, 3, larger, seed * 17 + 5);
   a.insert(a.end(), b.begin(), b.end());
 
-  const EngineAlgo algos[] = {EngineAlgo::kQMatch, EngineAlgo::kQMatchn,
-                              EngineAlgo::kEnum};
+  struct Matcher {
+    EngineAlgo algo;
+    bool incremental_negation;
+  };
+  const Matcher matchers[] = {{EngineAlgo::kQMatch, true},
+                              {EngineAlgo::kQMatch, false},
+                              {EngineAlgo::kEnum, true}};
   std::vector<QuerySpec> workload;
   for (size_t i = 0; i < a.size(); ++i) {
     QuerySpec spec;
     spec.pattern = std::move(a[i]);
-    spec.algo = algos[i % 3];
+    spec.algo = matchers[i % 3].algo;
+    spec.options.use_incremental_negation =
+        matchers[i % 3].incremental_negation;
     spec.options.max_isomorphisms = 2'000'000;
     spec.tag = "q" + std::to_string(i);
     workload.push_back(std::move(spec));
@@ -74,10 +82,9 @@ bool RunStandalone(const QuerySpec& spec, const Graph& g, AnswerSet* answers,
   Result<AnswerSet> r = Status::Ok();
   switch (*spec.algo) {
     case EngineAlgo::kQMatch:
-      r = QMatch::Evaluate(spec.pattern, g, spec.options, stats);
-      break;
-    case EngineAlgo::kQMatchn:
-      r = QMatchNaiveEvaluate(spec.pattern, g, spec.options, stats);
+      r = spec.options.use_incremental_negation
+              ? QMatch::Evaluate(spec.pattern, g, spec.options, stats)
+              : QMatchNaiveEvaluate(spec.pattern, g, spec.options, stats);
       break;
     default:
       r = EnumMatcher::Evaluate(spec.pattern, g, spec.options, stats);

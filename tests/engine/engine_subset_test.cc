@@ -57,23 +57,33 @@ TEST(EngineSubsetTest, EveryAlgoRestrictsToTheSubset) {
   std::vector<Pattern> suite = GeneratePatternSuite(g, 8, pc, 7);
   ASSERT_FALSE(suite.empty());
 
-  const EngineAlgo algos[] = {EngineAlgo::kQMatch, EngineAlgo::kQMatchn,
-                              EngineAlgo::kEnum, EngineAlgo::kPQMatch,
-                              EngineAlgo::kPEnum, EngineAlgo::kAuto};
+  // The second row is the QMatchn baseline: qmatch without incremental
+  // negation.
+  struct Matcher {
+    EngineAlgo algo;
+    bool incremental_negation;
+  };
+  const Matcher matchers[] = {
+      {EngineAlgo::kQMatch, true},  {EngineAlgo::kQMatch, false},
+      {EngineAlgo::kEnum, true},    {EngineAlgo::kPQMatch, true},
+      {EngineAlgo::kPEnum, true},   {EngineAlgo::kAuto, true}};
   size_t compared = 0;
   for (const Pattern& p : suite) {
     if (p.Radius() > 2) continue;  // parallel families' partition depth
-    for (EngineAlgo algo : algos) {
+    for (const Matcher& m : matchers) {
       QuerySpec spec;
       spec.pattern = p;
-      spec.algo = algo;
+      spec.algo = m.algo;
+      spec.options.use_incremental_negation = m.incremental_negation;
       spec.options.max_isomorphisms = 2'000'000;
+      const std::string context = std::string(EngineAlgoName(m.algo)) +
+                                  (m.incremental_negation ? "" : " naive");
       auto want = full.Submit(spec);
       auto got = restricted.Submit(spec);
-      ASSERT_EQ(got.ok(), want.ok()) << EngineAlgoName(algo);
+      ASSERT_EQ(got.ok(), want.ok()) << context;
       if (!got.ok()) continue;
       EXPECT_EQ(got->answers, SetIntersection(want->answers, subset))
-          << EngineAlgoName(algo);
+          << context;
       ++compared;
     }
   }

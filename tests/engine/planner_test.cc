@@ -127,7 +127,8 @@ TEST(PlannerFamilyKey, SeparatesClassesAndStructure) {
 // choice, then run the identical spec with that algorithm requested
 // explicitly on a fresh engine. Answers and work counters must match
 // exactly at every thread count — auto is a routing decision, never a
-// semantic one.
+// semantic one. Negated patterns also run as the QMatchn baseline
+// (use_incremental_negation = false), which the plan passes through.
 TEST(PlannerDifferential, AutoMatchesManualChoiceAtAllThreadCounts) {
   size_t compared = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -144,25 +145,29 @@ TEST(PlannerDifferential, AutoMatchesManualChoiceAtAllThreadCounts) {
       QueryEngine auto_engine(&g, opts);
       QueryEngine manual_engine(&g, opts);
       for (size_t i = 0; i < suite.size(); ++i) {
-        QuerySpec spec;
-        spec.pattern = suite[i];
-        spec.algo = EngineAlgo::kAuto;
-        spec.options.max_isomorphisms = 2'000'000;
-        spec.tag = "q" + std::to_string(i);
-        auto planned = auto_engine.Submit(spec);
-        if (!planned.ok()) continue;  // overflow under caps: skip
-        ASSERT_NE(planned->algo, EngineAlgo::kAuto)
-            << "auto must resolve to a concrete matcher";
+        for (bool incremental : {true, false}) {
+          if (!incremental && suite[i].IsPositive()) continue;
+          QuerySpec spec;
+          spec.pattern = suite[i];
+          spec.algo = EngineAlgo::kAuto;
+          spec.options.max_isomorphisms = 2'000'000;
+          spec.options.use_incremental_negation = incremental;
+          spec.tag = "q" + std::to_string(i) + (incremental ? "" : " naive");
+          auto planned = auto_engine.Submit(spec);
+          if (!planned.ok()) continue;  // overflow under caps: skip
+          ASSERT_NE(planned->algo, EngineAlgo::kAuto)
+              << "auto must resolve to a concrete matcher";
 
-        spec.algo = planned->algo;
-        auto manual = manual_engine.Submit(spec);
-        ASSERT_TRUE(manual.ok()) << manual.status().ToString();
-        const std::string context =
-            "seed " + std::to_string(seed) + " t" + std::to_string(threads) +
-            " " + spec.tag + " (" + EngineAlgoName(planned->algo) + ")";
-        EXPECT_EQ(planned->answers, manual->answers) << context;
-        ExpectSameWork(planned->stats, manual->stats, context);
-        ++compared;
+          spec.algo = planned->algo;
+          auto manual = manual_engine.Submit(spec);
+          ASSERT_TRUE(manual.ok()) << manual.status().ToString();
+          const std::string context =
+              "seed " + std::to_string(seed) + " t" + std::to_string(threads) +
+              " " + spec.tag + " (" + EngineAlgoName(planned->algo) + ")";
+          EXPECT_EQ(planned->answers, manual->answers) << context;
+          ExpectSameWork(planned->stats, manual->stats, context);
+          ++compared;
+        }
       }
     }
   }
@@ -211,12 +216,12 @@ TEST(PlannerDecisions, NegatedPatternsPlanToQmatchAndRespectOptions) {
   EXPECT_FALSE(outcome->plan_cache_hit);
 
   // Same family, incremental negation disabled: the plan entry is
-  // shared (the rename happens after the cache lookup) and the
-  // effective algorithm is reported as the qmatchn baseline.
+  // shared and the flag passes through, so the effective algorithm is
+  // qmatch running as the QMatchn baseline.
   spec.options.use_incremental_negation = false;
   auto naive = engine.Submit(spec);
   ASSERT_TRUE(naive.ok());
-  EXPECT_EQ(naive->algo, EngineAlgo::kQMatchn);
+  EXPECT_EQ(naive->algo, EngineAlgo::kQMatch);
   EXPECT_TRUE(naive->plan_cache_hit);
   EXPECT_EQ(naive->answers, outcome->answers);
 }

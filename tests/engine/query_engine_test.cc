@@ -45,12 +45,15 @@ std::vector<Pattern> MakePatterns(const Graph& g, size_t count,
 
 TEST(EngineAlgoTest, NamesRoundTrip) {
   for (EngineAlgo algo :
-       {EngineAlgo::kQMatch, EngineAlgo::kQMatchn, EngineAlgo::kEnum,
-        EngineAlgo::kPQMatch, EngineAlgo::kPEnum, EngineAlgo::kAuto}) {
+       {EngineAlgo::kQMatch, EngineAlgo::kEnum, EngineAlgo::kPQMatch,
+        EngineAlgo::kPEnum, EngineAlgo::kAuto}) {
     auto parsed = ParseEngineAlgo(EngineAlgoName(algo));
     ASSERT_TRUE(parsed.has_value()) << EngineAlgoName(algo);
     EXPECT_EQ(*parsed, algo);
   }
+  // The QMatchn baseline is qmatch with use_incremental_negation = false,
+  // not an algo of its own.
+  EXPECT_FALSE(ParseEngineAlgo("qmatchn").has_value());
   EXPECT_FALSE(ParseEngineAlgo("bogus").has_value());
   EXPECT_FALSE(ParseEngineAlgo("").has_value());
 }
@@ -74,12 +77,14 @@ TEST(QueryEngineTest, SequentialAlgosMatchStandalone) {
     ASSERT_TRUE(standalone.ok());
     EXPECT_EQ(via_engine->answers, standalone.value());
 
-    spec.algo = EngineAlgo::kQMatchn;
+    spec.options.use_incremental_negation = false;
     via_engine = engine.Submit(spec);
     ASSERT_TRUE(via_engine.ok());
+    EXPECT_EQ(via_engine->algo, EngineAlgo::kQMatch);
     standalone = QMatchNaiveEvaluate(q, g);
     ASSERT_TRUE(standalone.ok());
     EXPECT_EQ(via_engine->answers, standalone.value());
+    spec.options.use_incremental_negation = true;
 
     spec.algo = EngineAlgo::kEnum;
     spec.options.max_isomorphisms = 5'000'000;
@@ -309,6 +314,65 @@ TEST(QueryEngineTest, ResultCacheServesRepeatsIdentically) {
   EXPECT_EQ(stats.result_hits, patterns.size());
   EXPECT_EQ(stats.result_misses, 2 * patterns.size());
   EXPECT_GT(stats.ResultHitRatio(), 0.0);
+}
+
+// use_incremental_negation is all that separates the QMatchn baseline
+// from QMatch, so the result key must keep the two modes apart: the
+// baseline run misses and replays its own work, and QMatch's entry
+// survives it.
+TEST(QueryEngineTest, ResultCacheKeepsNegationModesApart) {
+  Graph g = MakeGraph(43);
+  std::vector<Pattern> patterns = MakePatterns(g, 3);
+  ASSERT_FALSE(patterns.empty());
+  EngineOptions opts;
+  opts.enable_result_cache = true;
+  QueryEngine engine(&g, opts);
+  size_t checked = 0;
+  for (const Pattern& q : patterns) {
+    if (q.IsPositive()) continue;
+    SCOPED_TRACE(q.ToString(&g.dict()));
+    QuerySpec spec;
+    spec.pattern = q;
+    spec.algo = EngineAlgo::kQMatch;
+    auto incremental = engine.Submit(spec);
+    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+    EXPECT_FALSE(incremental->result_cache_hit);
+
+    spec.options.use_incremental_negation = false;
+    auto naive = engine.Submit(spec);
+    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+    EXPECT_FALSE(naive->result_cache_hit);
+    EXPECT_EQ(naive->algo, EngineAlgo::kQMatch);
+    MatchStats standalone_stats;
+    auto standalone = QMatchNaiveEvaluate(q, g, {}, &standalone_stats);
+    ASSERT_TRUE(standalone.ok());
+    EXPECT_EQ(naive->answers, standalone.value());
+    EXPECT_EQ(naive->answers, incremental->answers);
+    EXPECT_EQ(naive->stats.search_extensions,
+              standalone_stats.search_extensions);
+    EXPECT_EQ(naive->stats.witness_searches,
+              standalone_stats.witness_searches);
+    EXPECT_EQ(naive->stats.focus_candidates_checked,
+              standalone_stats.focus_candidates_checked);
+    EXPECT_EQ(naive->stats.inc_candidates_checked,
+              standalone_stats.inc_candidates_checked);
+    EXPECT_EQ(naive->stats.balls_built, standalone_stats.balls_built);
+
+    spec.options.use_incremental_negation = true;
+    auto again = engine.Submit(spec);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(again->result_cache_hit);
+    EXPECT_EQ(again->answers, incremental->answers);
+    EXPECT_EQ(again->stats.search_extensions,
+              incremental->stats.search_extensions);
+    EXPECT_EQ(again->stats.inc_candidates_checked,
+              incremental->stats.inc_candidates_checked);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << "no negated pattern in the suite";
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.result_hits, checked);
+  EXPECT_EQ(stats.result_misses, 2 * checked);
 }
 
 TEST(QueryEngineTest, ResultCacheLruEvictsAndClearWorks) {

@@ -72,6 +72,8 @@ TEST(ProtocolTest, RequestRoundTripsThroughCodec) {
   request.algo = EngineAlgo::kEnum;
   request.options.max_isomorphisms = 123456;
   request.options.use_simulation = true;
+  // How a client asks for the QMatchn baseline.
+  request.options.use_incremental_negation = false;
   request.share_cache = false;
   request.tag = "req-17";
 
@@ -82,6 +84,7 @@ TEST(ProtocolTest, RequestRoundTripsThroughCodec) {
   EXPECT_EQ(decoded->algo, EngineAlgo::kEnum);
   EXPECT_EQ(decoded->options.max_isomorphisms, 123456u);
   EXPECT_TRUE(decoded->options.use_simulation);
+  EXPECT_FALSE(decoded->options.use_incremental_negation);
   EXPECT_FALSE(decoded->share_cache);
   EXPECT_EQ(decoded->tag, "req-17");
   // Encoding is deterministic: a second trip produces the same line.
@@ -138,6 +141,7 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       R"({"op":"stats","pattern":"node a x\n"})",   // pattern on non-query
       R"({"op":"mystery"})",                        // unknown op
       R"({"pattern":"p","algo":"quantum"})",        // unknown algo
+      R"({"pattern":"p","algo":"qmatchn"})",        // an option, not an algo
       R"({"pattern":"p","bogus":1})",               // unknown top-level key
       R"({"pattern":"p","options":{"bogus":1}})",   // unknown option
       R"({"pattern":"p","options":{"max_isomorphisms":-1}})",  // negative

@@ -37,9 +37,9 @@ Graph MakeGraph(uint64_t seed, size_t vertices = 60) {
   return std::move(GenerateSynthetic(gc)).value();
 }
 
-/// A mixed workload as wire requests: two pattern families, algorithms
-/// rotating qmatch / qmatchn / enum, pattern text produced by the
-/// parser's own serializer.
+/// A mixed workload as wire requests: two pattern families, matchers
+/// rotating qmatch / QMatchn (qmatch with use_incremental_negation =
+/// false) / enum, pattern text produced by the parser's own serializer.
 std::vector<ServiceRequest> MakeWorkload(Graph& g, uint64_t seed) {
   PatternGenConfig small;
   small.num_nodes = 4;
@@ -54,13 +54,20 @@ std::vector<ServiceRequest> MakeWorkload(Graph& g, uint64_t seed) {
   std::vector<Pattern> b = GeneratePatternSuite(g, 3, larger, seed * 7 + 5);
   patterns.insert(patterns.end(), b.begin(), b.end());
 
-  const EngineAlgo algos[] = {EngineAlgo::kQMatch, EngineAlgo::kQMatchn,
-                              EngineAlgo::kEnum};
+  struct Matcher {
+    EngineAlgo algo;
+    bool incremental_negation;
+  };
+  const Matcher matchers[] = {{EngineAlgo::kQMatch, true},
+                              {EngineAlgo::kQMatch, false},
+                              {EngineAlgo::kEnum, true}};
   std::vector<ServiceRequest> workload;
   for (size_t i = 0; i < patterns.size(); ++i) {
     ServiceRequest request;
     request.pattern_text = PatternParser::Serialize(patterns[i], g.dict());
-    request.algo = algos[i % 3];
+    request.algo = matchers[i % 3].algo;
+    request.options.use_incremental_negation =
+        matchers[i % 3].incremental_negation;
     request.options.max_isomorphisms = 2'000'000;
     request.tag = "q" + std::to_string(i);
     workload.push_back(std::move(request));

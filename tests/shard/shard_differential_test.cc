@@ -1,7 +1,8 @@
 // Shard differential harness: a ShardedEngine at shard counts {1, 2, 4}
 // must be ANSWER-identical to a single QueryEngine over the same graph
-// for every algo family (qmatch / qmatchn / enum / pqmatch / penum and
-// the auto planner), across randomized graph/pattern pairs, and must
+// for every algo family (qmatch / QMatchn — qmatch with
+// use_incremental_negation = false — / enum / pqmatch / penum and the
+// auto planner), across randomized graph/pattern pairs, and must
 // STAY identical after randomized delta batches routed through the
 // coordinator (apply-to-shards ≡ apply-to-single). Work-counter
 // identity is asserted on the pristine partition against the
@@ -95,9 +96,14 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed, int d) {
   pc.num_quantified = 1;
   pc.num_negated = seed % 2;
   std::vector<Pattern> suite = GeneratePatternSuite(g, 8, pc, seed * 13 + 1);
-  const EngineAlgo algos[] = {EngineAlgo::kQMatch,  EngineAlgo::kQMatchn,
-                              EngineAlgo::kEnum,    EngineAlgo::kPQMatch,
-                              EngineAlgo::kPEnum,   EngineAlgo::kAuto};
+  struct Matcher {
+    EngineAlgo algo;
+    bool incremental_negation;
+  };
+  const Matcher matchers[] = {
+      {EngineAlgo::kQMatch, true},  {EngineAlgo::kQMatch, false},
+      {EngineAlgo::kEnum, true},    {EngineAlgo::kPQMatch, true},
+      {EngineAlgo::kPEnum, true},   {EngineAlgo::kAuto, true}};
   EngineOptions probe_opts;
   probe_opts.num_threads = 2;
   QueryEngine probe(&g, probe_opts);
@@ -106,7 +112,9 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed, int d) {
     if (suite[i].Radius() > d) continue;
     QuerySpec spec;
     spec.pattern = std::move(suite[i]);
-    spec.algo = algos[workload.size() % 6];
+    const Matcher& m = matchers[workload.size() % 6];
+    spec.algo = m.algo;
+    spec.options.use_incremental_negation = m.incremental_negation;
     spec.options.max_isomorphisms = 2'000'000;
     spec.tag = "q" + std::to_string(i);
     if (!probe.Submit(spec).ok()) continue;

@@ -51,8 +51,10 @@ ServiceRequest RandomQueryRequest(std::mt19937* rng) {
                    "\nedge a b el0 >=" + std::to_string(1 + (*rng)() % 5) +
                    "\nfocus a\n";
   switch ((*rng)() % 7) {
-    case 0: r.algo = EngineAlgo::kQMatch; break;
-    case 1: r.algo = EngineAlgo::kQMatchn; break;
+    // Two draws for qmatch: its QMatchn mode is the
+    // use_incremental_negation draw below.
+    case 0:
+    case 1: r.algo = EngineAlgo::kQMatch; break;
     case 2: r.algo = EngineAlgo::kEnum; break;
     case 3: r.algo = EngineAlgo::kPQMatch; break;
     case 4: r.algo = EngineAlgo::kPEnum; break;

@@ -76,7 +76,7 @@ TEST(CliTest, MatchQuantifiedPattern) {
     f << "node xo person\nnode z person\nnode r product\n"
          "edge xo z follow =100%\nedge z r recom\nfocus xo\n";
   }
-  for (const char* algo : {"qmatch", "qmatchn", "enum"}) {
+  for (const char* algo : {"qmatch", "enum"}) {
     CliResult r = RunTool({"match", graph, pattern,
                        std::string("--algo=") + algo, "--stats"});
     EXPECT_EQ(r.code, 0) << algo << ": " << r.err;
@@ -87,6 +87,11 @@ TEST(CliTest, MatchQuantifiedPattern) {
   EXPECT_EQ(bad.code, 2);
   EXPECT_NE(bad.err.find("unknown --algo 'bogus'"), std::string::npos)
       << bad.err;
+  // The QMatchn baseline is a MatchOptions flag, not an algo.
+  CliResult naive = RunTool({"match", graph, pattern, "--algo=qmatchn"});
+  EXPECT_EQ(naive.code, 2);
+  EXPECT_NE(naive.err.find("unknown --algo 'qmatchn'"), std::string::npos)
+      << naive.err;
 }
 
 TEST(CliTest, MatchAlgoAutoSurfacesPlannerDecision) {

@@ -91,7 +91,7 @@ int Usage(std::ostream& err) {
          "  stats <graph>\n"
          "  convert <graph-in> <graph-out.bin>\n"
          "  match <graph> <pattern-file>... "
-         "[--algo=auto|qmatch|qmatchn|enum|pqmatch|penum]\n"
+         "[--algo=auto|qmatch|enum|pqmatch|penum]\n"
          "        [--stats] [--limit=N] [--threads=N] [--n=4] [--d=2]\n"
          "  generate <social|knowledge|synthetic> <out> [--size=N] "
          "[--seed=N] [--binary]\n"
