@@ -1,16 +1,13 @@
 // Micro-benchmark for the DMatch hot path (no google-benchmark
-// dependency): candidate-set restriction kernels (the seed's sorted-span
-// scan vs the bitset/galloping hybrid) on dense and sparse balls,
-// CandidateSpace::Build (the cold-start phase) serial vs a thread-count
-// sweep plus the label/degree intern pool, ball extraction for a batch of
-// foci (one single-source BFS per focus vs one multi-source BFS), and
-// QMatch end to end with the Build phase split out. Emits
-// BENCH_micro_dmatch.json; the
-// "restrict/dense/optimized" and "build/*" rows are the tracked numbers
-// for the hot-path and construction-phase work, and tools/compare_bench.py
-// gates CI on them.
+// dependency): ball extraction for a batch of foci (one single-source BFS
+// per focus vs one multi-source BFS), CandidateSpace::Build (the
+// cold-start phase) serial vs a thread-count sweep plus the label/degree
+// intern pool, the DPar partition phase, the work-stealing scheduler on
+// skewed tasks, and QMatch end to end with the Build phase split out.
+// Emits BENCH_micro_dmatch.json; the "build/*" and "qmatch/*" rows are
+// the tracked numbers for the construction phase and the search, and
+// tools/compare_bench.py gates CI on them.
 #include <algorithm>
-#include <iterator>
 
 #include "bench/common/bench_common.h"
 #include "common/thread_pool.h"
@@ -22,32 +19,6 @@
 
 namespace qgp::bench {
 namespace {
-
-// The seed's RestrictStratifiedToBall, kept verbatim as the measured
-// baseline: per-element bitset probing of the smaller side, else
-// std::set_intersection.
-std::vector<std::vector<VertexId>> BaselineRestrict(
-    const CandidateSpace& cs, std::span<const VertexId> ball) {
-  std::vector<std::vector<VertexId>> local(cs.num_pattern_nodes());
-  for (PatternNodeId u = 0; u < cs.num_pattern_nodes(); ++u) {
-    const std::span<const VertexId> full = cs.stratified(u);
-    if (ball.size() < full.size()) {
-      for (VertexId v : ball) {
-        if (cs.InStratified(u, v)) local[u].push_back(v);
-      }
-    } else {
-      std::set_intersection(full.begin(), full.end(), ball.begin(),
-                            ball.end(), std::back_inserter(local[u]));
-    }
-  }
-  return local;
-}
-
-size_t TotalSize(const std::vector<std::vector<VertexId>>& sets) {
-  size_t n = 0;
-  for (const auto& s : sets) n += s.size();
-  return n;
-}
 
 // Times `fn` often enough for a stable reading; returns avg ms per call.
 template <typename Fn>
@@ -62,55 +33,6 @@ double TimePerCall(Fn&& fn, size_t* iters_out) {
   for (size_t i = 0; i < iters; ++i) fn();
   if (iters_out != nullptr) *iters_out = iters;
   return timer.ElapsedMillis() / static_cast<double>(iters);
-}
-
-// One restriction scenario: ball around `src` at `radius`, baseline scan
-// vs the hybrid kernels (with the ball bitset available, as DMatch now
-// runs them).
-void RestrictCase(const char* name, const Graph& g, const CandidateSpace& cs,
-                  VertexId src, int radius, BenchReporter& reporter) {
-  DynamicBitset all_labels(g.dict().size());
-  for (Label l = 0; l < g.dict().size(); ++l) all_labels.Set(l);
-  BallScratch ball_scratch;
-  bool complete = false;
-  std::span<const VertexId> ball =
-      KHopBallFilteredScratch(g, src, radius, all_labels, g.num_vertices(),
-                              &ball_scratch, &complete);
-  std::span<const uint64_t> ball_words = ball_scratch.visited.words();
-
-  volatile size_t sink = 0;
-  size_t base_iters = 0;
-  double base_ms = TimePerCall(
-      [&] { sink = sink + TotalSize(BaselineRestrict(cs, ball)); },
-      &base_iters);
-
-  std::vector<std::vector<VertexId>> scratch_out;
-  size_t opt_iters = 0;
-  double opt_ms = TimePerCall(
-      [&] {
-        cs.RestrictStratifiedToBall(ball, ball_words, &scratch_out);
-        sink = sink + TotalSize(scratch_out);
-      },
-      &opt_iters);
-
-  // Answer-set equality is asserted by tests; assert it here too so the
-  // speedup can never come from computing something different.
-  if (BaselineRestrict(cs, ball) != scratch_out) {
-    std::printf("FATAL: %s kernels disagree with baseline\n", name);
-    std::exit(1);
-  }
-
-  double speedup = opt_ms > 0 ? base_ms / opt_ms : 0.0;
-  std::printf("%-16s |ball|=%-7zu baseline %9.4f ms  optimized %9.4f ms"
-              "  speedup %5.2fx\n",
-              name, ball.size(), base_ms, opt_ms, speedup);
-  reporter.Add(std::string("restrict/") + name + "/baseline", base_ms,
-               {{"ball", static_cast<double>(ball.size())},
-                {"iters", static_cast<double>(base_iters)}});
-  reporter.Add(std::string("restrict/") + name + "/optimized", opt_ms,
-               {{"ball", static_cast<double>(ball.size())},
-                {"iters", static_cast<double>(opt_iters)},
-                {"speedup_vs_baseline", speedup}});
 }
 
 // Ball extraction for one batch of foci at `radius`: a single-source BFS
@@ -399,8 +321,8 @@ int main() {
   using namespace qgp::bench;
   using namespace qgp;
   PrintHeader("Micro: DMatch hot-path kernels",
-              "candidate-set restriction (dense + sparse ball), QMatch e2e",
-              "bitset/galloping hybrid vs the seed's sorted-span scan");
+              "ball batches, build sweep, DPar, scheduler, QMatch e2e",
+              "batched and parallel phases vs their serial forms");
   BenchReporter reporter("micro_dmatch");
   Graph g = MakePokecLike(2000);
   PrintGraphLine("pokec-like", g);
@@ -422,31 +344,6 @@ int main() {
                 cs.status().ToString().c_str());
     return 1;
   }
-
-  // Densest case: the ball around the busiest vertex at radius 2 covers
-  // most of the graph, so every stratified set intersects a large ball.
-  VertexId hub = 0;
-  size_t hub_deg = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    size_t d = g.OutDegree(v) + g.InDegree(v);
-    if (d > hub_deg) {
-      hub_deg = d;
-      hub = v;
-    }
-  }
-  std::printf("\n");
-  RestrictCase("dense", g, *cs, hub, 2, reporter);
-
-  // Sparse case: a 1-hop ball around a median-degree vertex — big enough
-  // to measure, small enough that the galloping/probe paths (not the
-  // word-AND) are what runs.
-  std::vector<VertexId> by_degree(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) by_degree[v] = v;
-  std::sort(by_degree.begin(), by_degree.end(), [&](VertexId a, VertexId b) {
-    return g.OutDegree(a) + g.InDegree(a) < g.OutDegree(b) + g.InDegree(b);
-  });
-  VertexId median = by_degree[by_degree.size() / 2];
-  RestrictCase("sparse", g, *cs, median, 1, reporter);
 
   // Ball extraction: the first batch of good focus candidates the cold
   // focus map would verify together, at radius 1 and 2.

@@ -57,8 +57,8 @@ class DynamicBitset {
     return total;
   }
 
-  /// Raw 64-bit words, for word-parallel set operations (see
-  /// IntersectWordsInto in common/vertex_set.h).
+  /// Raw 64-bit words, for word-parallel set operations and for reading
+  /// the set through a BitsetView (common/vertex_set.h).
   std::span<const uint64_t> words() const { return words_; }
 
   /// Order-sensitive content hash (FNV-1a over words); used to detect

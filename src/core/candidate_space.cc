@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/thread_pool.h"
-#include "common/vertex_set.h"
 #include "core/simulation.h"
 #include "graph/graph_delta.h"
 
@@ -452,45 +451,14 @@ Result<CandidateSpace> CandidateSpace::Repair(
   return cs;
 }
 
-std::vector<std::vector<VertexId>> CandidateSpace::RestrictStratifiedToBall(
-    std::span<const VertexId> sorted_ball) const {
-  std::vector<std::vector<VertexId>> local(stratified_.size());
-  RestrictStratifiedToBall(sorted_ball, {}, &local);
-  return local;
-}
-
-void CandidateSpace::RestrictStratifiedToBall(
-    std::span<const VertexId> sorted_ball,
-    std::span<const uint64_t> ball_words,
-    std::vector<std::vector<VertexId>>* out) const {
-  out->resize(stratified_.size());
-  // A word-AND touches every word once; it wins over element-wise kernels
-  // roughly when the sets carry more elements than the universe has words.
-  const size_t universe_words =
-      stratified_.empty() ? 0 : stratified_[0]->bits.words().size();
-  for (PatternNodeId u = 0; u < stratified_.size(); ++u) {
-    const std::vector<VertexId>& full = stratified_[u]->members;
-    const DynamicBitset& full_bits = stratified_[u]->bits;
-    std::vector<VertexId>& dst = (*out)[u];
-    dst.clear();
-    if (!ball_words.empty() &&
-        full.size() + sorted_ball.size() > 2 * universe_words) {
-      IntersectWordsInto(full_bits.words(), ball_words, dst);
-    } else if (full.size() * kGallopRatio <= sorted_ball.size() &&
-               !ball_words.empty()) {
-      // Sparse candidate set inside a big ball: probe the ball bitset.
-      for (VertexId v : full) {
-        if ((ball_words[v >> 6] >> (v & 63)) & 1ULL) dst.push_back(v);
-      }
-    } else if (sorted_ball.size() * kGallopRatio <= full.size()) {
-      // Tiny ball inside a big candidate set: probe the stratified bitset.
-      for (VertexId v : sorted_ball) {
-        if (full_bits.Test(v)) dst.push_back(v);
-      }
-    } else {
-      IntersectSortedInto(std::span<const VertexId>(full), sorted_ball, dst);
-    }
+BitsetView CandidateSpace::StratifiedView(
+    PatternNodeId u, std::span<const VertexId> sorted_ball,
+    std::span<const uint64_t> ball_words) const {
+  const CandidateSet& set = *stratified_[u];
+  if (ball_words.empty()) {
+    return BitsetView{set.bits.words(), {}, set.members, set.members.size()};
   }
+  return MaskedView(set.bits.words(), set.members, ball_words, sorted_ball);
 }
 
 }  // namespace qgp

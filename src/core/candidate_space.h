@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/vertex_set.h"
 #include "core/candidate_cache.h"
 #include "core/match_types.h"
 #include "core/pattern.h"
@@ -125,22 +126,17 @@ class CandidateSpace {
     return good_[u]->bits.Test(v);
   }
 
-  /// Intersects every stratified set with a sorted vertex ball, producing
-  /// the per-focus local sets Lπ(u) used by DMatch.
-  std::vector<std::vector<VertexId>> RestrictStratifiedToBall(
-      std::span<const VertexId> sorted_ball) const;
-
-  /// Scratch-arena variant: writes each Lπ(u) into `(*out)[u]` (reusing
-  /// its capacity) instead of allocating a fresh nest. `ball_words`, when
-  /// non-empty, is the ball's membership bitset as raw words (e.g. from
-  /// BallScratch::visited) and enables the dense word-AND path; pass an
-  /// empty span when no bitset is at hand. Kernel choice per pattern node
-  /// is a size-ratio heuristic: word-parallel AND when both sets are
-  /// dense fractions of |V|, bitset probing of the smaller side when the
-  /// sizes are skewed, galloping/linear merge otherwise.
-  void RestrictStratifiedToBall(std::span<const VertexId> sorted_ball,
-                                std::span<const uint64_t> ball_words,
-                                std::vector<std::vector<VertexId>>* out) const;
+  /// Cπ(u) as a matcher view. With `ball_words` (a ball's membership
+  /// words, e.g. BallScratch::visited) and `sorted_ball` (its members,
+  /// ascending), the view is the per-focus local set Lπ(u) = Cπ(u) ∩ ball,
+  /// read through Cπ(u)'s bitset with the ball's words as mask; nothing is
+  /// decoded, and its size costs O(min(|ball|, |Cπ(u)|, |V| / 64))
+  /// (MaskedView). With an empty `ball_words`, the view is Cπ(u)
+  /// unmasked. The view points into this space and into the ball's
+  /// storage.
+  BitsetView StratifiedView(PatternNodeId u,
+                            std::span<const VertexId> sorted_ball = {},
+                            std::span<const uint64_t> ball_words = {}) const;
 
   size_t num_pattern_nodes() const { return stratified_.size(); }
 

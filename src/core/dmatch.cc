@@ -24,7 +24,7 @@ struct DMatchScratch {
   BallScratch ball;
   MultiBallScratch batch;               // shared BFS of a VerifyBatch
   std::vector<VertexId> batch_ball;     // one member's decoded ball
-  std::vector<std::vector<VertexId>> local;  // Lπ(u) element storage
+  std::vector<BitsetView> local;        // Lπ(u) per pattern node
   std::vector<std::unordered_set<uint64_t>> witnessed;       // per edge
   std::vector<std::unordered_set<uint64_t>> failed;          // per edge
   std::vector<std::unordered_map<VertexId, int8_t>> good_memo;  // per edge
@@ -45,7 +45,7 @@ void ResizeAndClear(std::vector<C>& v, size_t n) {
   for (size_t i = 0; i < n; ++i) v[i].clear();
 }
 
-// Per-focus verification state: local candidate sets, witness memos and
+// Per-focus verification state: local candidate views, witness memos and
 // quantifier goodness, evaluated lazily during the answer search. Buffers
 // are borrowed from the thread's DMatchScratch.
 class FocusVerifier {
@@ -87,8 +87,8 @@ class FocusVerifier {
         warm->ball_filter_fingerprint == pattern_edge_labels_.Fingerprint() &&
         !warm->ball.empty()) {
       ball = warm->ball;
-      // Mirror the cached ball into the membership bitset that InLocal
-      // and the dense restriction kernel read.
+      // Mirror the cached ball into the membership bitset that masks the
+      // local candidate views.
       members.EnsureUniverse(g_.num_vertices());
       members.ResetTouched();
       for (VertexId v : ball) members.Set(v);
@@ -111,7 +111,6 @@ class FocusVerifier {
     vx_ = vx;
     ball_ = ball;
     ball_complete_ = complete;
-    ball_words_ = complete ? ball_words : std::span<const uint64_t>();
     // (2) Seed memos (before any early return: Finish reads them).
     ResizeAndClear(s_.witnessed, q_.num_edges());
     ResizeAndClear(s_.failed, q_.num_edges());
@@ -124,32 +123,24 @@ class FocusVerifier {
       }
     }
     ResizeAndClear(s_.good_memo, q_.num_edges());
-    // (3) Local stratified candidate sets Lπ(u), as views: restricted
-    // sets point into the scratch arena, the global fallback points at
-    // the candidate space itself (no copy either way).
-    local_views_.assign(q_.num_nodes(), {});
-    if (ball_complete_) {
-      cs_.RestrictStratifiedToBall(ball_, ball_words_, &s_.local);
-      for (PatternNodeId u = 0; u < q_.num_nodes(); ++u) {
-        local_views_[u] = s_.local[u];
-      }
-    } else {
-      for (PatternNodeId u = 0; u < q_.num_nodes(); ++u) {
-        local_views_[u] = cs_.stratified(u);
-      }
-    }
-    focus_pin_ = vx;
-    local_views_[q_.focus()] = std::span<const VertexId>(&focus_pin_, 1);
-    for (std::span<const VertexId> l : local_views_) {
-      if (l.empty()) return Finish(false, radius, cache_out);
+    // (3) Local stratified candidate sets Lπ(u) = Cπ(u) ∩ ball, as views
+    // over Cπ(u)'s bitset masked by the ball's words (unmasked when the
+    // ball is incomplete): nothing is decoded, and only the sizes cost
+    // work. The focus view stays Cπ(xo) ∩ ball; every search pins the
+    // focus to vx.
+    s_.local.resize(q_.num_nodes());
+    for (PatternNodeId u = 0; u < q_.num_nodes(); ++u) {
+      s_.local[u] = cs_.StratifiedView(
+          u, ball_, complete ? ball_words : std::span<const uint64_t>());
+      if (s_.local[u].size == 0) return Finish(false, radius, cache_out);
     }
 
     // (4) Answer search: an embedding of Qπ pinned at vx whose every node
     // is quantifier-good. Witness searches run NESTED inside this
     // search's accept callback, so they need their own matcher (and
     // scratch); witness searches themselves never nest.
-    answer_matcher_.emplace(strat_, g_, local_views_, &s_.answer_search);
-    witness_matcher_.emplace(strat_, g_, local_views_, &s_.witness_search);
+    answer_matcher_.emplace(strat_, g_, s_.local, &s_.answer_search);
+    witness_matcher_.emplace(strat_, g_, s_.local, &s_.witness_search);
     std::pair<PatternNodeId, VertexId> pin{q_.focus(), vx};
     GenericMatcher::Accept accept = [this](PatternNodeId u, VertexId v) {
       return IsGood(u, v);
@@ -191,10 +182,7 @@ class FocusVerifier {
   // is incomplete), except at the focus, which is pinned to vx.
   bool InLocal(PatternNodeId u, VertexId v) const {
     if (u == q_.focus()) return v == vx_;
-    if (ball_complete_ && ((ball_words_[v >> 6] >> (v & 63)) & 1ULL) == 0) {
-      return false;
-    }
-    return cs_.InStratified(u, v);
+    return s_.local[u].Test(v);
   }
 
   // Is there an embedding of Qπ with h(xo)=vx, h(u)=v, h(u')=v'? Complete
@@ -313,11 +301,8 @@ class FocusVerifier {
   DMatchScratch& s_;
 
   VertexId vx_ = kInvalidVertex;
-  VertexId focus_pin_ = kInvalidVertex;  // storage behind the focus view
   std::span<const VertexId> ball_;       // into scratch or the warm cache
-  std::span<const uint64_t> ball_words_;  // ball membership (when complete)
   bool ball_complete_ = true;
-  std::vector<std::span<const VertexId>> local_views_;
   std::optional<GenericMatcher> answer_matcher_;
   std::optional<GenericMatcher> witness_matcher_;
   std::vector<VertexId> witness_;      // the all-good answer embedding

@@ -55,7 +55,8 @@ struct SpaceRepairHint {
 /// DMatch (§4.1): evaluates a POSITIVE QGP. The published algorithm
 /// interleaves quantifier counting with the Fig. 4 search; this
 /// implementation factors the same strategy into per-focus phases (see
-/// DESIGN.md §2): ball-restricted candidate space, lazily-counted
+/// DESIGN.md §2): candidate sets read through the focus ball's
+/// membership words (views, never decoded per focus), lazily-counted
 /// quantifier "goodness" with memoized pinned witness searches, upper-bound
 /// pruning of candidates, counting that stops once its verdict is settled
 /// (threshold met, or out of reach of the children not yet proven

@@ -28,10 +28,10 @@ Result<AnswerSet> EnumMatcher::EvaluatePositive(
 
   Pattern stratified = positive.Stratified();
   const PatternNodeId xo = positive.focus();
-  // Views into the shared candidate sets — no per-node copies.
-  std::vector<std::span<const VertexId>> candidate_sets(positive.num_nodes());
+  // Unmasked views of the shared candidate sets — no per-node copies.
+  std::vector<BitsetView> candidate_sets(positive.num_nodes());
   for (PatternNodeId u = 0; u < positive.num_nodes(); ++u) {
-    candidate_sets[u] = cs.stratified(u);
+    candidate_sets[u] = cs.StratifiedView(u);
   }
 
   std::vector<VertexId> owned_focus_list;

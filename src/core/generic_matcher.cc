@@ -4,20 +4,12 @@
 
 namespace qgp {
 
-GenericMatcher::GenericMatcher(
-    const Pattern& pattern, const Graph& g,
-    const std::vector<std::vector<VertexId>>& candidates)
-    : q_(pattern), g_(g), scratch_(&own_scratch_) {
-  candidates_.reserve(candidates.size());
-  for (const std::vector<VertexId>& c : candidates) candidates_.emplace_back(c);
-}
-
 GenericMatcher::GenericMatcher(const Pattern& pattern, const Graph& g,
-                               std::vector<std::span<const VertexId>> candidates,
+                               std::span<const BitsetView> candidates,
                                Scratch* scratch)
     : q_(pattern),
       g_(g),
-      candidates_(std::move(candidates)),
+      candidates_(candidates),
       scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
 
 std::vector<GenericMatcher::Step> GenericMatcher::PlanOrder(
@@ -34,7 +26,7 @@ std::vector<GenericMatcher::Step> GenericMatcher::PlanOrder(
     }
   }
   // Greedy: repeatedly take the unplaced node adjacent to a placed one
-  // with the smallest candidate list (SelectNext); fall back to the
+  // with the smallest candidate set (SelectNext); fall back to the
   // globally smallest when the pattern part is disconnected.
   while (plan.size() < nq) {
     PatternNodeId best = kInvalidPatternId;
@@ -62,7 +54,7 @@ std::vector<GenericMatcher::Step> GenericMatcher::PlanOrder(
           }
         }
       }
-      size_t size = candidates_[u].size();
+      size_t size = candidates_[u].size;
       bool better;
       if (best == kInvalidPatternId) {
         better = true;
@@ -122,7 +114,7 @@ bool GenericMatcher::Extend(size_t depth, const SearchOptions& options,
   }
   const Step& step = plan_[depth];
   const PatternNodeId u = step.u;
-  const std::span<const VertexId> cand = candidates_[u];
+  const BitsetView& cand = candidates_[u];
 
   auto try_vertex = [&](VertexId v) {
     if (scratch_->used.Test(v)) return;
@@ -137,9 +129,10 @@ bool GenericMatcher::Extend(size_t depth, const SearchOptions& options,
   };
 
   // Collect this step's candidate vertices: via the anchor adjacency when
-  // available (IsExtend over Me(v)), else the full candidate list. The
-  // label slice is sorted by endpoint, so this is a sorted-run
-  // intersection — galloping when one side dwarfs the other.
+  // available (IsExtend over Me(v)), else the whole candidate set. The
+  // label slice is sorted by endpoint and duplicate-free, so keeping the
+  // entries that pass the view's bit test lists the intersection in
+  // ascending order, at one bit test per slice entry.
   std::vector<VertexId>& frontier = scratch_->frontier_bufs[depth];
   frontier.clear();
   if (step.anchor_edge != kInvalidPatternId) {
@@ -149,10 +142,11 @@ bool GenericMatcher::Extend(size_t depth, const SearchOptions& options,
     std::span<const Neighbor> adj =
         step.anchor_outgoing ? g_.OutNeighborsWithLabel(anchor_v, ae.label)
                              : g_.InNeighborsWithLabel(anchor_v, ae.label);
-    IntersectSortedInto(adj, [](const Neighbor& n) { return n.v; }, cand,
-                        frontier);
+    for (const Neighbor& n : adj) {
+      if (cand.Test(n.v)) frontier.push_back(n.v);
+    }
   } else {
-    frontier.assign(cand.begin(), cand.end());
+    cand.Decode(frontier);
   }
 
   if (options.score != nullptr && frontier.size() > 1) {
@@ -189,8 +183,7 @@ bool GenericMatcher::Enumerate(const SearchOptions& options,
   // Validate and apply pins.
   for (const auto& [u, v] : options.pins) {
     if (u >= nq || v >= g_.num_vertices()) return true;  // vacuous
-    const std::span<const VertexId> cand = candidates_[u];
-    if (!std::binary_search(cand.begin(), cand.end(), v)) {
+    if (!candidates_[u].Test(v)) {
       return true;  // pin outside candidates: no embeddings
     }
     if (assignment_[u] != kInvalidVertex && assignment_[u] != v) return true;

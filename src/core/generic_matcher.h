@@ -16,7 +16,7 @@ namespace qgp {
 
 /// The generic subgraph-isomorphism search of Fig. 4 ([27]'s skeleton):
 /// SelectNext picks the next pattern node (connectivity-first, smallest
-/// candidate list), IsExtend checks label/edge consistency and injectivity,
+/// candidate set), IsExtend checks label/edge consistency and injectivity,
 /// and the recursion backtracks through all embeddings.
 ///
 /// One engine serves every matcher in the library:
@@ -66,18 +66,14 @@ class GenericMatcher {
     uint64_t max_isomorphisms = 0;
   };
 
-  /// `candidates[u]` must be sorted ascending; the engine intersects them
-  /// with adjacency lists when extending. The referenced vectors must
-  /// outlive the matcher.
+  /// `candidates[u]` is u's candidate set as a bitset view: Extend keeps
+  /// an anchor's adjacency entries whose endpoint passes the view's bit
+  /// test, decodes the view when u has no anchor, and pins test their
+  /// vertex against it. The views — and the words and runs they point
+  /// into — and `scratch`, when given, must stay alive and unmoved while
+  /// the matcher is in use.
   GenericMatcher(const Pattern& pattern, const Graph& g,
-                 const std::vector<std::vector<VertexId>>& candidates);
-
-  /// Span-based variant for callers that assemble per-focus candidate
-  /// views without copying (DMatch's local sets). The spans' underlying
-  /// storage — and `scratch`, when given — must stay alive and unmoved
-  /// while the matcher is in use.
-  GenericMatcher(const Pattern& pattern, const Graph& g,
-                 std::vector<std::span<const VertexId>> candidates,
+                 std::span<const BitsetView> candidates,
                  Scratch* scratch = nullptr);
 
   /// Enumerates embeddings; invokes `cb` for each complete assignment
@@ -106,7 +102,7 @@ class GenericMatcher {
 
   const Pattern& q_;
   const Graph& g_;
-  std::vector<std::span<const VertexId>> candidates_;
+  std::span<const BitsetView> candidates_;
 
   // Search state (single-threaded per instance), reused across calls.
   std::vector<Step> plan_;

@@ -47,12 +47,15 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
   // function of the input. Skewed workloads (one hub focus dwarfing the
   // rest) start their expensive foci immediately instead of discovering
   // them at the tail of a static chunk.
+  // Each position's hint is read once, not once per comparison.
+  std::vector<uint64_t> cost(n);
   std::vector<uint32_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  for (size_t i = 0; i < n; ++i) {
+    cost[i] = ev.FocusCostHint(subset[i]);
+    order[i] = static_cast<uint32_t>(i);
+  }
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const uint64_t ca = ev.FocusCostHint(subset[a]);
-    const uint64_t cb = ev.FocusCostHint(subset[b]);
-    if (ca != cb) return ca > cb;
+    if (cost[a] != cost[b]) return cost[a] > cost[b];
     return a < b;
   });
   size_t grain = ev.options().scheduler_grain;
@@ -164,11 +167,24 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
       !negated.empty() && options.use_incremental_negation;
   std::unordered_map<VertexId, FocusCache> caches;
 
-  std::span<const VertexId> subset =
-      focus_subset.empty() ? ev0.FocusCandidates() : focus_subset;
-  AnswerSet answers = VerifyAcross(ev0, subset, nullptr,
-                                   want_caches ? &caches : nullptr, stats,
-                                   pool);
+  // A subset run verifies only the subset's focus candidates of each
+  // pass: other ids would only take slots in the verification batches,
+  // and a Π(Q⁺ᵉ) verdict outside the subset is never subtracted from.
+  auto candidates_in_subset = [&](const PositiveEvaluator& ev) {
+    const PatternNodeId focus = ev.pattern().focus();
+    std::vector<VertexId> owned;
+    for (VertexId v : focus_subset) {
+      if (v < g.num_vertices() && ev.candidate_space().InGood(focus, v)) {
+        owned.push_back(v);
+      }
+    }
+    return owned;
+  };
+  std::vector<VertexId> owned;
+  if (!focus_subset.empty()) owned = candidates_in_subset(ev0);
+  AnswerSet answers =
+      VerifyAcross(ev0, focus_subset.empty() ? ev0.FocusCandidates() : owned,
+                   nullptr, want_caches ? &caches : nullptr, stats, pool);
   QGP_CHECK_CANCEL(options.cancel);  // a fired token truncated `answers`
 
   for (PatternEdgeId e : negated) {
@@ -190,8 +206,10 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
       negative = VerifyAcross(ev_e, answers, &caches, nullptr, stats, pool);
     } else {
       // QMatchn: full recomputation of Π(Q⁺ᵉ)(xo, G).
-      negative = VerifyAcross(ev_e, ev_e.FocusCandidates(), nullptr, nullptr,
-                              stats, pool);
+      if (!focus_subset.empty()) owned = candidates_in_subset(ev_e);
+      negative = VerifyAcross(
+          ev_e, focus_subset.empty() ? ev_e.FocusCandidates() : owned,
+          nullptr, nullptr, stats, pool);
     }
     QGP_CHECK_CANCEL(options.cancel);  // `negative` may be truncated
     answers = SetDifference(answers, negative);

@@ -1,7 +1,7 @@
-// Unit tests for the candidate-set kernels: SparseBitset touched-word
-// reset semantics, galloping lower bound, and the intersection routines
-// across all dispatch branches (merge, gallop-either-side, word-AND),
-// checked against std::set_intersection on randomized runs.
+// Unit tests for the vertex-set types: SparseBitset touched-word reset
+// semantics, and masked BitsetViews across every branch of MaskedView
+// (walking either run, sizing by bit test or by popcount), checked
+// against std::set_intersection on randomized runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,27 +66,23 @@ TEST(SparseBitsetTest, EnsureUniverseGrowsAndPreserves) {
   EXPECT_EQ(bits.size(), 5000u);
 }
 
-TEST(GallopLowerBoundTest, MatchesStdLowerBound) {
-  std::mt19937 rng(7);
-  std::vector<uint32_t> run = RandomSortedRun(rng, 400, 5000);
-  for (uint32_t key : {0u, 1u, 2500u, 4999u, 6000u}) {
-    const uint32_t* expect =
-        std::lower_bound(run.data(), run.data() + run.size(), key);
-    const uint32_t* got =
-        GallopLowerBound(run.data(), run.data() + run.size(), key);
-    EXPECT_EQ(got, expect) << "key " << key;
-  }
-  for (uint32_t v : run) {
-    EXPECT_EQ(*GallopLowerBound(run.data(), run.data() + run.size(), v), v);
-  }
-  // Empty run.
-  EXPECT_EQ(GallopLowerBound(run.data(), run.data(), 3u), run.data());
+BitsetView ViewOf(const DynamicBitset& abits, const std::vector<uint32_t>& a,
+                  const DynamicBitset& bbits,
+                  const std::vector<uint32_t>& b) {
+  return MaskedView(abits.words(), a, bbits.words(), b);
+}
+
+DynamicBitset BitsOf(const std::vector<uint32_t>& run, size_t universe) {
+  DynamicBitset bits(universe);
+  for (uint32_t v : run) bits.Set(v);
+  return bits;
 }
 
 TEST(IntersectSortedTest, AllDispatchBranchesMatchReference) {
   std::mt19937 rng(13);
-  // (|a|, |b|) chosen to hit: both empty, merge (comparable), gallop
-  // through b (a tiny), gallop through a (b tiny).
+  // (|a|, |b|) chosen to hit: both empty, walking either run, counting
+  // by bit test (a run shorter than the 128 words) and by popcount
+  // (both runs at least that long).
   const std::pair<size_t, size_t> shapes[] = {
       {0, 50},   {50, 0},    {300, 350},  {5, 4000},
       {4000, 5}, {1, 1},     {64, 4096},  {4096, 64},
@@ -95,25 +91,16 @@ TEST(IntersectSortedTest, AllDispatchBranchesMatchReference) {
     for (int trial = 0; trial < 5; ++trial) {
       std::vector<uint32_t> a = RandomSortedRun(rng, na, 8192);
       std::vector<uint32_t> b = RandomSortedRun(rng, nb, 8192);
+      const DynamicBitset abits = BitsOf(a, 8192);
+      const DynamicBitset bbits = BitsOf(b, 8192);
+      const BitsetView view = ViewOf(abits, a, bbits, b);
+      const std::vector<uint32_t> expect = Reference(a, b);
       std::vector<uint32_t> out;
-      IntersectSortedInto(a, b, out);
-      EXPECT_EQ(out, Reference(a, b)) << "|a|=" << na << " |b|=" << nb;
+      view.Decode(out);
+      EXPECT_EQ(out, expect) << "|a|=" << na << " |b|=" << nb;
+      EXPECT_EQ(view.size, expect.size()) << "|a|=" << na << " |b|=" << nb;
     }
   }
-}
-
-TEST(IntersectSortedTest, ProjectedVariantUsesProjection) {
-  struct Entry {
-    uint32_t id;
-    int payload;
-  };
-  std::vector<Entry> a = {{2, 9}, {5, 9}, {9, 9}, {11, 9}};
-  std::vector<uint32_t> b = {1, 5, 9, 12};
-  std::vector<uint32_t> out;
-  IntersectSortedInto(std::span<const Entry>(a),
-                      [](const Entry& e) { return e.id; },
-                      std::span<const uint32_t>(b), out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{5, 9}));
 }
 
 TEST(IntersectWordsTest, MatchesElementwiseReference) {
@@ -121,27 +108,35 @@ TEST(IntersectWordsTest, MatchesElementwiseReference) {
   const size_t universe = 2048;
   std::vector<uint32_t> a = RandomSortedRun(rng, 700, universe);
   std::vector<uint32_t> b = RandomSortedRun(rng, 900, universe);
-  DynamicBitset abits(universe);
-  DynamicBitset bbits(universe);
-  for (uint32_t v : a) abits.Set(v);
-  for (uint32_t v : b) bbits.Set(v);
+  DynamicBitset abits = BitsOf(a, universe);
+  DynamicBitset bbits = BitsOf(b, universe);
+  const std::vector<uint32_t> expect = Reference(a, b);
+  // Both runs outnumber the 32 words: the size is a popcount.
+  const BitsetView view = ViewOf(abits, a, bbits, b);
+  EXPECT_EQ(view.size, expect.size());
+  for (uint32_t v = 0; v < universe; ++v) {
+    EXPECT_EQ(view.Test(v),
+              std::binary_search(expect.begin(), expect.end(), v));
+  }
+  // A longer mask counts over the common prefix of the words.
+  DynamicBitset longer = BitsOf(b, universe * 4);
+  longer.Set(universe * 4 - 1);  // outside a's universe: must not count
+  EXPECT_EQ(MaskedView(abits.words(), a, longer.words(), b).size,
+            expect.size());
+  // No mask: the view is the set itself.
+  const BitsetView whole{abits.words(), {}, a, a.size()};
   std::vector<uint32_t> out;
-  IntersectWordsInto(abits.words(), bbits.words(), out);
-  EXPECT_EQ(out, Reference(a, b));
-  // Mismatched word-array lengths intersect over the common prefix.
-  DynamicBitset longer(universe * 4);
-  for (uint32_t v : b) longer.Set(v);
-  longer.Set(universe * 4 - 1);  // outside a's universe: must not appear
-  out.clear();
-  IntersectWordsInto(abits.words(), longer.words(), out);
-  EXPECT_EQ(out, Reference(a, b));
+  whole.Decode(out);
+  EXPECT_EQ(out, a);
 }
 
 TEST(IntersectSortedTest, OutputAppendsWithoutClearing) {
   std::vector<uint32_t> a = {1, 2, 3};
   std::vector<uint32_t> b = {2, 3, 4};
   std::vector<uint32_t> out = {77};
-  IntersectSortedInto(a, b, out);
+  const DynamicBitset abits = BitsOf(a, 64);
+  const DynamicBitset bbits = BitsOf(b, 64);
+  ViewOf(abits, a, bbits, b).Decode(out);
   EXPECT_EQ(out, (std::vector<uint32_t>{77, 2, 3}));
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/paper_graphs.h"
 
 namespace qgp {
@@ -84,10 +86,25 @@ TEST(CandidateSpaceTest, RestrictToBallIntersects) {
   auto cs = CandidateSpace::Build(q2, g, opts, nullptr);
   ASSERT_TRUE(cs.ok());
   std::vector<VertexId> ball{ids.x2, ids.v1, ids.v2, ids.redmi};
-  auto local = cs->RestrictStratifiedToBall(ball);
-  EXPECT_EQ(local[0], (std::vector<VertexId>{ids.x2}));
-  EXPECT_EQ(local[1], (std::vector<VertexId>{ids.v1, ids.v2}));
-  EXPECT_EQ(local[2], (std::vector<VertexId>{ids.redmi}));
+  std::sort(ball.begin(), ball.end());
+  DynamicBitset ball_bits(g.num_vertices());
+  for (VertexId v : ball) ball_bits.Set(v);
+  auto local = [&](PatternNodeId u) {
+    const BitsetView view = cs->StratifiedView(u, ball, ball_bits.words());
+    std::vector<VertexId> members;
+    view.Decode(members);
+    EXPECT_EQ(view.size, members.size());
+    return members;
+  };
+  EXPECT_EQ(local(0), (std::vector<VertexId>{ids.x2}));
+  EXPECT_EQ(local(1), (std::vector<VertexId>{ids.v1, ids.v2}));
+  EXPECT_EQ(local(2), (std::vector<VertexId>{ids.redmi}));
+  // Without a ball the view is Cπ(u) itself.
+  for (PatternNodeId u = 0; u < 3; ++u) {
+    std::vector<VertexId> members;
+    cs->StratifiedView(u).Decode(members);
+    EXPECT_TRUE(std::ranges::equal(members, cs->stratified(u)));
+  }
 }
 
 TEST(CandidateSpaceTest, UnsatisfiableRatioPrunesVertex) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/qmatch.h"
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
@@ -88,6 +89,77 @@ TEST(EngineSubsetTest, EveryAlgoRestrictsToTheSubset) {
     }
   }
   EXPECT_GT(compared, 0u);
+}
+
+// With incremental negation off, every pass of a subset engine verifies
+// only the subset's focus candidates: the Π(Q) pass, and each Π(Q⁺ᵉ)
+// pass, whose verdicts outside the subset would be thrown away. The
+// expected count is rebuilt pass by pass from positive evaluations over
+// the subset; `spill` counts the passes whose focus candidates reach
+// outside the subset, where verifying them all would show.
+TEST(EngineSubsetTest, RecomputedNegationChecksOwnedFociOnly) {
+  Graph g = MakeGraph(61);
+  std::vector<VertexId> subset;
+  for (VertexId v = 0; v < g.num_vertices(); v += 2) subset.push_back(v);
+  EngineOptions opts;
+  opts.num_threads = 1;
+  opts.focus_subset = subset;
+  QueryEngine restricted(g, opts);
+
+  PatternGenConfig pc;
+  pc.num_nodes = 4;
+  pc.num_edges = 4;
+  pc.num_quantified = 1;
+  pc.num_negated = 1;
+  std::vector<Pattern> suite = GeneratePatternSuite(g, 8, pc, 7);
+  ASSERT_FALSE(suite.empty());
+
+  MatchOptions positive_opts;
+  size_t spill = 0;
+  for (const Pattern& p : suite) {
+    QuerySpec spec;
+    spec.pattern = p;
+    spec.algo = EngineAlgo::kQMatch;
+    spec.options.use_incremental_negation = false;
+    auto got = restricted.Submit(spec);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    spec.options.use_incremental_negation = true;
+    auto incremental = restricted.Submit(spec);
+    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+    EXPECT_EQ(got->answers, incremental->answers);
+
+    auto pi = p.Pi();
+    ASSERT_TRUE(pi.ok());
+    MatchStats want;
+    auto answers =
+        QMatch::EvaluateSubset(pi->first, g, subset, positive_opts, &want);
+    ASSERT_TRUE(answers.ok());
+    for (PatternEdgeId e : p.NegatedEdgeIds()) {
+      if (answers->empty()) break;
+      auto positified = p.Positify(e);
+      ASSERT_TRUE(positified.ok());
+      auto pi_pos = positified->Pi();
+      ASSERT_TRUE(pi_pos.ok());
+      MatchStats pass;
+      auto negative = QMatch::EvaluateSubset(pi_pos->first, g, subset,
+                                             positive_opts, &pass);
+      ASSERT_TRUE(negative.ok());
+      MatchStats everywhere;
+      ASSERT_TRUE(
+          QMatch::Evaluate(pi_pos->first, g, positive_opts, &everywhere)
+              .ok());
+      if (everywhere.focus_candidates_checked >
+          pass.focus_candidates_checked) {
+        ++spill;
+      }
+      want.Add(pass);
+      *answers = SetDifference(*answers, *negative);
+    }
+    EXPECT_EQ(got->answers, *answers);
+    EXPECT_EQ(got->stats.focus_candidates_checked,
+              want.focus_candidates_checked);
+  }
+  EXPECT_GT(spill, 0u);
 }
 
 TEST(EngineSubsetTest, EngagedEmptySubsetAnswersNothing) {
