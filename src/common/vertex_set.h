@@ -145,7 +145,8 @@ inline BitsetView MaskedView(std::span<const uint64_t> words,
     for (uint32_t v : view.sorted) view.size += view.Test(v) ? 1 : 0;
   } else {
     for (size_t i = 0; i < common; ++i) {
-      view.size += static_cast<size_t>(__builtin_popcountll(words[i] & mask[i]));
+      view.size +=
+          static_cast<size_t>(__builtin_popcountll(words[i] & mask[i]));
     }
   }
   return view;

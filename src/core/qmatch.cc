@@ -167,24 +167,23 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
       !negated.empty() && options.use_incremental_negation;
   std::unordered_map<VertexId, FocusCache> caches;
 
-  // A subset run verifies only the subset's focus candidates of each
-  // pass: other ids would only take slots in the verification batches,
-  // and a Π(Q⁺ᵉ) verdict outside the subset is never subtracted from.
-  auto candidates_in_subset = [&](const PositiveEvaluator& ev) {
+  // The foci a pass verifies: every focus candidate, or in a subset run
+  // only those inside the subset — other ids would only take slots in
+  // the verification batches, and a Π(Q⁺ᵉ) verdict outside the subset
+  // is never subtracted from.
+  std::vector<VertexId> owned;
+  auto foci = [&](const PositiveEvaluator& ev) -> std::span<const VertexId> {
+    if (focus_subset.empty()) return ev.FocusCandidates();
     const PatternNodeId focus = ev.pattern().focus();
-    std::vector<VertexId> owned;
+    owned.clear();
     for (VertexId v : focus_subset) {
-      if (v < g.num_vertices() && ev.candidate_space().InGood(focus, v)) {
-        owned.push_back(v);
-      }
+      if (ev.candidate_space().InGood(focus, v)) owned.push_back(v);
     }
     return owned;
   };
-  std::vector<VertexId> owned;
-  if (!focus_subset.empty()) owned = candidates_in_subset(ev0);
-  AnswerSet answers =
-      VerifyAcross(ev0, focus_subset.empty() ? ev0.FocusCandidates() : owned,
-                   nullptr, want_caches ? &caches : nullptr, stats, pool);
+  AnswerSet answers = VerifyAcross(ev0, foci(ev0), nullptr,
+                                   want_caches ? &caches : nullptr, stats,
+                                   pool);
   QGP_CHECK_CANCEL(options.cancel);  // a fired token truncated `answers`
 
   for (PatternEdgeId e : negated) {
@@ -206,10 +205,8 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
       negative = VerifyAcross(ev_e, answers, &caches, nullptr, stats, pool);
     } else {
       // QMatchn: full recomputation of Π(Q⁺ᵉ)(xo, G).
-      if (!focus_subset.empty()) owned = candidates_in_subset(ev_e);
-      negative = VerifyAcross(
-          ev_e, focus_subset.empty() ? ev_e.FocusCandidates() : owned,
-          nullptr, nullptr, stats, pool);
+      negative =
+          VerifyAcross(ev_e, foci(ev_e), nullptr, nullptr, stats, pool);
     }
     QGP_CHECK_CANCEL(options.cancel);  // `negative` may be truncated
     answers = SetDifference(answers, negative);

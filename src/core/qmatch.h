@@ -93,6 +93,8 @@ class QMatch {
 
   /// Same, restricted to an explicit focus-candidate subset — PQMatch's
   /// per-fragment entry point (fragments own disjoint candidate sets).
+  /// Every pass, each Π(Q⁺ᵉ) pass included, verifies only the focus
+  /// candidates inside the subset.
   static Result<AnswerSet> EvaluateSubset(
       const Pattern& pattern, const Graph& g,
       std::span<const VertexId> focus_subset, const MatchOptions& options,

@@ -63,16 +63,16 @@ std::pair<std::vector<uint32_t>, std::vector<uint32_t>> MakeCase(
       for (size_t i = 0; i < a.size(); i += 1 + rng() % 4) b.push_back(a[i]);
       return {a, b};
     }
-    case 4:  // dense duplicate-free: word-AND territory on both sides
+    case 4:  // dense duplicate-free: sized by popcount
       return {RandomRun(rng, kUniverse / 2, 0, kUniverse),
               RandomRun(rng, kUniverse / 2, 0, kUniverse)};
-    case 5:  // heavy skew: tiny a inside huge b (gallop over b)
+    case 5:  // heavy skew: tiny a inside huge b (walk a)
       return {RandomRun(rng, 5, 0, kUniverse),
               RandomRun(rng, 2000, 0, kUniverse)};
-    case 6:  // heavy skew the other way (gallop over a)
+    case 6:  // heavy skew the other way (walk b)
       return {RandomRun(rng, 2000, 0, kUniverse),
               RandomRun(rng, 5, 0, kUniverse)};
-    default:  // comparable sizes: the two-pointer merge path
+    default:  // comparable sizes, each longer than the 64 words
       return {RandomRun(rng, 150, 0, kUniverse),
               RandomRun(rng, 170, 0, kUniverse)};
   }

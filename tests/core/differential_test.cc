@@ -3,8 +3,8 @@
 // EnumMatcher and QMatch must return identical AnswerSets, and QMatch
 // with incremental negation on/off (QMatch vs QMatchn) must agree on
 // patterns with negated edges. This is the safety net under the
-// bitset/galloping hot-path kernels: any intersection bug that changes
-// answers trips one of these ~200+ comparisons.
+// bitset hot paths: any candidate-view bug that changes answers trips
+// one of these ~200+ comparisons.
 #include <gtest/gtest.h>
 
 #include <string>

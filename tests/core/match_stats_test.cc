@@ -1,4 +1,4 @@
-// MatchStats consistency under the bitset/galloping hot-path rewrite:
+// MatchStats consistency across the bitset hot paths:
 // counters must stay populated, grow monotonically with the focus subset,
 // and be bit-identical between ThreadPool and sequential execution.
 #include <gtest/gtest.h>

@@ -1,7 +1,8 @@
-// Edge cases of the CSR substrate that the intersection kernels rely on:
-// labels nothing carries, parallel edges with distinct labels, single-
-// vertex graphs, and the (label, endpoint) sort invariant that makes
-// label slices valid galloping inputs.
+// Edge cases of the CSR substrate that the matcher relies on: labels
+// nothing carries, parallel edges with distinct labels, single-vertex
+// graphs, and the (label, endpoint) sort invariant under which filtering
+// a label slice by a bit test yields an ascending, duplicate-free
+// frontier.
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
@@ -80,7 +81,7 @@ TEST(GraphEdgeCases, SelfLoop) {
   EXPECT_EQ(g.OutNeighborsWithLabel(v, loop)[0].v, v);
 }
 
-// The invariant the galloping/merge kernels assume: every adjacency list
+// The invariant the matcher's slice filter assumes: every adjacency list
 // is sorted by (label, endpoint), so each per-label slice is a strictly
 // ascending endpoint run (strict because exact duplicates are deduped).
 TEST(GraphEdgeCases, LabelSlicesAreSortedEndpointRuns) {
