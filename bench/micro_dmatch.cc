@@ -1,5 +1,5 @@
 // Micro-benchmark for the DMatch hot path (no google-benchmark
-// dependency): ball extraction for a batch of foci (one single-source BFS
+// dependency): ball extraction for a batch of foci (one one-source BFS
 // per focus vs one multi-source BFS), CandidateSpace::Build (the
 // cold-start phase) serial vs a thread-count sweep plus the label/degree
 // intern pool, the DPar partition phase, the work-stealing scheduler on
@@ -35,32 +35,32 @@ double TimePerCall(Fn&& fn, size_t* iters_out) {
   return timer.ElapsedMillis() / static_cast<double>(iters);
 }
 
-// Ball extraction for one batch of foci at `radius`: a single-source BFS
-// per focus (the warm IncQMatch path, and the cold focus map before
-// batching) vs one multi-source BFS for the whole batch (the cold focus
-// map). Both sides produce every focus's sorted ball, and the batch's
-// balls must equal the per-focus ones.
+// Ball extraction for one batch of foci at `radius`, levels kept as the
+// verifier keeps them: one KHopBallsFiltered call per focus (what a
+// batch of one, VerifyFocus, runs) vs one call for the whole batch (the
+// focus map). Both sides decode every focus's sorted ball, and the
+// batch's balls must equal the per-focus ones.
 void BallCase(const char* name, const Graph& g, int radius,
               std::span<const VertexId> foci, BenchReporter& reporter) {
   DynamicBitset all_labels(g.dict().size());
   for (Label l = 0; l < g.dict().size(); ++l) all_labels.Set(l);
   const size_t limit = g.num_vertices();
-  BallScratch single;
+  MultiBallScratch single;
   MultiBallScratch multi;
   std::vector<VertexId> decoded;
+  std::vector<VertexId> expect;
 
-  KHopBallsFiltered(g, foci, radius, all_labels, limit, &multi);
+  KHopBallsFiltered(g, foci, radius, all_labels, limit, &multi, true);
   size_t members = 0;
   for (size_t i = 0; i < foci.size(); ++i) {
-    bool complete = false;
-    const std::span<const VertexId> expect = KHopBallFilteredScratch(
-        g, foci[i], radius, all_labels, limit, &single, &complete);
+    KHopBallsFiltered(g, foci.subspan(i, 1), radius, all_labels, limit,
+                      &single, true);
+    expect.clear();
+    single.AppendBallSorted(0, expect);
     decoded.clear();
     multi.AppendBallSorted(i, decoded);
-    const bool batch_complete = ((multi.complete >> i) & 1ULL) != 0;
-    if (batch_complete != complete ||
-        !std::equal(decoded.begin(), decoded.end(), expect.begin(),
-                    expect.end())) {
+    if (((multi.complete >> i) & 1ULL) != (single.complete & 1ULL) ||
+        decoded != expect) {
       std::printf("FATAL: batched ball of focus %u differs\n", foci[i]);
       std::exit(1);
     }
@@ -72,11 +72,12 @@ void BallCase(const char* name, const Graph& g, int radius,
   const double per_ms = TimePerCall(
       [&] {
         size_t total = 0;
-        for (VertexId v : foci) {
-          bool complete = false;
-          total += KHopBallFilteredScratch(g, v, radius, all_labels, limit,
-                                           &single, &complete)
-                       .size();
+        for (size_t i = 0; i < foci.size(); ++i) {
+          KHopBallsFiltered(g, foci.subspan(i, 1), radius, all_labels, limit,
+                            &single, true);
+          decoded.clear();
+          single.AppendBallSorted(0, decoded);
+          total += decoded.size();
         }
         sink = sink + total;
       },
@@ -84,7 +85,7 @@ void BallCase(const char* name, const Graph& g, int radius,
   size_t batch_iters = 0;
   const double batch_ms = TimePerCall(
       [&] {
-        KHopBallsFiltered(g, foci, radius, all_labels, limit, &multi);
+        KHopBallsFiltered(g, foci, radius, all_labels, limit, &multi, true);
         size_t total = 0;
         for (size_t i = 0; i < foci.size(); ++i) {
           decoded.clear();

@@ -21,7 +21,6 @@ inline uint64_t PairKey(VertexId a, VertexId b) {
 // here and is recycled, so steady-state verification allocates nothing
 // proportional to the graph.
 struct DMatchScratch {
-  BallScratch ball;
   MultiBallScratch batch;               // shared BFS of a VerifyBatch
   std::vector<VertexId> batch_ball;     // one member's decoded ball
   std::vector<BitsetView> local;        // Lπ(u) per pattern node
@@ -56,8 +55,8 @@ class FocusVerifier {
                 const std::vector<PatternEdgeId>& edge_to_original,
                 size_t num_original_edges,
                 const std::vector<std::vector<PatternEdgeId>>& quantified_out,
-                const DynamicBitset& pattern_edge_labels, size_t ball_limit,
-                MatchStats* stats, DMatchScratch& scratch)
+                const std::vector<int>& hop, MatchStats* stats,
+                DMatchScratch& scratch)
       : q_(pattern),
         strat_(stratified),
         g_(g),
@@ -66,52 +65,19 @@ class FocusVerifier {
         edge_to_original_(edge_to_original),
         num_original_edges_(num_original_edges),
         quantified_out_(quantified_out),
-        pattern_edge_labels_(pattern_edge_labels),
-        ball_limit_(ball_limit),
+        hop_(hop),
         stats_(stats),
         s_(scratch) {}
 
-  // Per-focus entry: the ball comes from the warm cache when it covers
-  // this verification, else from a fresh single-source BFS.
-  bool Verify(VertexId vx, int radius, const FocusCache* warm,
-              FocusCache* cache_out) {
-    // (1) Neighborhood ball: everything an embedding pinned at vx can
-    // touch lies within `radius` undirected hops of pattern-labeled
-    // edges (§5.1). Hubs can make the ball cover most of G; past the
-    // limit the verifier falls back to global candidate sets, which is
-    // equally sound (the ball only narrows the search).
-    SparseBitset& members = s_.ball.visited;
-    std::span<const VertexId> ball;
-    bool complete = true;
-    if (warm != nullptr && warm->ball_complete && warm->radius >= radius &&
-        warm->ball_filter_fingerprint == pattern_edge_labels_.Fingerprint() &&
-        !warm->ball.empty()) {
-      ball = warm->ball;
-      // Mirror the cached ball into the membership bitset that masks the
-      // local candidate views.
-      members.EnsureUniverse(g_.num_vertices());
-      members.ResetTouched();
-      for (VertexId v : ball) members.Set(v);
-    } else {
-      // The extraction's visited set holds exactly the ball members.
-      ball = KHopBallFilteredScratch(g_, vx, radius, pattern_edge_labels_,
-                                     ball_limit_, &s_.ball, &complete);
-      if (stats_ != nullptr) ++stats_->balls_built;
-    }
-    return VerifyInBall(vx, radius, ball, members.words(), complete, warm,
-                        cache_out);
-  }
-
-  // Verifies vx against an extracted ball: `ball` sorted, `ball_words`
-  // its membership bitset, both ignored when the hub guard left the ball
+  // Verifies vx against member b of the batch's ball BFS: `ball` is the
+  // member's ball, sorted; its words and level words are read from
+  // `balls`. Both are ignored when the hub guard left the ball
   // incomplete (the search then runs on global candidate sets).
-  bool VerifyInBall(VertexId vx, int radius, std::span<const VertexId> ball,
-                    std::span<const uint64_t> ball_words, bool complete,
+  bool VerifyInBall(VertexId vx, std::span<const VertexId> ball,
+                    const MultiBallScratch& balls, size_t b, bool complete,
                     const FocusCache* warm, FocusCache* cache_out) {
     vx_ = vx;
-    ball_ = ball;
-    ball_complete_ = complete;
-    // (2) Seed memos (before any early return: Finish reads them).
+    // (1) Seed memos (before any early return: Finish reads them).
     ResizeAndClear(s_.witnessed, q_.num_edges());
     ResizeAndClear(s_.failed, q_.num_edges());
     if (warm != nullptr && !warm->failed_by_original_edge.empty()) {
@@ -123,19 +89,25 @@ class FocusVerifier {
       }
     }
     ResizeAndClear(s_.good_memo, q_.num_edges());
-    // (3) Local stratified candidate sets Lπ(u) = Cπ(u) ∩ ball, as views
-    // over Cπ(u)'s bitset masked by the ball's words (unmasked when the
-    // ball is incomplete): nothing is decoded, and only the sizes cost
-    // work. The focus view stays Cπ(xo) ∩ ball; every search pins the
-    // focus to vx.
+    // (2) Local stratified candidate sets Lπ(u) = Cπ(u) ∩ ball_k(vx), as
+    // views over Cπ(u)'s bitset masked by the words of the ball of
+    // k = hop_[u] hops (unmasked when the ball is incomplete): an
+    // embedding pinned at vx maps u within k hops of vx, over
+    // pattern-labeled edges (§5.1). Nothing is decoded, and only the
+    // sizes cost work; the full ball's sorted run stands in for every
+    // level's, which it contains. The focus view stays Cπ(xo) ∩ ball;
+    // every search pins the focus to vx.
     s_.local.resize(q_.num_nodes());
     for (PatternNodeId u = 0; u < q_.num_nodes(); ++u) {
-      s_.local[u] = cs_.StratifiedView(
-          u, ball_, complete ? ball_words : std::span<const uint64_t>());
-      if (s_.local[u].size == 0) return Finish(false, radius, cache_out);
+      std::span<const uint64_t> mask;
+      if (complete) {
+        mask = hop_[u] > 0 ? balls.LevelWords(b, hop_[u]) : balls.BallWords(b);
+      }
+      s_.local[u] = cs_.StratifiedView(u, ball, mask);
+      if (s_.local[u].size == 0) return Finish(false, cache_out);
     }
 
-    // (4) Answer search: an embedding of Qπ pinned at vx whose every node
+    // (3) Answer search: an embedding of Qπ pinned at vx whose every node
     // is quantifier-good. Witness searches run NESTED inside this
     // search's accept callback, so they need their own matcher (and
     // scratch); witness searches themselves never nest.
@@ -153,18 +125,12 @@ class FocusVerifier {
     sopts.accept = &accept;
     if (options_.use_potential_ordering) sopts.score = &score;
     sopts.stats = stats_;
-    bool found = answer_matcher_->FindAny(sopts, &witness_);
-    return Finish(found, radius, cache_out);
+    return Finish(answer_matcher_->FindAny(sopts), cache_out);
   }
 
  private:
-  bool Finish(bool found, int radius, FocusCache* cache_out) {
+  bool Finish(bool found, FocusCache* cache_out) {
     if (cache_out != nullptr) {
-      cache_out->radius = radius;
-      cache_out->ball_complete = ball_complete_;
-      cache_out->ball_filter_fingerprint =
-          pattern_edge_labels_.Fingerprint();
-      if (ball_complete_) cache_out->ball.assign(ball_.begin(), ball_.end());
       cache_out->failed_by_original_edge.assign(num_original_edges_, {});
       for (PatternEdgeId e = 0; e < q_.num_edges(); ++e) {
         PatternEdgeId orig = edge_to_original_[e];
@@ -173,7 +139,6 @@ class FocusVerifier {
           for (uint64_t k : s_.failed[e]) dst.insert(k);
         }
       }
-      cache_out->witness = found ? witness_ : std::vector<VertexId>{};
     }
     return found;
   }
@@ -295,17 +260,13 @@ class FocusVerifier {
   const std::vector<PatternEdgeId>& edge_to_original_;
   const size_t num_original_edges_;
   const std::vector<std::vector<PatternEdgeId>>& quantified_out_;
-  const DynamicBitset& pattern_edge_labels_;
-  const size_t ball_limit_;
+  const std::vector<int>& hop_;
   MatchStats* stats_;
   DMatchScratch& s_;
 
   VertexId vx_ = kInvalidVertex;
-  std::span<const VertexId> ball_;       // into scratch or the warm cache
-  bool ball_complete_ = true;
   std::optional<GenericMatcher> answer_matcher_;
   std::optional<GenericMatcher> witness_matcher_;
-  std::vector<VertexId> witness_;      // the all-good answer embedding
   std::vector<VertexId> witness_buf_;  // pinned-pair search result
 };
 
@@ -326,6 +287,7 @@ Result<PositiveEvaluator> PositiveEvaluator::Create(
   ev.stratified_ = ev.pattern_.Stratified();
   ev.g_ = &g;
   ev.options_ = options;
+  ev.hop_ = ev.pattern_.FocusDistances();
   ev.radius_ = ev.pattern_.Radius();
   if (edge_to_original != nullptr) {
     ev.edge_to_original_ = *edge_to_original;
@@ -376,19 +338,19 @@ uint64_t PositiveEvaluator::FocusCostHint(VertexId vx) const {
   return static_cast<uint64_t>(g_->OutDegree(vx)) + g_->InDegree(vx);
 }
 
-bool PositiveEvaluator::VerifyFocus(VertexId vx, const FocusCache* warm,
+bool PositiveEvaluator::VerifyFocus(VertexId vx, const FocusCaches* warm,
                                     FocusCache* cache_out,
                                     MatchStats* stats) const {
-  if (!cs_.InGood(pattern_.focus(), vx)) return false;
-  FocusVerifier verifier(pattern_, stratified_, *g_, cs_, options_,
-                         edge_to_original_, num_original_edges_,
-                         quantified_out_, pattern_edge_labels_, ball_limit_,
-                         stats, ThreadScratch());
-  if (stats != nullptr) ++stats->focus_candidates_checked;
-  return verifier.Verify(vx, radius_, warm, cache_out);
+  char is_match = 0;
+  VerifyBatch({&vx, 1}, warm, {&is_match, 1},
+              cache_out != nullptr ? std::span<FocusCache>(cache_out, 1)
+                                   : std::span<FocusCache>(),
+              stats);
+  return is_match != 0;
 }
 
 size_t PositiveEvaluator::VerifyBatch(std::span<const VertexId> foci,
+                                      const FocusCaches* warm,
                                       std::span<char> is_match,
                                       std::span<FocusCache> caches_out,
                                       MatchStats* stats,
@@ -416,7 +378,7 @@ size_t PositiveEvaluator::VerifyBatch(std::span<const VertexId> foci,
         if (cs_.InGood(focus, foci[j])) sources[k++] = foci[j];
       }
       KHopBallsFiltered(*g_, {sources, k}, radius_, pattern_edge_labels_,
-                        ball_limit_, &scratch.batch);
+                        ball_limit_, &scratch.batch, /*keep_levels=*/true);
       extracted = true;
     }
     const size_t b = member++;
@@ -427,28 +389,30 @@ size_t PositiveEvaluator::VerifyBatch(std::span<const VertexId> foci,
       ++stats->focus_candidates_checked;
       ++stats->balls_built;
     }
+    const FocusCache* warm_cache = nullptr;
+    if (warm != nullptr) {
+      auto it = warm->find(vx);
+      if (it != warm->end()) warm_cache = &it->second;
+    }
     FocusVerifier verifier(pattern_, stratified_, *g_, cs_, options_,
                            edge_to_original_, num_original_edges_,
-                           quantified_out_, pattern_edge_labels_, ball_limit_,
-                           stats, scratch);
+                           quantified_out_, hop_, stats, scratch);
     is_match[i] = verifier.VerifyInBall(
-        vx, radius_, scratch.batch_ball, scratch.batch.BallWords(b), complete,
-        nullptr,
+        vx, scratch.batch_ball, scratch.batch, b, complete, warm_cache,
         caches_out.empty() ? nullptr : &caches_out[i]);
   }
   return foci.size();
 }
 
-AnswerSet PositiveEvaluator::EvaluateAll(
-    MatchStats* stats,
-    std::unordered_map<VertexId, FocusCache>* caches) const {
+AnswerSet PositiveEvaluator::EvaluateAll(MatchStats* stats,
+                                         FocusCaches* caches) const {
   return EvaluateSubset(FocusCandidates(), stats, caches);
 }
 
 AnswerSet PositiveEvaluator::EvaluateSubset(
     std::span<const VertexId> focus_subset, MatchStats* stats,
-    std::unordered_map<VertexId, FocusCache>* caches,
-    const CancelToken* cancel) const {
+    FocusCaches* caches, const CancelToken* cancel,
+    const FocusCaches* warm) const {
   AnswerSet answers;
   char is_match[kBatchWidth];
   std::vector<FocusCache> batch_caches(caches != nullptr ? kBatchWidth : 0);
@@ -456,7 +420,7 @@ AnswerSet PositiveEvaluator::EvaluateSubset(
     const std::span<const VertexId> foci = focus_subset.subspan(
         begin, std::min(kBatchWidth, focus_subset.size() - begin));
     const size_t done = VerifyBatch(
-        foci, {is_match, foci.size()},
+        foci, warm, {is_match, foci.size()},
         std::span<FocusCache>(batch_caches).first(
             caches != nullptr ? foci.size() : 0),
         stats, cancel, begin);

@@ -23,20 +23,13 @@ namespace qgp {
 /// constraints can only remove embeddings, so a pair with no witness in
 /// Π(Q) has none in Π(Q⁺ᵉ) either.
 struct FocusCache {
-  int radius = 0;
-  /// True when `ball` really covers radius hops; false when the hub
-  /// guard aborted ball extraction (ball is then empty and the
-  /// verification ran on global candidate sets).
-  bool ball_complete = false;
-  /// Fingerprint of the edge-label filter the ball was traversed with;
-  /// a consumer whose filter differs must recompute the ball.
-  uint64_t ball_filter_fingerprint = 0;
-  std::vector<VertexId> ball;  // sorted undirected ball around the focus
   /// failed[e_orig] = set of (v << 32 | v') pairs proven witness-free.
   std::vector<std::unordered_set<uint64_t>> failed_by_original_edge;
-  /// The all-good embedding found (by this pattern's node ids).
-  std::vector<VertexId> witness;
 };
+
+/// Focus caches by focus vertex: the warm state IncQMatch re-verifies
+/// from.
+using FocusCaches = std::unordered_map<VertexId, FocusCache>;
 
 /// Optional input to PositiveEvaluator::Create: repair the candidate
 /// space incrementally from a previous evaluator's space instead of
@@ -56,11 +49,13 @@ struct SpaceRepairHint {
 /// interleaves quantifier counting with the Fig. 4 search; this
 /// implementation factors the same strategy into per-focus phases (see
 /// DESIGN.md §2): candidate sets read through the focus ball's
-/// membership words (views, never decoded per focus), lazily-counted
-/// quantifier "goodness" with memoized pinned witness searches, upper-bound
-/// pruning of candidates, counting that stops once its verdict is settled
-/// (threshold met, or out of reach of the children not yet proven
-/// witness-free), and potential-score child ordering (Appendix B).
+/// membership words (views, never decoded per focus), each pattern node
+/// masked by the ball of its own hop distance from the focus,
+/// lazily-counted quantifier "goodness" with memoized pinned witness
+/// searches, upper-bound pruning of candidates, counting that stops once
+/// its verdict is settled (threshold met, or out of reach of the
+/// children not yet proven witness-free), and potential-score child
+/// ordering (Appendix B).
 ///
 /// The evaluator is immutable after Create(); VerifyFocus is const and
 /// thread-safe, which is what mQMatch exploits for intra-fragment
@@ -73,9 +68,8 @@ class PositiveEvaluator {
   /// nullptr for identity. `num_original_edges` sizes the failed-pair
   /// cache (use the original QGP's edge count). `ball_label_filter`
   /// (optional) overrides the edge-label set used for ball traversal —
-  /// QMatch passes the ORIGINAL pattern's labels so balls cached during
-  /// the Π(Q) run stay valid for every Π(Q⁺ᵉ) (they must cover the
-  /// positified labels too).
+  /// QMatch passes the ORIGINAL pattern's labels, so one filter serves
+  /// Π(Q) and every Π(Q⁺ᵉ) (it must cover the positified labels too).
   /// `pool` (optional) parallelizes candidate-space construction across
   /// its workers (bit-identical to the serial build); `cache` (optional)
   /// interns label/degree candidate sets across builds on the same graph.
@@ -97,45 +91,47 @@ class PositiveEvaluator {
     return cs_.good(pattern_.focus());
   }
 
-  /// Verifies one focus candidate: true iff vx ∈ P(xo, G).
-  /// `warm` (optional) seeds the ball and failed-pair memo from a prior
-  /// run on a sub-pattern (IncQMatch); `cache_out` (optional) receives
-  /// this verification's artifacts.
-  bool VerifyFocus(VertexId vx, const FocusCache* warm,
+  /// Verifies one focus candidate: true iff vx ∈ P(xo, G). A
+  /// VerifyBatch of one.
+  bool VerifyFocus(VertexId vx, const FocusCaches* warm,
                    FocusCache* cache_out, MatchStats* stats) const;
 
   /// Widest batch VerifyBatch accepts: one bit of the shared BFS's
   /// per-vertex reach mask per member.
   static constexpr size_t kBatchWidth = kMaxBallSources;
 
-  /// Cold verification of up to kBatchWidth focus candidates. Verdicts,
-  /// artifacts and MatchStats equal those of VerifyFocus(foci[i],
-  /// nullptr, ...) for each i in order, but the balls of all good members
-  /// come out of one multi-source BFS (KHopBallsFiltered) instead of one
-  /// traversal each. `is_match[i]` receives member i's verdict;
-  /// `caches_out` is empty or holds foci.size() slots. `cancel`
-  /// (optional) is polled before member i whenever (poll_base + i) is a
-  /// multiple of 16; a fired token stops the batch, leaving the remaining
-  /// members "no match". Returns the number of members verified.
-  size_t VerifyBatch(std::span<const VertexId> foci, std::span<char> is_match,
+  /// Verification of up to kBatchWidth focus candidates. The balls of
+  /// all good members come out of one multi-source BFS
+  /// (KHopBallsFiltered), one level per hop; each member then verifies
+  /// on its own, so verdicts, artifacts and MatchStats equal those of
+  /// VerifyFocus(foci[i], ...) for each i in order. `warm` (optional)
+  /// seeds each member's failed-pair memo from its cache in a prior run
+  /// on a sub-pattern (IncQMatch). `is_match[i]` receives member i's
+  /// verdict; `caches_out` is empty or holds foci.size() slots.
+  /// `cancel` (optional) is polled before member i whenever
+  /// (poll_base + i) is a multiple of 16; a fired token stops the batch,
+  /// leaving the remaining members "no match". Returns the number of
+  /// members verified.
+  size_t VerifyBatch(std::span<const VertexId> foci, const FocusCaches* warm,
+                     std::span<char> is_match,
                      std::span<FocusCache> caches_out, MatchStats* stats,
                      const CancelToken* cancel = nullptr,
                      size_t poll_base = 0) const;
 
   /// Evaluates the full answer set; fills `caches` (optional) for every
   /// answer vertex.
-  AnswerSet EvaluateAll(MatchStats* stats,
-                        std::unordered_map<VertexId, FocusCache>* caches) const;
+  AnswerSet EvaluateAll(MatchStats* stats, FocusCaches* caches) const;
 
   /// Evaluates membership for an explicit focus subset (sorted not
   /// required), in VerifyBatch batches of consecutive foci. Used by
-  /// QMatch's serial focus map and by tests. `cancel` (optional) is
-  /// polled every 16th focus; a fired token truncates the answer set, so
-  /// callers must re-check it before trusting the result.
+  /// IncQMatch and by tests. `warm` (optional) is passed to every batch.
+  /// `cancel` (optional) is polled every 16th focus; a fired token
+  /// truncates the answer set, so callers must re-check it before
+  /// trusting the result.
   AnswerSet EvaluateSubset(std::span<const VertexId> focus_subset,
-                           MatchStats* stats,
-                           std::unordered_map<VertexId, FocusCache>* caches,
-                           const CancelToken* cancel = nullptr) const;
+                           MatchStats* stats, FocusCaches* caches,
+                           const CancelToken* cancel = nullptr,
+                           const FocusCaches* warm = nullptr) const;
 
   const Pattern& pattern() const { return pattern_; }
   const CandidateSpace& candidate_space() const { return cs_; }
@@ -162,6 +158,9 @@ class PositiveEvaluator {
   size_t num_original_edges_ = 0;
   /// Out-edges with non-existential quantifiers, per pattern node.
   std::vector<std::vector<PatternEdgeId>> quantified_out_;
+  /// Undirected hop distance of each pattern node from the focus: an
+  /// embedding pinned at vx maps node u within hop_[u] hops of vx.
+  std::vector<int> hop_;
   /// Edge labels the pattern uses (ball traversal filter).
   DynamicBitset pattern_edge_labels_;
   size_t ball_limit_ = 0;

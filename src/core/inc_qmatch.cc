@@ -2,21 +2,12 @@
 
 namespace qgp {
 
-AnswerSet IncQMatchEvaluate(
-    const PositiveEvaluator& evaluator, const AnswerSet& cached_answers,
-    const std::unordered_map<VertexId, FocusCache>& caches,
-    MatchStats* stats) {
-  AnswerSet members;
-  for (VertexId vx : cached_answers) {
-    if (stats != nullptr) ++stats->inc_candidates_checked;
-    auto it = caches.find(vx);
-    const FocusCache* warm = it == caches.end() ? nullptr : &it->second;
-    if (evaluator.VerifyFocus(vx, warm, nullptr, stats)) {
-      members.push_back(vx);
-    }
-  }
-  Canonicalize(members);
-  return members;
+AnswerSet IncQMatchEvaluate(const PositiveEvaluator& evaluator,
+                            const AnswerSet& cached_answers,
+                            const FocusCaches& caches, MatchStats* stats) {
+  if (stats != nullptr) stats->inc_candidates_checked += cached_answers.size();
+  return evaluator.EvaluateSubset(cached_answers, stats, nullptr, nullptr,
+                                  &caches);
 }
 
 }  // namespace qgp

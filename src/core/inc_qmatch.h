@@ -1,8 +1,6 @@
 #ifndef QGP_CORE_INC_QMATCH_H_
 #define QGP_CORE_INC_QMATCH_H_
 
-#include <unordered_map>
-
 #include "core/dmatch.h"
 #include "core/match_types.h"
 
@@ -15,19 +13,18 @@ namespace qgp {
 ///  1. Only cached answers of Π(Q) are re-verified — the set difference
 ///     Q(xo,G) = Π(Q)(xo,G) \ ∪ Π(Q⁺ᵉ)(xo,G) never needs membership of
 ///     Π(Q⁺ᵉ) outside Π(Q)(xo,G).
-///  2. Per answer, the cached neighborhood ball is reused when the
-///     positified pattern's radius did not grow.
-///  3. Failed witness pairs transfer soundly (a bigger pattern has fewer
+///  2. Failed witness pairs transfer soundly (a bigger pattern has fewer
 ///     embeddings), so verification skips work already proven futile —
 ///     this is the AFF-bounded behaviour of Proposition 6: only pairs
 ///     touching ΔE can flip, and only they are re-searched.
 ///
-/// `evaluator` must be built over Π(Q⁺ᵉ) with edge_to_original mappings
-/// into the ORIGINAL QGP (the same id space the caches use).
-AnswerSet IncQMatchEvaluate(
-    const PositiveEvaluator& evaluator, const AnswerSet& cached_answers,
-    const std::unordered_map<VertexId, FocusCache>& caches,
-    MatchStats* stats);
+/// The answers are re-verified in VerifyBatch batches, sharing ball BFS
+/// traversals as cold verification does. `evaluator` must be built over
+/// Π(Q⁺ᵉ) with edge_to_original mappings into the ORIGINAL QGP (the same
+/// id space the caches use).
+AnswerSet IncQMatchEvaluate(const PositiveEvaluator& evaluator,
+                            const AnswerSet& cached_answers,
+                            const FocusCaches& caches, MatchStats* stats);
 
 }  // namespace qgp
 

@@ -253,25 +253,29 @@ Status Pattern::Validate(int max_quantified_per_path) const {
   return Status::Ok();
 }
 
-int Pattern::Radius() const {
-  if (focus_ == kInvalidPatternId) return 0;
+std::vector<int> Pattern::FocusDistances() const {
   std::vector<int> dist(nodes_.size(), -1);
+  if (focus_ == kInvalidPatternId) return dist;
   std::deque<PatternNodeId> queue{focus_};
   dist[focus_] = 0;
-  int radius = 0;
   while (!queue.empty()) {
     PatternNodeId u = queue.front();
     queue.pop_front();
     auto visit = [&](PatternNodeId w) {
       if (dist[w] < 0) {
         dist[w] = dist[u] + 1;
-        radius = std::max(radius, dist[w]);
         queue.push_back(w);
       }
     };
     for (PatternEdgeId e : out_edges_[u]) visit(edges_[e].dst);
     for (PatternEdgeId e : in_edges_[u]) visit(edges_[e].src);
   }
+  return dist;
+}
+
+int Pattern::Radius() const {
+  int radius = 0;
+  for (int d : FocusDistances()) radius = std::max(radius, d);
   return radius;
 }
 

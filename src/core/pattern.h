@@ -109,6 +109,10 @@ class Pattern {
   /// and at most one negated edge (no double negation).
   Status Validate(int max_quantified_per_path = 2) const;
 
+  /// Undirected shortest-path distance from the focus to each pattern
+  /// node, -1 where none exists (all -1 without a focus).
+  std::vector<int> FocusDistances() const;
+
   /// Longest undirected shortest-path distance from the focus to any
   /// pattern node (the paper's pattern radius, §5.1; undirected because
   /// match verification walks pattern edges both ways).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 #include "core/dmatch.h"
 #include "graph/graph_delta.h"
@@ -10,14 +9,6 @@
 namespace qgp {
 
 namespace {
-
-// Warm-cache lookup for IncQMatch re-verification (null when absent).
-const FocusCache* WarmCache(
-    const std::unordered_map<VertexId, FocusCache>* warm, VertexId vx) {
-  if (warm == nullptr) return nullptr;
-  auto it = warm->find(vx);
-  return it == warm->end() ? nullptr : &it->second;
-}
 
 // Parallel map over focus candidates: verification is per-candidate
 // independent (PositiveEvaluator is const), so candidates are verified
@@ -27,13 +18,12 @@ const FocusCache* WarmCache(
 // so answers and all work counters are identical at any pool width (only
 // the scheduler telemetry varies with the schedule). Without a pool, or
 // on a 1-wide one, the same chunk body runs inline over the whole
-// subset. Cold maps verify consecutive runs of up to 64 foci as one
-// VerifyBatch (one shared ball BFS); warm IncQMatch maps reuse each
-// answer's cached ball and stay per-focus.
+// subset. Consecutive runs of up to 64 foci are verified as one
+// VerifyBatch (one shared ball BFS); in a warm IncQMatch map each member
+// also seeds its failed-pair memo from its cache in `warm`.
 AnswerSet VerifyAcross(const PositiveEvaluator& ev,
                        std::span<const VertexId> subset,
-                       const std::unordered_map<VertexId, FocusCache>* warm,
-                       std::unordered_map<VertexId, FocusCache>* caches,
+                       const FocusCaches* warm, FocusCaches* caches,
                        MatchStats* stats, ThreadPool* pool) {
   // Cancellation: polled every 16th focus, between member verifications
   // inside a batch too. A fired token makes the remaining foci report
@@ -68,25 +58,6 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
   // Counters per position: a batch's counters land on its first position.
   std::vector<MatchStats> stats_vec(stats != nullptr ? n : 0);
   auto verify_range = [&](size_t begin, size_t end) {
-    if (warm != nullptr) {
-      for (size_t pos = begin; pos < end; ++pos) {
-        // Inside the chunk, not only at its entry: on a small pool a
-        // single chunk can be most of the subset, and a fired deadline
-        // must not wait it out. The 16-focus stride keeps the armed-
-        // deadline clock read off cheap foci; skipped slots stay "no
-        // match", and the truncated answer set never escapes (callers
-        // re-check the token right after the map).
-        if (cancel != nullptr && (pos & 15) == 0 && cancel->ShouldStop()) {
-          return;
-        }
-        const size_t i = order[pos];
-        is_match[i] = ev.VerifyFocus(
-            subset[i], WarmCache(warm, subset[i]),
-            caches != nullptr ? &cache_vec[i] : nullptr,
-            stats != nullptr ? &stats_vec[pos] : nullptr);
-      }
-      return;
-    }
     constexpr size_t kWidth = PositiveEvaluator::kBatchWidth;
     VertexId foci[kWidth];
     char verdicts[kWidth];
@@ -94,11 +65,10 @@ AnswerSet VerifyAcross(const PositiveEvaluator& ev,
     for (size_t first = begin; first < end; first += kWidth) {
       const size_t m = std::min(kWidth, end - first);
       for (size_t j = 0; j < m; ++j) foci[j] = subset[order[first + j]];
-      // VerifyBatch polls the token per position (same 16-focus stride
-      // as the warm loop above), so a fired deadline does not wait out
-      // the batch.
+      // VerifyBatch polls the token every 16th position, so a fired
+      // deadline does not wait out the batch.
       const size_t done = ev.VerifyBatch(
-          {foci, m}, {verdicts, m},
+          {foci, m}, warm, {verdicts, m},
           std::span<FocusCache>(batch_caches).first(caches != nullptr ? m : 0),
           stats != nullptr ? &stats_vec[first] : nullptr, cancel, first);
       for (size_t j = 0; j < done; ++j) {
@@ -145,8 +115,8 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
   SubPattern& pi_map = pi.value().second;
 
   // Ball traversal filter over the ORIGINAL pattern's edge labels
-  // (negated edges included), so balls cached while evaluating Π(Q)
-  // remain valid for every positified Π(Q⁺ᵉ).
+  // (negated edges included), one filter for Π(Q) and every positified
+  // Π(Q⁺ᵉ).
   DynamicBitset ball_labels(g.dict().size());
   for (PatternEdgeId e = 0; e < pattern.num_edges(); ++e) {
     Label l = pattern.edge(e).label;
@@ -165,7 +135,7 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
   const std::vector<PatternEdgeId> negated = pattern.NegatedEdgeIds();
   const bool want_caches =
       !negated.empty() && options.use_incremental_negation;
-  std::unordered_map<VertexId, FocusCache> caches;
+  FocusCaches caches;
 
   // The foci a pass verifies: every focus candidate, or in a subset run
   // only those inside the subset — other ids would only take slots in
@@ -200,7 +170,8 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
                                   cache));
     AnswerSet negative;
     if (options.use_incremental_negation) {
-      // IncQMatch: only cached answers are re-verified, with warm caches.
+      // IncQMatch: only cached answers are re-verified, each seeded with
+      // its Π(Q) failed pairs.
       if (stats != nullptr) stats->inc_candidates_checked += answers.size();
       negative = VerifyAcross(ev_e, answers, &caches, nullptr, stats, pool);
     } else {

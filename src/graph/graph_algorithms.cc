@@ -45,65 +45,10 @@ std::vector<VertexId> KHopBall(const Graph& g,
   return ball;
 }
 
-std::vector<VertexId> KHopBallFiltered(const Graph& g, VertexId src,
-                                       int depth,
-                                       const DynamicBitset& edge_labels,
-                                       size_t max_size, bool* complete) {
-  BallScratch scratch;
-  std::span<const VertexId> ball = KHopBallFilteredScratch(
-      g, src, depth, edge_labels, max_size, &scratch, complete);
-  return {ball.begin(), ball.end()};
-}
-
-std::span<const VertexId> KHopBallFilteredScratch(
-    const Graph& g, VertexId src, int depth, const DynamicBitset& edge_labels,
-    size_t max_size, BallScratch* scratch, bool* complete) {
-  *complete = true;
-  SparseBitset& visited = scratch->visited;
-  std::vector<VertexId>& ball = scratch->ball;
-  std::vector<VertexId>& frontier = scratch->frontier;
-  std::vector<VertexId>& next = scratch->next;
-  visited.EnsureUniverse(g.num_vertices());
-  visited.ResetTouched();
-  ball.clear();
-  frontier.clear();
-  next.clear();
-  if (src >= g.num_vertices()) return ball;
-  visited.Set(src);
-  frontier.push_back(src);
-  size_t size = 1;
-  bool overflow = false;
-  for (int hop = 0; hop < depth && !frontier.empty() && !overflow; ++hop) {
-    next.clear();
-    for (VertexId v : frontier) {
-      auto expand = [&](std::span<const Neighbor> nbrs) {
-        for (const Neighbor& n : nbrs) {
-          if (n.label < edge_labels.size() && !edge_labels.Test(n.label)) {
-            continue;
-          }
-          if (visited.TestAndSet(n.v)) {
-            next.push_back(n.v);
-            if (++size > max_size) {
-              overflow = true;
-              return;
-            }
-          }
-        }
-      };
-      expand(g.OutNeighbors(v));
-      if (!overflow) expand(g.InNeighbors(v));
-      if (overflow) break;  // partial; caller falls back to global sets
-    }
-    std::swap(frontier, next);
-  }
-  *complete = !overflow;
-  visited.AppendSetBitsSorted(ball);
-  return ball;
-}
-
 void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
                        int depth, const DynamicBitset& edge_labels,
-                       size_t max_size, MultiBallScratch* scratch) {
+                       size_t max_size, MultiBallScratch* scratch,
+                       bool keep_levels) {
   MultiBallScratch& s = *scratch;
   const size_t n = g.num_vertices();
   const size_t k = std::min(sources.size(), kMaxBallSources);
@@ -114,17 +59,29 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
   }
   const size_t words = (n + 63) / 64;
   if (words > s.words) {
-    // Wider universe: restart the ball rows from all-zero.
+    // Wider universe: restart the ball and level rows from all-zero.
     s.words = words;
     s.balls.assign(kMaxBallSources * words, 0);
+    s.levels.clear();
     s.touched = SparseBitset();
   } else {
     for (uint32_t w : s.touched_words) {
       for (size_t i = 0; i < s.sources; ++i) s.balls[i * s.words + w] = 0;
+      for (int l = 0; l < s.levels_kept; ++l) {
+        uint64_t* layer = s.levels.data() + l * kMaxBallSources * s.words;
+        for (size_t i = 0; i < s.sources; ++i) layer[i * s.words + w] = 0;
+      }
     }
     s.touched.ResetTouched();
   }
+  const size_t stride = s.words;
+  const int layers = keep_levels ? std::max(depth - 1, 0) : 0;
+  const size_t level_words =
+      static_cast<size_t>(layers) * kMaxBallSources * stride;
+  if (s.levels.size() < level_words) s.levels.resize(level_words, 0);
+  s.levels_kept = 0;
   s.touched.EnsureUniverse(s.words);
+  s.reached_words.clear();
   s.touched_words.clear();
   s.ball_size.assign(k, 0);
   s.sources = k;
@@ -133,7 +90,10 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
   s.next_level.clear();
   s.complete = k == kMaxBallSources ? ~0ULL : (1ULL << k) - 1;
   uint64_t* const balls = s.balls.data();
-  const size_t stride = s.words;
+  auto reach = [&](VertexId v) {
+    s.reached.push_back(v);
+    if (s.touched.TestAndSet(v >> 6)) s.reached_words.push_back(v >> 6);
+  };
   uint64_t alive = 0;
   for (size_t i = 0; i < k; ++i) {
     const VertexId src = sources[i];
@@ -143,7 +103,7 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
     s.ball_size[i] = 1;
     alive |= bit;
     if (s.seen[src] == 0) {
-      s.reached.push_back(src);
+      reach(src);
       s.level.push_back(src);
     }
     s.seen[src] |= bit;
@@ -162,7 +122,7 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
           const VertexId w = nb.v;
           uint64_t fresh = m & alive & ~s.seen[w];
           if (fresh == 0) continue;
-          if (s.seen[w] == 0) s.reached.push_back(w);
+          if (s.seen[w] == 0) reach(w);
           s.seen[w] |= fresh;
           if (s.next[w] == 0) s.next_level.push_back(w);
           s.next[w] |= fresh;
@@ -187,12 +147,20 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
     s.level.swap(s.next_level);
     s.next_level.clear();
     s.frontier.swap(s.next);
+    if (hop < layers) {
+      // Every ball now holds exactly the vertices within hop + 1 hops;
+      // only words touched so far can be nonzero.
+      uint64_t* layer = s.levels.data() + hop * kMaxBallSources * stride;
+      for (size_t i = 0; i < k; ++i) {
+        for (uint32_t w : s.reached_words) {
+          layer[i * stride + w] = balls[i * stride + w];
+        }
+      }
+      s.levels_kept = hop + 1;
+    }
   }
   for (VertexId v : s.level) s.frontier[v] = 0;
-  for (VertexId v : s.reached) {
-    s.seen[v] = 0;
-    s.touched.Set(v >> 6);
-  }
+  for (VertexId v : s.reached) s.seen[v] = 0;
   s.touched.AppendSetBitsSorted(s.touched_words);
 }
 

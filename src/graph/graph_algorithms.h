@@ -27,43 +27,14 @@ std::vector<VertexId> KHopBall(const Graph& g, VertexId src, int depth);
 std::vector<VertexId> KHopBall(const Graph& g,
                                std::span<const VertexId> sources, int depth);
 
-/// Ball variant used by DMatch's per-focus locality: only edges whose
-/// label is set in `edge_labels` are traversed (an embedding can only
-/// walk pattern edge labels), and expansion aborts once more than
-/// `max_size` vertices are visited (hub explosion guard). On abort,
-/// *complete is set to false and the caller must fall back to global
-/// candidate sets — the ball is an optimization, not a semantic need.
-std::vector<VertexId> KHopBallFiltered(const Graph& g, VertexId src,
-                                       int depth,
-                                       const DynamicBitset& edge_labels,
-                                       size_t max_size, bool* complete);
-
-/// Reusable buffers for repeated ball extractions (one arena per thread in
-/// DMatch's per-focus loop). The visited set resets in O(|previous ball|),
-/// so per-focus cost no longer carries an O(|V|) allocate-and-zero term.
-struct BallScratch {
-  SparseBitset visited;
-  std::vector<VertexId> frontier;
-  std::vector<VertexId> next;
-  std::vector<VertexId> ball;
-};
-
-/// Scratch-arena variant of KHopBallFiltered. Fills `scratch->ball`
-/// (sorted ascending, decoded from the visited set — no sort) and returns
-/// a span over it. After the call — and until `scratch` is next used —
-/// `scratch->visited` holds exactly the ball members, usable as an O(1)
-/// membership filter or as a word array for dense intersection.
-std::span<const VertexId> KHopBallFilteredScratch(
-    const Graph& g, VertexId src, int depth, const DynamicBitset& edge_labels,
-    size_t max_size, BallScratch* scratch, bool* complete);
-
 /// Sources one multi-source ball BFS serves: one bit of the per-vertex
 /// reach mask each.
 inline constexpr size_t kMaxBallSources = 64;
 
 /// Reusable buffers for KHopBallsFiltered: three reach masks per vertex
 /// (reached / current frontier / next frontier) plus every source's ball
-/// as a membership bitset, about 32 bytes per vertex in all. Allocated
+/// as a membership bitset, about 32 bytes per vertex in all, and 8 bytes
+/// per vertex more for each level kept below the full depth. Allocated
 /// once per thread; every call resets only what the previous call
 /// touched.
 struct MultiBallScratch {
@@ -77,10 +48,16 @@ struct MultiBallScratch {
   /// balls[i * words + w]. Only the words listed in `touched_words` can
   /// be nonzero.
   std::vector<uint64_t> balls;
+  /// Level snapshots, level-major then source-major: word w of source
+  /// i's level-L ball is levels[((L - 1) * kMaxBallSources + i) * words
+  /// + w], for 1 <= L <= levels_kept. Zero outside `touched_words`.
+  std::vector<uint64_t> levels;
+  int levels_kept = 0;
   size_t words = 0;    // words per ball: ceil(|V| / 64)
   size_t sources = 0;  // sources of the last call
   SparseBitset touched;                 // over word ids
-  std::vector<uint32_t> touched_words;  // ascending
+  std::vector<uint32_t> reached_words;  // `touched`, in touch order
+  std::vector<uint32_t> touched_words;  // `touched`, ascending
   std::vector<size_t> ball_size;
   /// Bit i set iff source i's ball stayed within `max_size`.
   uint64_t complete = 0;
@@ -89,6 +66,16 @@ struct MultiBallScratch {
   /// complete, a partial set otherwise); valid until the next call.
   std::span<const uint64_t> BallWords(size_t i) const {
     return {balls.data() + i * words, words};
+  }
+
+  /// The vertices within `level` hops of source i (1 <= level <= the
+  /// call's depth), as bitset words; exact when source i is complete and
+  /// the call kept levels. Levels the BFS never reached because it ran
+  /// out of frontier equal the full ball.
+  std::span<const uint64_t> LevelWords(size_t i, int level) const {
+    if (level > levels_kept) return BallWords(i);
+    const size_t layer = static_cast<size_t>(level - 1) * kMaxBallSources;
+    return {levels.data() + (layer + i) * words, words};
   }
 
   /// Appends source i's ball to `out` in ascending order (no sort: the
@@ -106,19 +93,28 @@ struct MultiBallScratch {
   }
 };
 
-/// KHopBallFilteredScratch for up to kMaxBallSources sources at once
-/// (multi-source BFS, Then et al., PVLDB 2014): one level-synchronous
-/// traversal carries a 64-bit mask of the sources that reached each
-/// vertex, so a vertex shared by many balls has its adjacency scanned
-/// once per level instead of once per source. Afterwards bit i of
-/// `scratch->complete` equals what KHopBallFilteredScratch reports in
-/// `*complete` for sources[i], and when it is set, BallWords(i) and
-/// AppendBallSorted(i) give exactly that call's ball (an incomplete
-/// source stops propagating once its ball passes `max_size`). Sources
-/// may repeat; out-of-range sources get an empty, complete ball.
+/// The balls of up to kMaxBallSources sources at once: the vertices
+/// within `depth` undirected hops of each source, over edges whose label
+/// is set in `edge_labels` (an embedding can only walk pattern edge
+/// labels; labels past the filter's end are traversed). One
+/// level-synchronous traversal carries a 64-bit mask of the sources that
+/// reached each vertex, so a vertex shared by many balls has its
+/// adjacency scanned once per level instead of once per source
+/// (multi-source BFS, Then et al., PVLDB 2014).
+///
+/// Afterwards bit i of `scratch->complete` is clear iff source i's ball
+/// grew past `max_size` vertices (hub explosion guard): that source
+/// stopped propagating, its words hold a partial set, and the caller
+/// must fall back to global candidate sets — the ball is an
+/// optimization, not a semantic need. For a complete source, BallWords(i)
+/// and AppendBallSorted(i) give exactly its ball, and, when
+/// `keep_levels` is set, LevelWords(i, L) its L-hop ball for every
+/// L <= depth. Sources may repeat; out-of-range sources get an empty,
+/// complete ball.
 void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
                        int depth, const DynamicBitset& edge_labels,
-                       size_t max_size, MultiBallScratch* scratch);
+                       size_t max_size, MultiBallScratch* scratch,
+                       bool keep_levels = false);
 
 /// |KHopBall| plus the number of edges among ball members — the paper's
 /// |Nd(v)| counts the induced subgraph size (nodes + edges).

@@ -1,6 +1,10 @@
 #include "parallel/pqmatch.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/failpoint.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/qmatch.h"
 
@@ -25,28 +29,41 @@ Result<ParallelRunResult> RunFragments(const Pattern& pattern,
   std::vector<MatchStats> local_stats(n);
   std::vector<Status> local_status(n, Status::Ok());
 
-  // Fragment cost estimates for the work-stealing schedule: |Fi| (local
-  // nodes + edges), the same size the MKP balance bound speaks about.
-  // A skewed fragment starts first; idle workers steal the rest.
-  std::vector<uint64_t> weights(n);
-  for (size_t i = 0; i < n; ++i) {
-    weights[i] = partition.fragments[i].SizeCost();
-  }
-
-  WorkerSet workers(n, config.mode, config.pool);
-  WorkerSet::Report report = workers.Run([&](size_t i) {
-    const Fragment& f = partition.fragments[i];
-    if (f.owned_local.empty()) return;
-    Result<AnswerSet> local = evaluate(f, &local_stats[i]);
-    if (!local.ok()) {
-      local_status[i] = local.status();
-      return;
-    }
-    // Map local answers back to global ids.
-    for (VertexId lv : local.value()) {
-      local_answers[i].push_back(f.sub.local_to_global[lv]);
-    }
-  }, weights);
+  // Heaviest fragment first by |Fi| (local nodes + edges, the size the
+  // MKP balance bound speaks about), ties by index so the order is a
+  // pure function of the partition. kSimulated runs the same loop inline
+  // on the caller. Each chunk writes only its own fragment's slots.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const size_t wa = partition.fragments[a].SizeCost();
+    const size_t wb = partition.fragments[b].SizeCost();
+    if (wa != wb) return wa > wb;
+    return a < b;
+  });
+  result.fragment_seconds.assign(n, 0.0);
+  WallTimer wall;
+  const ThreadPool::FanOut fan_out = ThreadPool::ParallelForDynamic(
+      config.mode == ExecutionMode::kThreads ? config.pool : nullptr, n, 1,
+      [&](size_t begin, size_t end) {
+        for (size_t pos = begin; pos < end; ++pos) {
+          const size_t i = order[pos];
+          const Fragment& f = partition.fragments[i];
+          if (f.owned_local.empty()) continue;
+          WallTimer t;
+          Result<AnswerSet> local = evaluate(f, &local_stats[i]);
+          if (local.ok()) {
+            // Map local answers back to global ids.
+            for (VertexId lv : local.value()) {
+              local_answers[i].push_back(f.sub.local_to_global[lv]);
+            }
+          } else {
+            local_status[i] = local.status();
+          }
+          result.fragment_seconds[i] = t.ElapsedSeconds();
+        }
+      });
+  const double wall_seconds = wall.ElapsedSeconds();
 
   for (size_t i = 0; i < n; ++i) {
     QGP_RETURN_IF_ERROR(local_status[i]);
@@ -60,16 +77,18 @@ Result<ParallelRunResult> RunFragments(const Pattern& pattern,
                           local_answers[i].end());
     result.stats.Add(local_stats[i]);
   }
-  result.stats.scheduler_tasks += report.tasks_executed;
-  result.stats.scheduler_steals += report.tasks_stolen;
+  result.stats.scheduler_tasks += fan_out.chunks;
+  result.stats.scheduler_steals += fan_out.stolen;
   Canonicalize(result.answers);
   result.coordinator_seconds = assemble.ElapsedSeconds();
 
-  result.fragment_seconds = report.worker_seconds;
-  result.total_work_seconds = report.total_work_seconds;
-  double base = config.mode == ExecutionMode::kSimulated
-                    ? report.makespan_seconds
-                    : report.wall_seconds;
+  double makespan = 0;
+  for (double s : result.fragment_seconds) {
+    makespan = std::max(makespan, s);
+    result.total_work_seconds += s;
+  }
+  const double base =
+      config.mode == ExecutionMode::kSimulated ? makespan : wall_seconds;
   result.parallel_seconds = base + result.coordinator_seconds;
   return result;
 }

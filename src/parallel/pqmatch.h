@@ -7,11 +7,23 @@
 #include "core/match_types.h"
 #include "core/pattern.h"
 #include "parallel/partition.h"
-#include "parallel/worker_set.h"
 
 namespace qgp {
 
 class ThreadPool;
+
+/// How the n logical workers of PQMatch/PEnum (one per fragment)
+/// execute (DESIGN.md §3).
+enum class ExecutionMode {
+  /// Workers run sequentially on the caller; each fragment's work is
+  /// timed and the reported parallel time is the makespan (max worker
+  /// time plus the coordinator's assembly cost). This reproduces the
+  /// paper's n-machine scaling curves faithfully on hosts with fewer
+  /// cores, and is the default for the vary-n benches.
+  kSimulated,
+  /// Workers fan out on the pool; parallel time is wall-clock.
+  kThreads,
+};
 
 /// Parallel execution knobs shared by PQMatch and PEnum.
 struct ParallelConfig {
@@ -47,9 +59,13 @@ using FragmentEvaluator =
 
 /// The fragment runner behind PQMatch and PEnum. Checks that the pattern
 /// fits the partition's hop preservation d, runs `evaluate` once per
-/// fragment that owns foci (heaviest |Fi| first on a WorkerSet), maps
-/// the local answers to global ids, and unions them on the coordinator.
-/// Fails with the first failing fragment's status, in fragment order.
+/// fragment that owns foci, maps the local answers to global ids, and
+/// unions them on the coordinator. Fragments start heaviest |Fi| first
+/// (ties by index), so a skewed fragment starts immediately and lighter
+/// ones pack around it; under kThreads each is a one-fragment chunk of a
+/// work-stealing fan-out on the pool, whose telemetry lands in
+/// stats.scheduler_tasks/steals. Fails with the first failing fragment's
+/// status, in fragment order.
 Result<ParallelRunResult> RunFragments(const Pattern& pattern,
                                        const Partition& partition,
                                        const ParallelConfig& config,

@@ -1,11 +1,15 @@
 // Property suite for the multi-source ball builder: on random labelled
 // graphs, every source's ball out of one KHopBallsFiltered call must equal
-// what KHopBallFiltered computes for that source alone — same members,
-// same hub-guard verdict — with overlapping and repeated sources, depth 0,
+// a plain filtered BFS from that source alone — same members, same
+// hub-guard verdict — with overlapping and repeated sources, depth 0,
 // label filters narrower than the label space, and one scratch arena
-// reused across graphs of different sizes.
+// reused across graphs of different sizes. The per-level balls the
+// verifier masks pattern nodes with must equal the BFS at every depth,
+// on a scratch reused across calls whose depth rises and falls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
@@ -37,7 +41,7 @@ Graph RandomGraph(std::mt19937& rng, size_t n, size_t m) {
 
 // Random filter over the dictionary. Sometimes sized below the label
 // space: labels past the end are outside the filter's range and, per
-// KHopBallFiltered's contract, traversed.
+// KHopBallsFiltered's contract, traversed.
 DynamicBitset RandomFilter(std::mt19937& rng, const Graph& g) {
   const size_t size = rng() % 3 == 0 ? rng() % (g.dict().size() + 1)
                                      : g.dict().size();
@@ -48,22 +52,80 @@ DynamicBitset RandomFilter(std::mt19937& rng, const Graph& g) {
   return filter;
 }
 
+// The reference: a filtered breadth-first search from `src` alone,
+// sorted. *complete is false iff the hub guard trips: a vertex beyond the
+// source joins a ball that already holds `max_size`.
+std::vector<VertexId> ReferenceBall(const Graph& g, VertexId src, int depth,
+                                    const DynamicBitset& filter,
+                                    size_t max_size, bool* complete) {
+  *complete = true;
+  if (src >= g.num_vertices()) return {};
+  std::vector<char> seen(g.num_vertices(), 0);
+  std::vector<VertexId> ball{src};
+  std::vector<VertexId> frontier{src};
+  seen[src] = 1;
+  for (int hop = 0; hop < depth; ++hop) {
+    std::vector<VertexId> next;
+    for (VertexId v : frontier) {
+      for (auto nbrs : {g.OutNeighbors(v), g.InNeighbors(v)}) {
+        for (const Neighbor& nb : nbrs) {
+          if (nb.label < filter.size() && !filter.Test(nb.label)) continue;
+          if (seen[nb.v] != 0) continue;
+          seen[nb.v] = 1;
+          ball.push_back(nb.v);
+          next.push_back(nb.v);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  *complete = ball.size() <= std::max<size_t>(max_size, 1);
+  std::sort(ball.begin(), ball.end());
+  return ball;
+}
+
+std::vector<VertexId> DecodeWords(std::span<const uint64_t> words) {
+  std::vector<VertexId> out;
+  for (size_t w = 0; w < words.size(); ++w) {
+    for (int b = 0; b < 64; ++b) {
+      if ((words[w] >> b) & 1ULL) {
+        out.push_back(static_cast<VertexId>(w * 64 + b));
+      }
+    }
+  }
+  return out;
+}
+
 // Source i's ball, decoded both ways the verifier reads it: the sorted
 // list, and the bitset words, which must hold exactly the same members.
 std::vector<VertexId> Decode(const MultiBallScratch& s, size_t i) {
   std::vector<VertexId> out;
   s.AppendBallSorted(i, out);
-  std::vector<VertexId> from_words;
-  const std::span<const uint64_t> words = s.BallWords(i);
-  for (size_t w = 0; w < words.size(); ++w) {
-    for (int b = 0; b < 64; ++b) {
-      if ((words[w] >> b) & 1ULL) {
-        from_words.push_back(static_cast<VertexId>(w * 64 + b));
-      }
+  EXPECT_EQ(out, DecodeWords(s.BallWords(i))) << "source " << i;
+  return out;
+}
+
+// Overlapping sources: a random pick plus the neighbours and repeats of
+// earlier ones, and an out-of-range id now and then.
+std::vector<VertexId> RandomSources(std::mt19937& rng, const Graph& g) {
+  const size_t n = g.num_vertices();
+  std::vector<VertexId> sources;
+  const size_t k = 1 + rng() % kMaxBallSources;
+  while (sources.size() < k) {
+    const uint32_t pick = rng() % 10;
+    if (pick == 0 && !sources.empty()) {
+      sources.push_back(sources[rng() % sources.size()]);
+    } else if (pick == 1 && !sources.empty()) {
+      const VertexId base = sources[rng() % sources.size()];
+      auto out = base < n ? g.OutNeighbors(base) : std::span<const Neighbor>();
+      sources.push_back(out.empty() ? base : out[rng() % out.size()].v);
+    } else if (pick == 2) {
+      sources.push_back(static_cast<VertexId>(n + rng() % 3));
+    } else {
+      sources.push_back(static_cast<VertexId>(rng() % n));
     }
   }
-  EXPECT_EQ(out, from_words) << "source " << i;
-  return out;
+  return sources;
 }
 
 TEST(KHopBatchPropertyTest, EverySourceMatchesTheSingleSourceBall) {
@@ -78,25 +140,7 @@ TEST(KHopBatchPropertyTest, EverySourceMatchesTheSingleSourceBall) {
     const int depth = static_cast<int>(rng() % 5);
     const size_t max_size =
         rng() % 2 == 0 ? rng() % (n + 1) : g.num_vertices() + 1;
-    // Overlapping sources: a random pick plus the neighbours and repeats
-    // of earlier ones, and an out-of-range id now and then.
-    std::vector<VertexId> sources;
-    const size_t k = 1 + rng() % kMaxBallSources;
-    while (sources.size() < k) {
-      const uint32_t pick = rng() % 10;
-      if (pick == 0 && !sources.empty()) {
-        sources.push_back(sources[rng() % sources.size()]);
-      } else if (pick == 1 && !sources.empty()) {
-        const VertexId base = sources[rng() % sources.size()];
-        auto out = base < n ? g.OutNeighbors(base)
-                            : std::span<const Neighbor>();
-        sources.push_back(out.empty() ? base : out[rng() % out.size()].v);
-      } else if (pick == 2) {
-        sources.push_back(static_cast<VertexId>(n + rng() % 3));
-      } else {
-        sources.push_back(static_cast<VertexId>(rng() % n));
-      }
-    }
+    const std::vector<VertexId> sources = RandomSources(rng, g);
     KHopBallsFiltered(g, sources, depth, filter, max_size, &scratch);
     for (size_t i = 0; i < sources.size(); ++i) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " source " +
@@ -104,7 +148,7 @@ TEST(KHopBatchPropertyTest, EverySourceMatchesTheSingleSourceBall) {
                    ") depth " + std::to_string(depth) + " limit " +
                    std::to_string(max_size));
       bool complete = false;
-      const std::vector<VertexId> expect = KHopBallFiltered(
+      const std::vector<VertexId> expect = ReferenceBall(
           g, sources[i], depth, filter, max_size, &complete);
       const bool got_complete = ((scratch.complete >> i) & 1ULL) != 0;
       ASSERT_EQ(got_complete, complete);
@@ -119,6 +163,43 @@ TEST(KHopBatchPropertyTest, EverySourceMatchesTheSingleSourceBall) {
   // Both outcomes must really have been exercised.
   EXPECT_GT(complete_seen, 500u);
   EXPECT_GT(guarded_seen, 50u);
+}
+
+// Every level of every complete source equals the reference BFS of that
+// depth. One scratch serves every call: per graph the depth goes
+// 3 -> 1 -> 2 -> 3, and the graphs grow and shrink, so a level word an
+// earlier call left behind fails the comparison.
+TEST(KHopBatchPropertyTest, EveryLevelMatchesTheReferenceBall) {
+  MultiBallScratch scratch;
+  size_t levels_checked = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    std::mt19937 rng(static_cast<uint32_t>(seed * 104729 + 5));
+    // Mostly growing universes, with a small graph now and then.
+    const size_t n = seed % 5 == 4 ? 1 + rng() % 40 : 8 + seed * 6;
+    const Graph g = RandomGraph(rng, n, rng() % (3 * n + 1));
+    const DynamicBitset filter = RandomFilter(rng, g);
+    const size_t max_size =
+        rng() % 3 == 0 ? rng() % (n + 1) : g.num_vertices() + 1;
+    for (int depth : {3, 1, 2, 3}) {
+      const std::vector<VertexId> sources = RandomSources(rng, g);
+      KHopBallsFiltered(g, sources, depth, filter, max_size, &scratch,
+                        /*keep_levels=*/true);
+      for (size_t i = 0; i < sources.size(); ++i) {
+        if (((scratch.complete >> i) & 1ULL) == 0) continue;
+        for (int level = 1; level <= depth; ++level) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " depth " +
+                       std::to_string(depth) + " source " +
+                       std::to_string(i) + " level " + std::to_string(level));
+          bool complete = false;
+          const std::vector<VertexId> expect =
+              ReferenceBall(g, sources[i], level, filter, SIZE_MAX, &complete);
+          ASSERT_EQ(DecodeWords(scratch.LevelWords(i, level)), expect);
+          ++levels_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(levels_checked, 2000u);
 }
 
 TEST(KHopBatchPropertyTest, DepthZeroIsTheSourceAlone) {
@@ -159,7 +240,7 @@ TEST(KHopBatchPropertyTest, HubGuardFlagsOnlyTheHub) {
     ASSERT_NE((scratch.complete >> i) & 1ULL, 0u) << "source " << i;
     bool complete = false;
     EXPECT_EQ(Decode(scratch, i),
-              KHopBallFiltered(g, sources[i], 1, all, 10, &complete));
+              ReferenceBall(g, sources[i], 1, all, 10, &complete));
     EXPECT_TRUE(complete);
   }
 }

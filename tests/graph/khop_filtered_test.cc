@@ -1,4 +1,8 @@
+// The single-source ball: KHopBallsFiltered with one source, against
+// hand-computed balls on a hub-and-chain graph.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "graph/graph_algorithms.h"
 #include "graph/graph_builder.h"
@@ -33,6 +37,20 @@ struct HubFixture {
     return bits;
   }
 };
+
+// KHopBallsFiltered with `src` as its one source: the ball (partial when
+// the hub guard tripped) and, in *complete, whether it stayed complete.
+std::vector<VertexId> KHopBallFiltered(const Graph& g, VertexId src,
+                                       int depth,
+                                       const DynamicBitset& edge_labels,
+                                       size_t max_size, bool* complete) {
+  MultiBallScratch scratch;
+  KHopBallsFiltered(g, {&src, 1}, depth, edge_labels, max_size, &scratch);
+  *complete = (scratch.complete & 1ULL) != 0;
+  std::vector<VertexId> ball;
+  scratch.AppendBallSorted(0, ball);
+  return ball;
+}
 
 TEST(KHopBallFilteredTest, LabelFilterSkipsOtherEdges) {
   HubFixture f;
