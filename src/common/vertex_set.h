@@ -101,7 +101,10 @@ class SparseBitset {
 /// A vertex set read through membership words, so a matcher can test
 /// and enumerate an intersection without materializing it: the words of
 /// a set's bitset, an optional mask ANDed in (a focus's ball, say), and
-/// the number of members, computed once by whoever builds the view.
+/// a size, computed once by whoever builds the view — the number of
+/// members, or an upper bound on it that the builder wants the matcher's
+/// plan order to compare (DMatch counts a view masked by a k-hop ball
+/// over the focus's full ball).
 /// `sorted` is an ascending run holding every member — typically the
 /// shorter of the set's member list and the mask's — which Decode walks
 /// so listing the view never scans the whole universe.

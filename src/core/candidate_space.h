@@ -127,10 +127,9 @@ class CandidateSpace {
   }
 
   /// Cπ(u) as a matcher view. With `ball_words` (a ball's membership
-  /// words, e.g. MultiBallScratch::LevelWords) and `sorted_ball` (an
-  /// ascending run holding every member, and possibly more: a level's
-  /// ball may pass the full ball's run), the view is the per-focus local
-  /// set Lπ(u) = Cπ(u) ∩ ball,
+  /// words, e.g. MultiBallScratch::BallWords) and `sorted_ball` (its
+  /// members, ascending), the view is the per-focus local set
+  /// Lπ(u) = Cπ(u) ∩ ball,
   /// read through Cπ(u)'s bitset with the ball's words as mask; nothing is
   /// decoded, and its size costs O(min(|ball|, |Cπ(u)|, |V| / 64))
   /// (MaskedView). With an empty `ball_words`, the view is Cπ(u)

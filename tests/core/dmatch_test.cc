@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "core/enum_matcher.h"
+#include "core/pattern_parser.h"
 #include "gen/pattern_gen.h"
 #include "gen/social_gen.h"
 #include "graph/graph_builder.h"
@@ -291,6 +292,36 @@ TEST(DMatchDirectTest, CountingSkipsSearchesWhenTheBoundIsShort) {
     EXPECT_TRUE(res->empty());
     EXPECT_EQ(stats.witness_searches, cut ? 0u : 10u) << "cut=" << cut;
   }
+}
+
+// Each node's view is masked by the ball of its own hop distance from
+// the focus, but the plan order must compare sizes counted over the full
+// ball. On this cyclic pattern n1, n2 and n4 follow the focus and n3;
+// counted by level, the followers' views looked smallest, the plan put
+// off n3, which closes the cycles, and the search ran about 6M
+// extensions where full-ball sizes need under 10K.
+TEST(DMatchDirectTest, PlanOrderComparesFullBallSizes) {
+  SocialConfig c;
+  c.num_users = 800;
+  c.num_products = 20;
+  c.num_albums = 10;
+  c.community_size = 250;
+  Graph g = std::move(GenerateSocialGraph(c)).value();
+  auto q = PatternParser::Parse(
+      "node n0 person\nnode n1 person\nnode n2 person\nnode n3 person\n"
+      "node n4 person\nedge n1 n0 follow >=50%\nedge n2 n0 follow >=50%\n"
+      "edge n1 n3 follow\nedge n4 n3 follow\nedge n4 n0 follow\n"
+      "edge n2 n3 follow\nfocus n0\n",
+      g.mutable_dict());
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  MatchStats stats;
+  auto res = DMatchEvaluate(*q, g, MatchOptions{}, &stats);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  auto oracle = EnumMatcher::Evaluate(*q, g, MatchOptions{}, nullptr);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(*res, *oracle);
+  EXPECT_FALSE(res->empty());
+  EXPECT_LT(stats.search_extensions, 50'000u);
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ TEST_F(VerifyWorkPinTest, SuiteIsTheOnePinned) {
 TEST_F(VerifyWorkPinTest, QMatchIncrementalNegation) {
   MatchOptions options;
   ExpectPinned("qmatch", RunQMatch(options),
-               {12049431453365282577ULL, 2760, 2127, 10644, 0, 0, 1625, 808,
+               {12049431453365282577ULL, 2761, 2128, 10635, 0, 0, 1625, 808,
                 1625});
 }
 
@@ -161,7 +161,7 @@ TEST_F(VerifyWorkPinTest, QMatchRecomputedNegation) {
   MatchOptions options;
   options.use_incremental_negation = false;
   ExpectPinned("qmatch naive", RunQMatch(options),
-               {12049431453365282577ULL, 2774, 2377, 10923, 0, 0, 1731, 0,
+               {12049431453365282577ULL, 2775, 2378, 10922, 0, 0, 1731, 0,
                 1731});
 }
 
@@ -228,7 +228,7 @@ TEST_F(VerifyWorkPinTest, WarmIncQMatch) {
   }
   EXPECT_GT(warm_runs, 0u);
   ExpectPinned("warm incqmatch", work,
-               {17252826035894904589ULL, 2760, 2127, 10644, 0, 0, 1625, 808,
+               {17252826035894904589ULL, 2761, 2128, 10635, 0, 0, 1625, 808,
                 1625});
 }
 
