@@ -38,16 +38,12 @@ void MineAndReport(const char* name, const Graph& g, double eta,
                 c.ToString().c_str(), r.support, r.confidence);
   }
 
-  // The same mining run under algo = auto: the enlargement loop's
-  // quantifier-only variants are the plan cache's design workload, so
-  // the planner must serve them from one family entry (asserted below)
-  // while mining the exact same rules.
+  // The same mining run under algo = auto: the planner routes every
+  // rule evaluation, and must mine the exact same rules.
   MinerConfig ac = mc;
   ac.algo = EngineAlgo::kAuto;
-  EngineStats engine_stats;
   Result<std::vector<MinedRule>> auto_rules = Status::Ok();
-  double auto_seconds =
-      TimeSeconds([&] { auto_rules = MineQgars(g, ac, &engine_stats); });
+  double auto_seconds = TimeSeconds([&] { auto_rules = MineQgars(g, ac); });
   if (!auto_rules.ok()) {
     std::printf("FATAL: auto mining failed: %s\n",
                 auto_rules.status().ToString().c_str());
@@ -68,19 +64,9 @@ void MineAndReport(const char* name, const Graph& g, double eta,
       std::exit(1);
     }
   }
-  if (engine_stats.plan_hits == 0) {
-    std::printf("FATAL: auto mining never hit the plan cache\n");
-    std::exit(1);
-  }
-  std::printf(
-      "  auto mining: identical rules in %.2fs (%llu plans built, %llu plan "
-      "hits)\n",
-      auto_seconds, static_cast<unsigned long long>(engine_stats.plans_built),
-      static_cast<unsigned long long>(engine_stats.plan_hits));
+  std::printf("  auto mining: identical rules in %.2fs\n", auto_seconds);
   reporter.Add(std::string(name) + "/mining_auto", auto_seconds * 1e3,
-               {{"rules", static_cast<double>(auto_rules->size())},
-                {"plans_built", static_cast<double>(engine_stats.plans_built)},
-                {"plan_hits", static_cast<double>(engine_stats.plan_hits)}});
+               {{"rules", static_cast<double>(auto_rules->size())}});
 }
 
 }  // namespace

@@ -20,19 +20,27 @@
 namespace qgp::bench {
 namespace {
 
-// Times `fn` often enough for a stable reading; returns avg ms per call.
+// Times `fn` in kBlocks equal blocks, ~0.3 s in all; returns the
+// fastest block's ms per call. A co-tenant burst slows only the blocks
+// it lands in, so it cannot set the reading on its own.
 template <typename Fn>
 double TimePerCall(Fn&& fn, size_t* iters_out) {
+  constexpr size_t kBlocks = 5;
   // Calibrate.
   WallTimer cal;
   fn();
   double once = cal.ElapsedSeconds();
-  size_t iters = once > 0 ? static_cast<size_t>(0.3 / once) : 2000;
-  iters = std::clamp<size_t>(iters, 5, 2000);
-  WallTimer timer;
-  for (size_t i = 0; i < iters; ++i) fn();
-  if (iters_out != nullptr) *iters_out = iters;
-  return timer.ElapsedMillis() / static_cast<double>(iters);
+  size_t iters = once > 0 ? static_cast<size_t>(0.3 / kBlocks / once) : 400;
+  iters = std::clamp<size_t>(iters, 1, 400);
+  double best_ms = 0;
+  for (size_t b = 0; b < kBlocks; ++b) {
+    WallTimer timer;
+    for (size_t i = 0; i < iters; ++i) fn();
+    const double ms = timer.ElapsedMillis() / static_cast<double>(iters);
+    if (b == 0 || ms < best_ms) best_ms = ms;
+  }
+  if (iters_out != nullptr) *iters_out = iters * kBlocks;
+  return best_ms;
 }
 
 // Ball extraction for one batch of foci at `radius`, levels kept as the

@@ -278,8 +278,8 @@ class FocusVerifier {
 Result<PositiveEvaluator> PositiveEvaluator::Create(
     Pattern positive, const Graph& g, MatchOptions options,
     const std::vector<PatternEdgeId>* edge_to_original,
-    size_t num_original_edges, const DynamicBitset* ball_label_filter,
-    ThreadPool* pool, CandidateCache* cache, const SpaceRepairHint* repair) {
+    size_t num_original_edges, ThreadPool* pool, CandidateCache* cache,
+    const SpaceRepairHint* repair) {
   if (!positive.IsPositive()) {
     return Status::InvalidArgument(
         "PositiveEvaluator requires a positive pattern");
@@ -310,14 +310,10 @@ Result<PositiveEvaluator> PositiveEvaluator::Create(
       }
     }
   }
-  if (ball_label_filter != nullptr) {
-    ev.pattern_edge_labels_ = *ball_label_filter;
-  } else {
-    ev.pattern_edge_labels_.Resize(g.dict().size());
-    for (PatternEdgeId e = 0; e < ev.pattern_.num_edges(); ++e) {
-      Label l = ev.pattern_.edge(e).label;
-      if (l < ev.pattern_edge_labels_.size()) ev.pattern_edge_labels_.Set(l);
-    }
+  ev.pattern_edge_labels_.Resize(g.dict().size());
+  for (PatternEdgeId e = 0; e < ev.pattern_.num_edges(); ++e) {
+    Label l = ev.pattern_.edge(e).label;
+    if (l < ev.pattern_edge_labels_.size()) ev.pattern_edge_labels_.Set(l);
   }
   ev.ball_limit_ = options.ball_limit != 0
                        ? options.ball_limit

@@ -66,11 +66,8 @@ class PositiveEvaluator {
   /// valid). `edge_to_original` maps this pattern's edges to the ids of
   /// the original QGP it was derived from (Π / Π(Q⁺ᵉ) mappings); pass
   /// nullptr for identity. `num_original_edges` sizes the failed-pair
-  /// cache (use the original QGP's edge count). `ball_label_filter`
-  /// (optional) overrides the edge-label set used for ball traversal —
-  /// QMatch passes the ORIGINAL pattern's labels, so one filter serves
-  /// Π(Q) and every Π(Q⁺ᵉ) (it must cover the positified labels too).
-  /// `pool` (optional) parallelizes candidate-space construction across
+  /// cache (use the original QGP's edge count). Balls are traversed
+  /// over `positive`'s own edge labels. `pool` (optional) parallelizes candidate-space construction across
   /// its workers (bit-identical to the serial build); `cache` (optional)
   /// interns label/degree candidate sets across builds on the same graph.
   /// `repair` (optional) swaps the from-scratch candidate-space build
@@ -79,9 +76,7 @@ class PositiveEvaluator {
   static Result<PositiveEvaluator> Create(
       Pattern positive, const Graph& g, MatchOptions options,
       const std::vector<PatternEdgeId>* edge_to_original = nullptr,
-      size_t num_original_edges = 0,
-      const DynamicBitset* ball_label_filter = nullptr,
-      ThreadPool* pool = nullptr, CandidateCache* cache = nullptr,
+      size_t num_original_edges = 0, ThreadPool* pool = nullptr, CandidateCache* cache = nullptr,
       const SpaceRepairHint* repair = nullptr);
 
   /// Good focus candidates (the outer-loop domain of Fig. 5). The span

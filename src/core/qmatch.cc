@@ -114,21 +114,11 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
   Pattern& pi_pattern = pi.value().first;
   SubPattern& pi_map = pi.value().second;
 
-  // Ball traversal filter over the ORIGINAL pattern's edge labels
-  // (negated edges included), one filter for Π(Q) and every positified
-  // Π(Q⁺ᵉ).
-  DynamicBitset ball_labels(g.dict().size());
-  for (PatternEdgeId e = 0; e < pattern.num_edges(); ++e) {
-    Label l = pattern.edge(e).label;
-    if (l < ball_labels.size()) ball_labels.Set(l);
-  }
-
   QGP_ASSIGN_OR_RETURN(
       PositiveEvaluator ev0,
       PositiveEvaluator::Create(std::move(pi_pattern), g, options,
                                 &pi_map.edge_to_original,
-                                pattern.num_edges(), &ball_labels, pool,
-                                cache));
+                                pattern.num_edges(), pool, cache));
 
   if (artifacts != nullptr) artifacts->pi_space = ev0.candidate_space();
 
@@ -166,8 +156,7 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
         PositiveEvaluator ev_e,
         PositiveEvaluator::Create(std::move(pi_pos.value().first), g, options,
                                   &pi_pos.value().second.edge_to_original,
-                                  pattern.num_edges(), &ball_labels, pool,
-                                  cache));
+                                  pattern.num_edges(), pool, cache));
     AnswerSet negative;
     if (options.use_incremental_negation) {
       // IncQMatch: only cached answers are re-verified, each seeded with
@@ -231,7 +220,7 @@ Result<AnswerSet> QMatch::EvaluateRepaired(
       PositiveEvaluator ev,
       PositiveEvaluator::Create(std::move(pi_pattern), g, options,
                                 &pi_map.edge_to_original, pattern.num_edges(),
-                                &ball_labels, pool, cache, &hint));
+                                pool, cache, &hint));
   if (artifacts != nullptr) artifacts->pi_space = ev.candidate_space();
 
   // Affected region: every focus whose verdict can have flipped lies
@@ -317,13 +306,6 @@ Result<AnswerSet> QMatch::EvaluateSubset(const Pattern& pattern,
                                          MatchStats* stats, ThreadPool* pool,
                                          CandidateCache* cache) {
   return EvaluateImpl(pattern, g, focus_subset, options, stats, pool, cache);
-}
-
-Result<AnswerSet> QMatchNaiveEvaluate(const Pattern& pattern, const Graph& g,
-                                      MatchOptions options,
-                                      MatchStats* stats) {
-  options.use_incremental_negation = false;
-  return QMatch::Evaluate(pattern, g, options, stats);
 }
 
 }  // namespace qgp

@@ -102,12 +102,6 @@ class QMatch {
       CandidateCache* cache = nullptr);
 };
 
-/// QMatchn: QMatch without incremental negation (recomputes every
-/// Π(Q⁺ᵉ) with DMatch). Equivalent answers, more work — the §7 baseline.
-Result<AnswerSet> QMatchNaiveEvaluate(const Pattern& pattern, const Graph& g,
-                                      MatchOptions options = {},
-                                      MatchStats* stats = nullptr);
-
 }  // namespace qgp
 
 #endif  // QGP_CORE_QMATCH_H_

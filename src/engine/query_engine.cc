@@ -38,12 +38,11 @@ std::shared_ptr<const Graph> BorrowGraph(const Graph* graph) {
 // run's MatchStats, which the option toggles change (answers never
 // depend on them, stats do). scheduler_grain is deliberately NOT keyed:
 // it moves only the scheduler telemetry, which the determinism contract
-// already excludes — and the planner's grain fill must not unshare an
-// auto query from the manual submission it resolved to.
-// Keyed on the EFFECTIVE algo/options — post-planner, never the
-// submitted spec — so two auto specs whose plans diverge (e.g. before
-// and after a delta shifts statistics) land on distinct entries, and an
-// auto query shares its entry with the manual submission it resolved to.
+// already excludes. Keyed on the EFFECTIVE algo — post-planner, never
+// the submitted spec — so two auto specs whose plans diverge (e.g.
+// before and after a delta shifts statistics) land on distinct entries,
+// and an auto query shares its entry with the manual submission it
+// resolved to.
 std::string ResultKey(EngineAlgo algo, const MatchOptions& o,
                       const Pattern& q) {
   std::ostringstream key;
@@ -167,33 +166,22 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
                                   ? cache_.MarkEpoch()
                                   : 0;
   // Resolve the matcher FIRST: everything downstream — result-cache key,
-  // repair key, dispatch — speaks the effective algorithm and options,
-  // never the submitted spec. An unset spec algo falls back to the
-  // engine default; auto (from either) hands the choice to the planner.
+  // repair key, dispatch — speaks the effective algorithm, never the
+  // submitted one. An unset spec algo falls back to the engine default;
+  // auto (from either) hands the choice to the planner.
   const CandidateCache::Stats cache_before = cache_.stats();
   const EngineAlgo requested = spec.algo.value_or(options_.default_algo);
   EngineAlgo effective = requested;
-  MatchOptions effective_options = spec.options;
   if (requested == EngineAlgo::kAuto) {
-    Planner::Context ctx;
+    PlanContext ctx;
     ctx.graph = graph_.get();
     ctx.cache = spec.share_cache ? &cache_ : nullptr;
-    ctx.graph_version = current_version;
-    ctx.num_threads = pool_->width();
     ctx.partition_fragments = options_.partition_fragments;
     ctx.partition_d = options_.partition_d;
-    const PlanDecision plan = planner_.Plan(spec.pattern, spec.options, ctx);
-    effective = plan.algo;
-    effective_options = plan.options;
-    outcome.plan_cache_hit = plan.cache_hit;
-    std::lock_guard<std::mutex> telemetry_lock(telemetry_mu_);
-    if (plan.cache_hit) {
-      ++stats_.plan_hits;
-    } else {
-      ++stats_.plans_built;
-    }
+    effective = Plan(spec.pattern, options_.planner, ctx);
   }
   outcome.algo = effective;
+  MatchOptions effective_options = spec.options;
   // The deadline token rides the effective options into every matcher
   // and cache build; a caller-provided token was already there (and is
   // now this token's parent).
@@ -372,14 +360,10 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
       // No cache poisoning: a cancelled run admits nothing. Candidate
       // sets it interned are rolled back (they are complete by value,
       // but the invariant is "zero entries admitted by a timed-out
-      // run", which makes cancellation perturbation-free and testable);
-      // a plan it freshly built is forgotten so the family re-plans.
+      // run", which makes cancellation perturbation-free and testable).
       // The result cache and repair store only ever store on success,
       // so they need no rollback.
       if (spec.share_cache) cache_.EvictInsertedSince(cache_mark);
-      if (requested == EngineAlgo::kAuto && !outcome.plan_cache_hit) {
-        planner_.Forget(spec.pattern);
-      }
     }
     // Failures are load too: their wall time and cache traffic feed the
     // cumulative stats, and the pressure valve below still runs — an
@@ -517,12 +501,10 @@ Result<DeltaOutcome> QueryEngine::ApplyDeltaAdmitted(const GraphDelta& delta) {
   if (delta_log_.size() > kDeltaLogMaxEntries) delta_log_.pop_front();
   // Version-keyed invalidation: exactly the stale entries go. The
   // candidate cache compares stamps internally; the result cache is
-  // swept here (every pre-delta entry is stale by construction), and so
-  // is the plan cache — a plan chosen from pre-delta cardinalities is
-  // stale. The repair store is deliberately NOT swept — stale spaces
-  // are the repair seeds.
+  // swept here (every pre-delta entry is stale by construction). The
+  // repair store is deliberately NOT swept — stale spaces are the
+  // repair seeds.
   out.candidate_sets_evicted = cache_.EvictStale();
-  out.plans_invalidated = planner_.EvictStale(out.graph_version);
   {
     std::lock_guard<std::mutex> results_lock(results_mu_);
     for (auto it = results_.begin(); it != results_.end();) {
@@ -544,7 +526,6 @@ Result<DeltaOutcome> QueryEngine::ApplyDeltaAdmitted(const GraphDelta& delta) {
     stats_.delta_wall_ms += out.wall_ms;
     stats_.results_invalidated += out.results_invalidated;
     stats_.cache_evicted += out.candidate_sets_evicted;
-    stats_.plans_invalidated += out.plans_invalidated;
   }
   return out;
 }

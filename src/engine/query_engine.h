@@ -77,7 +77,7 @@ struct QuerySpec {
   /// `options.cancel` itself from receipt time instead). On expiry the
   /// evaluation unwinds cooperatively and Submit returns
   /// kDeadlineExceeded; nothing the run computed is admitted into the
-  /// result/plan/candidate caches, so a timed-out query perturbs
+  /// result/candidate caches, so a timed-out query perturbs
   /// nothing — re-running without the deadline answers byte-identically
   /// to an engine that never saw the timeout (the engine timeout
   /// differential test locks this down). Composes with an external
@@ -108,9 +108,6 @@ struct QueryOutcome {
   /// On a result-cache hit this is the effective algorithm of the probe
   /// (the stored entry was keyed on exactly it).
   EngineAlgo algo = EngineAlgo::kQMatch;
-  /// True when the query ran under algo = auto and its pattern family's
-  /// plan was served from the plan cache. Always false otherwise.
-  bool plan_cache_hit = false;
   /// Shared-cache hits/misses attributable to this query (both zero when
   /// the spec opted out via share_cache = false).
   uint64_t cache_hits = 0;
@@ -141,9 +138,6 @@ struct DeltaOutcome {
   size_t candidate_sets_evicted = 0;
   /// Stale result-cache entries dropped.
   size_t results_invalidated = 0;
-  /// Stale plan-cache entries dropped (a plan chosen from pre-delta
-  /// cardinalities is stale).
-  size_t plans_invalidated = 0;
   /// True when a built DPar partition was discarded (it is rebuilt
   /// lazily on the next partition-parallel query).
   bool partition_invalidated = false;
@@ -255,12 +249,6 @@ struct EngineStats {
   /// focus or to a fresh evaluation (repair_fallbacks).
   uint64_t repair_hits = 0;
   uint64_t repair_fallbacks = 0;
-  /// Planner traffic (all zero unless queries run under algo = auto):
-  /// plans computed by the cost model, plans served from the pattern-
-  /// family plan cache, and plans dropped by ApplyDelta version sweeps.
-  uint64_t plans_built = 0;
-  uint64_t plan_hits = 0;
-  uint64_t plans_invalidated = 0;
   /// hits / (hits + misses); 0 when the cache was never consulted.
   double HitRatio() const {
     const uint64_t total = cache_hits + cache_misses;
@@ -491,11 +479,6 @@ class QueryEngine {
   std::atomic<uint64_t> version_{0};
   std::deque<GraphDeltaSummary> delta_log_;
   std::unordered_map<std::string, RepairEntry> repair_;
-  /// The algo = auto cost model and its pattern-family plan cache.
-  /// Touched only under the admission lock (planning happens inside an
-  /// admitted evaluation; the sweep inside an admitted delta), so it
-  /// needs no lock of its own — same discipline as repair_.
-  Planner planner_{options_.planner};
   /// Drain flag (SetDraining). Read lock-free by ApplyDelta admission.
   std::atomic<bool> draining_{false};
 };

@@ -32,8 +32,7 @@ Result<GarMatchResult> GarMatch(const Qgar& rule, const Graph& g, double eta,
 /// structurally overlapping patterns — the miner's hot path). Answers
 /// and metrics are identical to the per-graph overload. `algo` selects
 /// the engine matcher per query; EngineAlgo::kAuto hands the choice to
-/// the planner, whose pattern-family plan cache is exactly shaped for
-/// the miner's quantifier-only variants.
+/// the planner.
 Result<GarMatchResult> GarMatch(const Qgar& rule, QueryEngine& engine,
                                 double eta, const MatchOptions& options = {},
                                 MatchStats* stats = nullptr,

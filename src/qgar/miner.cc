@@ -61,8 +61,7 @@ Pattern WithPercent(const Pattern& antecedent, double percent) {
 }  // namespace
 
 Result<std::vector<MinedRule>> MineQgars(const Graph& g,
-                                         const MinerConfig& config,
-                                         EngineStats* engine_stats) {
+                                         const MinerConfig& config) {
   std::vector<EdgeFeature> edge_features =
       MineEdgeFeatures(g, config.top_features);
   std::vector<PathFeature> path_features = MinePathFeatures(
@@ -160,7 +159,6 @@ Result<std::vector<MinedRule>> MineQgars(const Graph& g,
               return a.confidence > b.confidence;
             });
   if (mined.size() > config.max_rules) mined.resize(config.max_rules);
-  if (engine_stats != nullptr) *engine_stats = engine.stats();
   return mined;
 }
 

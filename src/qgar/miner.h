@@ -35,10 +35,8 @@ struct MinerConfig {
   /// setting — evaluation is deterministic across thread counts.
   size_t threads = 0;
   /// Matcher every rule evaluation runs as. kAuto hands the choice to
-  /// the engine's planner — the enlargement loop's quantifier-only
-  /// variants then share one plan-cache entry (and the candidate sets
-  /// it warmed), which is the plan cache's design workload. Mined rules
-  /// are identical for any choice.
+  /// the engine's planner, per evaluation. Mined rules are identical for
+  /// any choice.
   EngineAlgo algo = EngineAlgo::kQMatch;
 };
 
@@ -54,13 +52,9 @@ struct MinedRule {
 /// those meeting the support/confidence thresholds, then (a) enlarge
 /// positive quantifiers stepwise while confidence stays above η and
 /// (b) extend consequents with further frequent edges. Returns rules
-/// sorted by support (desc), then confidence. When `engine_stats` is
-/// non-null it receives the cumulative EngineStats of the mining run's
-/// internal QueryEngine (plan/candidate/result-cache traffic included),
-/// so drivers can assert e.g. that auto mining hit the plan cache.
+/// sorted by support (desc), then confidence.
 Result<std::vector<MinedRule>> MineQgars(const Graph& g,
-                                         const MinerConfig& config,
-                                         EngineStats* engine_stats = nullptr);
+                                         const MinerConfig& config);
 
 }  // namespace qgp
 

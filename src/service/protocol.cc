@@ -414,9 +414,6 @@ JsonValue EngineStatsToJson(const EngineStats& s) {
   out["results_invalidated"] = s.results_invalidated;
   out["repair_hits"] = s.repair_hits;
   out["repair_fallbacks"] = s.repair_fallbacks;
-  out["plans_built"] = s.plans_built;
-  out["plan_hits"] = s.plan_hits;
-  out["plans_invalidated"] = s.plans_invalidated;
   out["match"] = MatchStatsToJson(s.match);
   return JsonValue(std::move(out));
 }
@@ -436,7 +433,6 @@ std::string EncodeQueryResponse(const QueryOutcome& outcome) {
   out["result_cache_hit"] = outcome.result_cache_hit;
   out["delta_repaired"] = outcome.delta_repaired;
   out["algo"] = EngineAlgoName(outcome.algo);
-  out["plan_cache_hit"] = outcome.plan_cache_hit;
   out["stats"] = MatchStatsToJson(outcome.stats);
   return JsonValue(std::move(out)).Dump();
 }
@@ -454,7 +450,6 @@ std::string EncodeDeltaResponse(const DeltaOutcome& outcome,
   out["edges_removed"] = uint64_t{outcome.edges_removed};
   out["candidate_sets_evicted"] = uint64_t{outcome.candidate_sets_evicted};
   out["results_invalidated"] = uint64_t{outcome.results_invalidated};
-  out["plans_invalidated"] = uint64_t{outcome.plans_invalidated};
   out["partition_invalidated"] = outcome.partition_invalidated;
   out["wall_ms"] = outcome.wall_ms;
   return JsonValue(std::move(out)).Dump();
@@ -566,10 +561,6 @@ Result<ServiceResponse> DecodeResponse(std::string_view line) {
     if (const JsonValue* algo = doc.Find("algo");
         algo != nullptr && algo->is_string()) {
       response.algo = algo->as_string();
-    }
-    if (const JsonValue* plan_hit = doc.Find("plan_cache_hit");
-        plan_hit != nullptr && plan_hit->is_bool()) {
-      response.plan_cache_hit = plan_hit->as_bool();
     }
   } else if (response.op == "delta") {
     QGP_ASSIGN_OR_RETURN(response.graph_version,

@@ -138,8 +138,6 @@ struct ServiceResponse {
   /// The matcher that produced the answer (EngineAlgoName string) — the
   /// planner's choice when the request ran with algo "auto".
   std::string algo;
-  /// True when an auto query's pattern family hit the plan cache.
-  bool plan_cache_hit = false;
   /// Graph version after a delta op (ok && op == "delta"); the rest of
   /// the DeltaOutcome (net counts, invalidation tallies) is in `body`.
   uint64_t graph_version = 0;

@@ -65,7 +65,6 @@ Result<QueryOutcome> RemoteShard::Submit(const ShardQuery& query) {
   outcome.cache_misses = response.cache_misses;
   outcome.result_cache_hit = response.result_cache_hit;
   outcome.delta_repaired = response.delta_repaired;
-  outcome.plan_cache_hit = response.plan_cache_hit;
   if (std::optional<EngineAlgo> algo = ParseEngineAlgo(response.algo);
       algo.has_value()) {
     outcome.algo = *algo;

@@ -8,9 +8,9 @@
 //
 // Covered: batch boundaries (1, 63, 64, 65, 129 foci), foci outside
 // good(focus) mixed into a batch, a hub whose ball passes ball_limit
-// batched with ordinary foci, radius 1 to 3, edge labels outside the
-// ball filter's range, negated patterns (Π(Q), then Π(Q⁺ᵉ) seeded from
-// Π(Q)'s caches), pool sizes 1/2/4/8, and cancellation inside a batch.
+// batched with ordinary foci, radius 1 to 3, negated patterns (Π(Q),
+// then Π(Q⁺ᵉ) seeded from Π(Q)'s caches), pool sizes 1/2/4/8, and
+// cancellation inside a batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,9 +34,7 @@ namespace {
 constexpr VertexId kHub = 0;
 
 // Random graph over node labels p/q and edge labels e0..e3, with one hub
-// (vertex 0) wired to a third of the graph. Node labels are interned
-// first, so the edge labels take the highest label ids — a ball filter
-// sized below the dictionary leaves e2/e3 outside its range.
+// (vertex 0) wired to a third of the graph.
 Graph MakeGraph(uint64_t seed, size_t n = 800) {
   std::mt19937 rng(static_cast<uint32_t>(seed));
   GraphBuilder builder;
@@ -134,15 +132,11 @@ Outcome PerFocusQMatch(const Pattern& q, const Graph& g,
                        std::span<const VertexId> subset,
                        const MatchOptions& options) {
   Outcome o;
-  DynamicBitset ball_labels(g.dict().size());
-  for (PatternEdgeId e = 0; e < q.num_edges(); ++e) {
-    ball_labels.Set(q.edge(e).label);
-  }
   auto pi = q.Pi();
   EXPECT_TRUE(pi.ok());
   auto ev0 = PositiveEvaluator::Create(
       std::move(pi.value().first), g, options,
-      &pi.value().second.edge_to_original, q.num_edges(), &ball_labels);
+      &pi.value().second.edge_to_original, q.num_edges());
   EXPECT_TRUE(ev0.ok()) << ev0.status().ToString();
   const std::vector<PatternEdgeId> negated = q.NegatedEdgeIds();
   Outcome pi_run = PerFocus(*ev0, subset.empty() ? ev0->FocusCandidates()
@@ -157,7 +151,7 @@ Outcome PerFocusQMatch(const Pattern& q, const Graph& g,
     EXPECT_TRUE(pi_pos.ok());
     auto ev_e = PositiveEvaluator::Create(
         std::move(pi_pos.value().first), g, options,
-        &pi_pos.value().second.edge_to_original, q.num_edges(), &ball_labels);
+        &pi_pos.value().second.edge_to_original, q.num_edges());
     EXPECT_TRUE(ev_e.ok()) << ev_e.status().ToString();
     o.stats.inc_candidates_checked += o.answers.size();
     AnswerSet negative;
@@ -306,31 +300,6 @@ TEST(BatchVerifyDifferentialTest, BatchBoundariesAndMixedFoci) {
     EXPECT_GT(complete_balls, 0u);
   }
   EXPECT_GT(hub_guarded, 0u) << "no guarded hub ever entered a batch";
-}
-
-// A ball filter sized below the label dictionary: e2/e3 lie outside its
-// range and are traversed, e1 is inside and excluded. Both paths must
-// build the same (filtered) balls.
-TEST(BatchVerifyDifferentialTest, LabelsOutsideTheFilterRange) {
-  Graph g = MakeGraph(9);
-  const Label e0 = g.dict().Find("e0");
-  const Label e2 = g.dict().Find("e2");
-  ASSERT_LT(e0, e2);
-  DynamicBitset filter(e2);  // e2 and above are out of range
-  filter.Set(e0);
-  for (const Case& c : PositiveCases()) {
-    SCOPED_TRACE(c.name);
-    Pattern q = Parse(c.text, g);
-    auto ev = PositiveEvaluator::Create(q, g, HubGuarded(q, g, filter),
-                                        nullptr, 0, &filter);
-    ASSERT_TRUE(ev.ok()) << ev.status().ToString();
-    const std::vector<VertexId> mixed = MixedFoci(*ev, g);
-    const Outcome ref = PerFocus(*ev, mixed);
-    const Outcome got = Batched(*ev, mixed);
-    EXPECT_EQ(got.answers, ref.answers);
-    ExpectSameWork(got.stats, ref.stats);
-    ExpectSameCaches(got.caches, ref.caches);
-  }
 }
 
 // End to end through QMatch's focus map at every pool size, positive and

@@ -168,8 +168,7 @@ TEST(CandidateSpaceParallelTest, QMatchAndDMatchAnswersMatchSerial) {
         ThreadPool pool(4);
         CandidateCache cache(g);
         auto ev_par = PositiveEvaluator::Create(
-            pi.value().first, g, MatchOptions{}, nullptr, 0, nullptr, &pool,
-            &cache);
+            pi.value().first, g, MatchOptions{}, nullptr, 0, &pool, &cache);
         ASSERT_TRUE(ev_par.ok());
         EXPECT_EQ(ev_serial->EvaluateAll(nullptr, nullptr),
                   ev_par->EvaluateAll(nullptr, nullptr))

@@ -43,6 +43,13 @@ PatternGenConfig MakePatternConfig(uint64_t seed) {
   return pc;
 }
 
+// QMatchn, the §7 baseline: every Π(Q⁺ᵉ) recomputed from scratch.
+MatchOptions QMatchnOptions() {
+  MatchOptions o;
+  o.use_incremental_negation = false;
+  return o;
+}
+
 // All four matchers against the brute-force oracle, across enough seeds
 // to accumulate at least 200 fully compared cases.
 TEST(DifferentialTest, MatchersAgreeOnRandomizedCases) {
@@ -64,7 +71,7 @@ TEST(DifferentialTest, MatchersAgreeOnRandomizedCases) {
       if (!en.ok()) continue;  // enum overflow on a hub-heavy case
       auto qm = QMatch::Evaluate(q, g);
       ASSERT_TRUE(qm.ok()) << qm.status().ToString();
-      auto qmn = QMatchNaiveEvaluate(q, g);
+      auto qmn = QMatch::Evaluate(q, g, QMatchnOptions());
       ASSERT_TRUE(qmn.ok()) << qmn.status().ToString();
       EXPECT_EQ(qm.value(), oracle.value()) << "QMatch disagrees";
       EXPECT_EQ(qmn.value(), oracle.value()) << "QMatchn disagrees";
@@ -98,7 +105,7 @@ TEST(DifferentialTest, IncrementalNegationAgreesOnNegatedPatterns) {
                    std::to_string(i) + ":\n" + q.ToString(&g.dict()));
       auto qm = QMatch::Evaluate(q, g);
       ASSERT_TRUE(qm.ok()) << qm.status().ToString();
-      auto qmn = QMatchNaiveEvaluate(q, g);
+      auto qmn = QMatch::Evaluate(q, g, QMatchnOptions());
       ASSERT_TRUE(qmn.ok()) << qmn.status().ToString();
       EXPECT_EQ(qm.value(), qmn.value())
           << "IncQMatch and full recomputation disagree";

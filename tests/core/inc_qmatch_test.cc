@@ -23,27 +23,20 @@ namespace qgp {
 namespace {
 
 // Shared fixture state: Π(Q) and Π(Q⁺ᵉ) evaluators for Q3 over G1,
-// built the way QMatch builds them — both with the ORIGINAL pattern's
-// ball-label filter. The
-// graph member is constructed first and never moved afterwards (the
-// evaluators reference it).
+// built the way QMatch builds them — each with its own pattern's
+// ball-label filter. The graph member is constructed first and never
+// moved afterwards (the evaluators reference it).
 class IncSetup {
  public:
   IncSetup() : g_(testing::BuildG1(nullptr)) {
     Pattern q3 = testing::BuildQ3(g_.mutable_dict(), 2);
     MatchOptions opts;
 
-    ball_labels_ = DynamicBitset(g_.dict().size());
-    for (PatternEdgeId e = 0; e < q3.num_edges(); ++e) {
-      Label l = q3.edge(e).label;
-      if (l < ball_labels_.size()) ball_labels_.Set(l);
-    }
-
     auto pi = q3.Pi();
     EXPECT_TRUE(pi.ok());
     auto ev0 = PositiveEvaluator::Create(
         pi.value().first, g_, opts, &pi.value().second.edge_to_original,
-        q3.num_edges(), &ball_labels_);
+        q3.num_edges());
     EXPECT_TRUE(ev0.ok());
     ev0_.emplace(std::move(ev0).value());
 
@@ -54,8 +47,7 @@ class IncSetup {
     EXPECT_TRUE(pi_pos.ok());
     auto ev_e = PositiveEvaluator::Create(
         pi_pos.value().first, g_, opts,
-        &pi_pos.value().second.edge_to_original, q3.num_edges(),
-        &ball_labels_);
+        &pi_pos.value().second.edge_to_original, q3.num_edges());
     EXPECT_TRUE(ev_e.ok());
     ev_e_.emplace(std::move(ev_e).value());
 
@@ -71,7 +63,6 @@ class IncSetup {
 
  private:
   Graph g_;
-  DynamicBitset ball_labels_;
   std::optional<PositiveEvaluator> ev0_;
   std::optional<PositiveEvaluator> ev_e_;
 };

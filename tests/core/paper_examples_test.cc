@@ -75,7 +75,9 @@ TEST_F(PaperExamplesTest, Example4_Q3NegationExcludesX3) {
   ASSERT_TRUE(qmatch.ok()) << qmatch.status().ToString();
   EXPECT_EQ(qmatch.value(), expected);
 
-  auto qmatchn = QMatchNaiveEvaluate(q3, g1_);
+  MatchOptions qmatchn_options;
+  qmatchn_options.use_incremental_negation = false;
+  auto qmatchn = QMatch::Evaluate(q3, g1_, qmatchn_options);
   ASSERT_TRUE(qmatchn.ok());
   EXPECT_EQ(qmatchn.value(), expected);
 

@@ -77,7 +77,9 @@ TEST_P(OracleAgreementTest, AllMatchersAgreeWithNaive) {
     ASSERT_TRUE(qm.ok()) << qm.status().ToString();
     EXPECT_EQ(qm.value(), oracle.value()) << "QMatch disagrees";
 
-    auto qmn = QMatchNaiveEvaluate(q, g);
+    MatchOptions qmn_options;
+    qmn_options.use_incremental_negation = false;
+    auto qmn = QMatch::Evaluate(q, g, qmn_options);
     ASSERT_TRUE(qmn.ok()) << qmn.status().ToString();
     EXPECT_EQ(qmn.value(), oracle.value()) << "QMatchn disagrees";
 

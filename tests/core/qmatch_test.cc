@@ -27,7 +27,9 @@ TEST(QMatchTest, IncrementalAndNaiveNegationAgree) {
   Graph g = testing::BuildG1(&ids);
   Pattern q3 = testing::BuildQ3(g.mutable_dict(), 2);
   auto inc = QMatch::Evaluate(q3, g);
-  auto naive = QMatchNaiveEvaluate(q3, g);
+  MatchOptions naive_options;
+  naive_options.use_incremental_negation = false;
+  auto naive = QMatch::Evaluate(q3, g, naive_options);
   ASSERT_TRUE(inc.ok());
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(inc.value(), naive.value());

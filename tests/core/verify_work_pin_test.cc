@@ -198,17 +198,11 @@ TEST_F(VerifyWorkPinTest, WarmIncQMatch) {
   size_t warm_runs = 0;
   for (size_t i = 0; i < patterns_->size(); ++i) {
     const Pattern& q = (*patterns_)[i];
-    DynamicBitset ball_labels(graph_->dict().size());
-    for (PatternEdgeId e = 0; e < q.num_edges(); ++e) {
-      if (q.edge(e).label < ball_labels.size()) {
-        ball_labels.Set(q.edge(e).label);
-      }
-    }
     auto pi = q.Pi();
     ASSERT_TRUE(pi.ok());
     auto ev0 = PositiveEvaluator::Create(
         pi->first, *graph_, options, &pi->second.edge_to_original,
-        q.num_edges(), &ball_labels);
+        q.num_edges());
     ASSERT_TRUE(ev0.ok());
     std::unordered_map<VertexId, FocusCache> caches;
     const AnswerSet cold = ev0->EvaluateAll(&work.stats, &caches);
@@ -220,7 +214,7 @@ TEST_F(VerifyWorkPinTest, WarmIncQMatch) {
       ASSERT_TRUE(pi_pos.ok());
       auto ev_e = PositiveEvaluator::Create(
           pi_pos->first, *graph_, options,
-          &pi_pos->second.edge_to_original, q.num_edges(), &ball_labels);
+          &pi_pos->second.edge_to_original, q.num_edges());
       ASSERT_TRUE(ev_e.ok());
       work.MixAnswers(i, IncQMatchEvaluate(*ev_e, cold, caches, &work.stats));
       warm_runs += cold.empty() ? 0 : 1;

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -378,8 +377,7 @@ TEST(EngineDeltaDifferential, RejectedDeltaPerturbsNothing) {
 // answers and work counters — as an auto query on a fresh engine over a
 // rebuilt content-equal graph. The planner reads its statistics through
 // the (post-sweep) candidate cache, so this locks down that plans never
-// depend on pre-delta state; DeltaOutcome/EngineStats invalidation
-// counters are audited along the way.
+// depend on pre-delta state.
 TEST(EngineDeltaDifferential, AutoPlansMatchRebuildAfterDeltas) {
   for (uint64_t seed : {21u, 22u}) {
     Graph base = MakeGraph(seed);
@@ -387,26 +385,18 @@ TEST(EngineDeltaDifferential, AutoPlansMatchRebuildAfterDeltas) {
         FilterEvaluable(MakeWorkload(base, seed), base, 4);
     for (QuerySpec& spec : workload) spec.algo = EngineAlgo::kAuto;
     ASSERT_FALSE(workload.empty());
-    std::set<std::string> families;
-    for (const QuerySpec& spec : workload) {
-      families.insert(Planner::FamilyKey(spec.pattern));
-    }
 
     EngineOptions opts;
     opts.num_threads = 4;
     QueryEngine engine(std::move(base), opts);
-    // Populate the plan cache so the first delta has entries to sweep.
+    // Warm the candidate cache so the first delta has entries to sweep.
     for (const QuerySpec& spec : workload) ASSERT_TRUE(engine.Submit(spec).ok());
-    uint64_t swept_total = 0;
 
     std::mt19937 rng(seed * 31 + 7);
     for (int batch = 0; batch < 6; ++batch) {
       GraphDelta delta = RandomDelta(engine.graph(), &rng, 1 + rng() % 5);
       auto applied = engine.ApplyDelta(delta);
       ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-      // Every family planned since the last delta is stale now.
-      EXPECT_EQ(applied->plans_invalidated, families.size());
-      swept_total += applied->plans_invalidated;
 
       Graph rebuilt = RebuildLike(engine.graph());
       QueryEngine reference(&rebuilt, opts);
@@ -424,12 +414,6 @@ TEST(EngineDeltaDifferential, AutoPlansMatchRebuildAfterDeltas) {
         ExpectSameWork(got->stats, want->stats, context);
       }
     }
-    EXPECT_EQ(engine.stats().plans_invalidated, swept_total);
-    // A repeat pass with no intervening delta is served from the plan
-    // cache: one hit per spec (failed evaluations plan too).
-    const uint64_t hits_before = engine.stats().plan_hits;
-    for (const QuerySpec& spec : workload) (void)engine.Submit(spec);
-    EXPECT_GE(engine.stats().plan_hits, hits_before + families.size());
   }
 }
 

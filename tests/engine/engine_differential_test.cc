@@ -82,9 +82,7 @@ bool RunStandalone(const QuerySpec& spec, const Graph& g, AnswerSet* answers,
   Result<AnswerSet> r = Status::Ok();
   switch (*spec.algo) {
     case EngineAlgo::kQMatch:
-      r = spec.options.use_incremental_negation
-              ? QMatch::Evaluate(spec.pattern, g, spec.options, stats)
-              : QMatchNaiveEvaluate(spec.pattern, g, spec.options, stats);
+      r = QMatch::Evaluate(spec.pattern, g, spec.options, stats);
       break;
     default:
       r = EnumMatcher::Evaluate(spec.pattern, g, spec.options, stats);

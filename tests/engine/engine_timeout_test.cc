@@ -180,12 +180,10 @@ TEST(EngineTimeoutTest, ApplyDeltaBoundedWaitWhileDraining) {
   EXPECT_TRUE(applied.ok()) << applied.status().ToString();
 }
 
-// Under algo=auto, a timed-out query's freshly built plan is forgotten:
-// the aborted run proves nothing about the plan's quality, and a poisoned
-// plan cache would silently survive into every later query of the same
-// pattern family. The clean re-run re-plans from scratch, and only
-// after IT succeeds does the family start hitting the plan cache.
-TEST(EngineTimeoutTest, TimedOutAutoQueryForgetsItsPlan) {
+// Under algo=auto, a timed-out query admits nothing either: whatever
+// the planner's focus-count probe and the matcher interned is rolled
+// back, and the clean and repeat runs answer alike.
+TEST(EngineTimeoutTest, TimedOutAutoQueryAdmitsNothing) {
   SlowCase& slow = Slow();
   QueryEngine engine(&slow.graph, EngineOptions{});
 
@@ -195,19 +193,14 @@ TEST(EngineTimeoutTest, TimedOutAutoQueryForgetsItsPlan) {
   ASSERT_FALSE(aborted.ok());
   ASSERT_EQ(aborted.status().code(), StatusCode::kDeadlineExceeded)
       << aborted.status().ToString();
-  EXPECT_EQ(engine.stats().plans_built, 1u);
-  EXPECT_EQ(engine.stats().plan_hits, 0u);
+  EXPECT_EQ(engine.cache().size(), 0u);
 
   auto clean = engine.Submit(SlowSpec(EngineAlgo::kAuto));
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  EXPECT_FALSE(clean->plan_cache_hit) << "the aborted run's plan survived";
-  EXPECT_EQ(engine.stats().plans_built, 2u);
-
-  auto warm = engine.Submit(SlowSpec(EngineAlgo::kAuto));
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm->plan_cache_hit);
-  EXPECT_EQ(warm->answers, clean->answers);
-  EXPECT_EQ(engine.stats().plan_hits, 1u);
+  auto repeat = engine.Submit(SlowSpec(EngineAlgo::kAuto));
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_EQ(repeat->algo, clean->algo);
+  EXPECT_EQ(repeat->answers, clean->answers);
 }
 
 }  // namespace

@@ -3,20 +3,18 @@
 // identical to submitting the planner's chosen algorithm manually, at
 // thread counts {1, 2, 4, 8} — the planner may change the schedule but
 // never the work. The rest pins the cost model's decision boundaries on
-// hand-built graphs, the pattern-family plan cache (quantifier-only
-// variants share one entry; ApplyDelta sweeps it), the effective-algo
-// result-cache keying, and the cache-bypass path.
+// hand-built graphs (quantifier-only variants plan alike; cache-bypassing
+// specs plan like shared ones), and the effective-algo result-cache
+// keying.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "engine/planner.h"
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
 #include "graph/graph_builder.h"
-#include "graph/graph_delta.h"
 
 namespace qgp {
 namespace {
@@ -63,8 +61,7 @@ Pattern UserPattern(const Quantifier& quant) {
 }
 
 // Work-counter identity: everything but the scheduler telemetry (which
-// describes the schedule, not the work — see match_types.h). The
-// planner's scheduler_grain fill lands exactly in the excluded fields.
+// describes the schedule, not the work — see match_types.h).
 void ExpectSameWork(const MatchStats& a, const MatchStats& b,
                     const std::string& context) {
   EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << context;
@@ -75,49 +72,6 @@ void ExpectSameWork(const MatchStats& a, const MatchStats& b,
   EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << context;
   EXPECT_EQ(a.inc_candidates_checked, b.inc_candidates_checked) << context;
   EXPECT_EQ(a.balls_built, b.balls_built) << context;
-}
-
-// ---------------------------------------------------------------------
-// Family key
-
-TEST(PlannerFamilyKey, StripsQuantifierParameters) {
-  // The miner's enlargement loop: same structure, ratios 30/40/…/100.
-  const std::string base =
-      Planner::FamilyKey(UserPattern(Quantifier::Ratio(QuantOp::kGe, 30.0)));
-  for (double p : {40.0, 55.5, 100.0}) {
-    EXPECT_EQ(Planner::FamilyKey(UserPattern(Quantifier::Ratio(QuantOp::kGe, p))),
-              base);
-  }
-  // Count thresholds and comparison ops are parameters too.
-  EXPECT_EQ(Planner::FamilyKey(UserPattern(Quantifier::Numeric(QuantOp::kGe, 5))),
-            base);
-  EXPECT_EQ(Planner::FamilyKey(UserPattern(Quantifier::Numeric(QuantOp::kEq, 2))),
-            base);
-}
-
-TEST(PlannerFamilyKey, SeparatesClassesAndStructure) {
-  const std::string counting =
-      Planner::FamilyKey(UserPattern(Quantifier::Numeric(QuantOp::kGe, 2)));
-  const std::string existential =
-      Planner::FamilyKey(UserPattern(Quantifier::Numeric(QuantOp::kGe, 1)));
-  const std::string negated =
-      Planner::FamilyKey(UserPattern(Quantifier::Negation()));
-  // The three quantifier classes are distinct families: they dispatch to
-  // genuinely different machinery.
-  EXPECT_NE(counting, existential);
-  EXPECT_NE(counting, negated);
-  EXPECT_NE(existential, negated);
-
-  // Focus and labels are structural.
-  Pattern refocused = UserPattern(Quantifier::Numeric(QuantOp::kGe, 2));
-  (void)refocused.set_focus(1);
-  EXPECT_NE(Planner::FamilyKey(refocused), counting);
-  Pattern relabeled;
-  PatternNodeId a = relabeled.AddNode(3, "user");
-  PatternNodeId b = relabeled.AddNode(1, "page");
-  (void)relabeled.AddEdge(a, b, 2, Quantifier::Numeric(QuantOp::kGe, 2));
-  (void)relabeled.set_focus(a);
-  EXPECT_NE(Planner::FamilyKey(relabeled), counting);
 }
 
 // ---------------------------------------------------------------------
@@ -213,16 +167,13 @@ TEST(PlannerDecisions, NegatedPatternsPlanToQmatchAndRespectOptions) {
   auto outcome = engine.Submit(spec);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->algo, EngineAlgo::kQMatch);
-  EXPECT_FALSE(outcome->plan_cache_hit);
 
-  // Same family, incremental negation disabled: the plan entry is
-  // shared and the flag passes through, so the effective algorithm is
-  // qmatch running as the QMatchn baseline.
+  // Incremental negation disabled: the flag passes through, so the
+  // effective algorithm is qmatch running as the QMatchn baseline.
   spec.options.use_incremental_negation = false;
   auto naive = engine.Submit(spec);
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(naive->algo, EngineAlgo::kQMatch);
-  EXPECT_TRUE(naive->plan_cache_hit);
   EXPECT_EQ(naive->answers, outcome->answers);
 }
 
@@ -259,72 +210,44 @@ TEST(PlannerDecisions, PartitionCutoffRoutesToParallelAlgos) {
   EXPECT_EQ(pe->answers, pe_serial->answers);
 }
 
-// ---------------------------------------------------------------------
-// Plan cache
-
-TEST(PlannerCache, QuantifierVariantsShareOnePlan) {
+TEST(PlannerDecisions, QuantifierVariantsPlanAlike) {
   Graph g = MakeTinyFocusGraph();
   QueryEngine engine(&g);
-  // The miner's enlargement loop: ratio 30 → 100 in steps of 10.
-  size_t submitted = 0;
+  // The miner's enlargement loop: ratio 30 → 100 in steps of 10. Only
+  // the quantifier's parameter moves, so every variant plans alike.
+  std::vector<EngineAlgo> chosen;
   for (double p = 30.0; p <= 100.0; p += 10.0) {
     QuerySpec spec;
     spec.pattern = UserPattern(Quantifier::Ratio(QuantOp::kGe, p));
     spec.algo = EngineAlgo::kAuto;
     auto outcome = engine.Submit(spec);
-    ASSERT_TRUE(outcome.ok());
-    EXPECT_EQ(outcome->plan_cache_hit, submitted > 0) << "percent " << p;
-    ++submitted;
+    ASSERT_TRUE(outcome.ok()) << "percent " << p;
+    chosen.push_back(outcome->algo);
   }
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.plans_built, 1u);
-  EXPECT_EQ(stats.plan_hits, submitted - 1);
+  ASSERT_EQ(chosen.size(), 8u);
+  for (EngineAlgo algo : chosen) EXPECT_EQ(algo, EngineAlgo::kQMatch);
 }
 
-TEST(PlannerCache, DeltaSweepsPlanCacheExactly) {
-  Graph base = MakeTinyFocusGraph();
-  QueryEngine engine(std::move(base));
-  QuerySpec counting;
-  counting.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 2));
-  counting.algo = EngineAlgo::kAuto;
-  QuerySpec negated;
-  negated.pattern = UserPattern(Quantifier::Negation());
-  negated.algo = EngineAlgo::kAuto;
-  ASSERT_TRUE(engine.Submit(counting).ok());
-  ASSERT_TRUE(engine.Submit(negated).ok());
-
-  // A no-op delta still bumps the version: every stored plan predates it.
-  auto outcome = engine.ApplyDelta(GraphDelta{});
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->plans_invalidated, 2u);
-  EXPECT_EQ(engine.stats().plans_invalidated, 2u);
-
-  // Post-delta the family re-plans (miss), then caches again (hit).
-  auto miss = engine.Submit(counting);
-  ASSERT_TRUE(miss.ok());
-  EXPECT_FALSE(miss->plan_cache_hit);
-  auto hit = engine.Submit(counting);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit->plan_cache_hit);
-}
-
-TEST(PlannerCache, CacheBypassingSpecsSkipThePlanCache) {
+TEST(PlannerDecisions, CacheBypassingSpecsPlanAlike) {
   Graph g = MakeTinyFocusGraph();
-  QueryEngine engine(&g);
-  QuerySpec spec;
-  spec.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 2));
-  spec.algo = EngineAlgo::kAuto;
-  spec.share_cache = false;
-  for (int i = 0; i < 3; ++i) {
-    auto outcome = engine.Submit(spec);
-    ASSERT_TRUE(outcome.ok());
-    // Fresh estimate, fresh plan, nothing stored: never a hit.
-    EXPECT_FALSE(outcome->plan_cache_hit);
-    EXPECT_EQ(outcome->algo, EngineAlgo::kQMatch);
+  // The conventional pattern reads the focus count, fresh when the spec
+  // bypasses the shared cache; the counting one never reads it.
+  for (const Quantifier& quant : {Quantifier::Numeric(QuantOp::kGe, 1),
+                                  Quantifier::Numeric(QuantOp::kGe, 2)}) {
+    QueryEngine engine(&g);
+    QuerySpec spec;
+    spec.pattern = UserPattern(quant);
+    spec.algo = EngineAlgo::kAuto;
+    spec.share_cache = false;
+    auto bypassing = engine.Submit(spec);
+    ASSERT_TRUE(bypassing.ok());
+    EXPECT_EQ(engine.cache().size(), 0u) << "a bypassing spec interned";
+    spec.share_cache = true;
+    auto shared = engine.Submit(spec);
+    ASSERT_TRUE(shared.ok());
+    EXPECT_EQ(bypassing->algo, shared->algo);
+    EXPECT_EQ(bypassing->answers, shared->answers);
   }
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.plans_built, 3u);
-  EXPECT_EQ(stats.plan_hits, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -398,7 +321,6 @@ TEST(PlannerDefaults, DefaultAlgoAutoAppliesToBareSpecs) {
   auto outcome = engine.Submit(spec);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->algo, EngineAlgo::kEnum);
-  EXPECT_EQ(engine.stats().plans_built, 1u);
 
   // An explicit spec algo still overrides the engine default.
   spec.algo = EngineAlgo::kQMatch;

@@ -81,7 +81,7 @@ TEST(QueryEngineTest, SequentialAlgosMatchStandalone) {
     via_engine = engine.Submit(spec);
     ASSERT_TRUE(via_engine.ok());
     EXPECT_EQ(via_engine->algo, EngineAlgo::kQMatch);
-    standalone = QMatchNaiveEvaluate(q, g);
+    standalone = QMatch::Evaluate(q, g, spec.options);
     ASSERT_TRUE(standalone.ok());
     EXPECT_EQ(via_engine->answers, standalone.value());
     spec.options.use_incremental_negation = true;
@@ -344,7 +344,8 @@ TEST(QueryEngineTest, ResultCacheKeepsNegationModesApart) {
     EXPECT_FALSE(naive->result_cache_hit);
     EXPECT_EQ(naive->algo, EngineAlgo::kQMatch);
     MatchStats standalone_stats;
-    auto standalone = QMatchNaiveEvaluate(q, g, {}, &standalone_stats);
+    auto standalone =
+        QMatch::Evaluate(q, g, spec.options, &standalone_stats);
     ASSERT_TRUE(standalone.ok());
     EXPECT_EQ(naive->answers, standalone.value());
     EXPECT_EQ(naive->answers, incremental->answers);

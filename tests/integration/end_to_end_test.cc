@@ -85,7 +85,9 @@ TEST(EndToEndTest, KnowledgeDiscoveryPipeline) {
   ASSERT_TRUE(q4.ok()) << q4.status().ToString();
 
   auto inc = QMatch::Evaluate(*q4, g);
-  auto full = QMatchNaiveEvaluate(*q4, g);
+  MatchOptions full_options;
+  full_options.use_incremental_negation = false;
+  auto full = QMatch::Evaluate(*q4, g, full_options);
   ASSERT_TRUE(inc.ok());
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(inc.value(), full.value());

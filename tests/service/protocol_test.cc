@@ -231,7 +231,6 @@ TEST(ProtocolTest, QueryResponseRoundTrips) {
   outcome.cache_misses = 1;
   outcome.result_cache_hit = true;
   outcome.algo = EngineAlgo::kEnum;
-  outcome.plan_cache_hit = true;
   outcome.stats.search_extensions = 211;
   outcome.stats.isomorphisms_enumerated = 99;
   outcome.stats.balls_built = 7;
@@ -247,10 +246,9 @@ TEST(ProtocolTest, QueryResponseRoundTrips) {
   EXPECT_EQ(decoded->cache_hits, 4u);
   EXPECT_EQ(decoded->cache_misses, 1u);
   EXPECT_TRUE(decoded->result_cache_hit);
-  // The effective matcher and the planner's cache verdict ride along so
-  // clients see what algo = auto resolved to.
+  // The effective matcher rides along so clients see what algo = auto
+  // resolved to.
   EXPECT_EQ(decoded->algo, "enum");
-  EXPECT_TRUE(decoded->plan_cache_hit);
   EXPECT_EQ(decoded->stats.search_extensions, 211u);
   EXPECT_EQ(decoded->stats.isomorphisms_enumerated, 99u);
   EXPECT_EQ(decoded->stats.balls_built, 7u);
@@ -266,7 +264,6 @@ TEST(ProtocolTest, DeltaResponseRoundTrips) {
   outcome.edges_removed = 4;
   outcome.candidate_sets_evicted = 6;
   outcome.results_invalidated = 7;
-  outcome.plans_invalidated = 8;
   outcome.partition_invalidated = true;
   outcome.wall_ms = 0.25;
 
@@ -283,7 +280,6 @@ TEST(ProtocolTest, DeltaResponseRoundTrips) {
   EXPECT_EQ(decoded->body.Find("edges_removed")->as_number(), 4);
   EXPECT_EQ(decoded->body.Find("candidate_sets_evicted")->as_number(), 6);
   EXPECT_EQ(decoded->body.Find("results_invalidated")->as_number(), 7);
-  EXPECT_EQ(decoded->body.Find("plans_invalidated")->as_number(), 8);
   EXPECT_TRUE(decoded->body.Find("partition_invalidated")->as_bool());
 
   // A delta response without its version is rejected, not defaulted.
@@ -297,9 +293,6 @@ TEST(ProtocolTest, StatsResponseCarriesDeltaTelemetry) {
   engine.results_invalidated = 9;
   engine.repair_hits = 5;
   engine.repair_fallbacks = 2;
-  engine.plans_built = 11;
-  engine.plan_hits = 6;
-  engine.plans_invalidated = 3;
   ServiceStats service;
   service.deltas_ok = 4;
   service.deltas_failed = 1;
@@ -313,9 +306,6 @@ TEST(ProtocolTest, StatsResponseCarriesDeltaTelemetry) {
   EXPECT_EQ(e->Find("results_invalidated")->as_number(), 9);
   EXPECT_EQ(e->Find("repair_hits")->as_number(), 5);
   EXPECT_EQ(e->Find("repair_fallbacks")->as_number(), 2);
-  EXPECT_EQ(e->Find("plans_built")->as_number(), 11);
-  EXPECT_EQ(e->Find("plan_hits")->as_number(), 6);
-  EXPECT_EQ(e->Find("plans_invalidated")->as_number(), 3);
   const JsonValue* s = decoded->body.Find("service");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->Find("deltas_ok")->as_number(), 4);

@@ -208,7 +208,6 @@ TEST(ShardWireFuzz, QueryResponsesRoundTripExactly) {
     outcome.stats = RandomStats(&rng);
     outcome.wall_ms = (rng() % 100000) / 16.0;  // dyadic: exact in JSON
     outcome.algo = static_cast<EngineAlgo>(rng() % 5);
-    outcome.plan_cache_hit = rng() % 2 == 0;
     outcome.cache_hits = rng() % 100;
     outcome.cache_misses = rng() % 100;
     outcome.result_cache_hit = rng() % 2 == 0;
@@ -237,7 +236,6 @@ TEST(ShardWireFuzz, DeltaAndErrorResponsesRoundTrip) {
     d.edges_removed = rng() % 50;
     d.candidate_sets_evicted = rng() % 50;
     d.results_invalidated = rng() % 50;
-    d.plans_invalidated = rng() % 50;
     d.partition_invalidated = rng() % 2 == 0;
     auto decoded = DecodeResponse(EncodeDeltaResponse(d, "dl"));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();

@@ -103,19 +103,15 @@ TEST(CliTest, MatchAlgoAutoSurfacesPlannerDecision) {
     f << "node xo person\nnode z person\nnode r product\n"
          "edge xo z follow =100%\nedge z r recom\nfocus xo\n";
   }
-  // One pattern file passed twice = a two-entry batch on one engine:
-  // the second entry replans the same family from the plan cache.
+  // One pattern file passed twice = a two-entry batch on one engine.
   CliResult r =
       RunTool({"match", graph, pattern, pattern, "--algo=auto", "--stats"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("matches: 1"), std::string::npos);
-  // The planner's decision is surfaced per query (the resolved matcher,
-  // never "auto") and in the engine stats line.
+  // The planner's decision is surfaced per query: the resolved matcher,
+  // never "auto".
   EXPECT_NE(r.out.find(" [algo="), std::string::npos);
   EXPECT_EQ(r.out.find("[algo=auto"), std::string::npos);
-  EXPECT_NE(r.out.find(", plan cached]"), std::string::npos);
-  EXPECT_NE(r.out.find("plans_built=1"), std::string::npos);
-  EXPECT_NE(r.out.find("plan_hits=1"), std::string::npos);
 }
 
 TEST(CliTest, MatchBatchSharesOneEngine) {

@@ -214,10 +214,8 @@ int CmdMatch(const Args& args, std::ostream& out, std::ostream& err) {
     out << "matches: " << outcome->answers.size() << " (in "
         << outcome->wall_ms / 1000.0 << "s)";
     if (*algo == EngineAlgo::kAuto) {
-      // Surface the planner's decision: which matcher ran, and whether
-      // its pattern family's plan came from the plan cache.
-      out << " [algo=" << EngineAlgoName(outcome->algo)
-          << (outcome->plan_cache_hit ? ", plan cached" : "") << "]";
+      // Surface the planner's decision: which matcher ran.
+      out << " [algo=" << EngineAlgoName(outcome->algo) << "]";
     }
     out << "\n";
     for (size_t i = 0; i < outcome->answers.size() &&
@@ -234,12 +232,7 @@ int CmdMatch(const Args& args, std::ostream& out, std::ostream& err) {
     out << "engine: queries=" << es.queries
         << " cache_hits=" << es.cache_hits
         << " cache_misses=" << es.cache_misses << " hit_ratio="
-        << es.HitRatio() << " wall_ms=" << es.wall_ms;
-    if (*algo == EngineAlgo::kAuto) {
-      out << " plans_built=" << es.plans_built
-          << " plan_hits=" << es.plan_hits;
-    }
-    out << "\n";
+        << es.HitRatio() << " wall_ms=" << es.wall_ms << "\n";
   }
   return 0;
 }
