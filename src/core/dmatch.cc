@@ -24,6 +24,7 @@ struct DMatchScratch {
   MultiBallScratch batch;               // shared BFS of a VerifyBatch
   std::vector<VertexId> batch_ball;     // one member's decoded ball
   std::vector<BitsetView> local;        // Lπ(u) per pattern node
+  std::vector<BitsetView> answer;       // good(u) ∩ Lπ(u) per pattern node
   std::vector<std::unordered_set<uint64_t>> witnessed;       // per edge
   std::vector<std::unordered_set<uint64_t>> failed;          // per edge
   std::vector<std::unordered_map<VertexId, int8_t>> good_memo;  // per edge
@@ -55,6 +56,7 @@ class FocusVerifier {
                 const std::vector<PatternEdgeId>& edge_to_original,
                 size_t num_original_edges,
                 const std::vector<std::vector<PatternEdgeId>>& quantified_out,
+                const std::vector<char>& scored_nodes,
                 const std::vector<int>& hop, MatchStats* stats,
                 DMatchScratch& scratch)
       : q_(pattern),
@@ -65,6 +67,7 @@ class FocusVerifier {
         edge_to_original_(edge_to_original),
         num_original_edges_(num_original_edges),
         quantified_out_(quantified_out),
+        scored_nodes_(scored_nodes),
         hop_(hop),
         stats_(stats),
         s_(scratch) {}
@@ -100,13 +103,28 @@ class FocusVerifier {
     // close cycles (one cyclic pattern ran 6.4M search extensions instead
     // of 9K that way). The focus view stays Cπ(xo) ∩ ball; every search
     // pins the focus to vx.
+    //
+    // The answer search reads its own views: good(u) ∩ the same mask,
+    // through good(u)'s words. A vertex outside good(u) fails IsGood at
+    // every focus (its witnessed count is at most its upper bound, which
+    // good(u) already found short), so the search need not try it. Each
+    // keeps Lπ(u)'s size, so both searches plan alike. Witness searches,
+    // InLocal and child counting read Lπ(u): a witness is an embedding
+    // of Qπ, with no goodness condition on its nodes.
     s_.local.resize(q_.num_nodes());
+    s_.answer.resize(q_.num_nodes());
     for (PatternNodeId u = 0; u < q_.num_nodes(); ++u) {
-      s_.local[u] = cs_.StratifiedView(
+      BitsetView& local = s_.local[u];
+      local = cs_.StratifiedView(
           u, ball, complete ? balls.BallWords(b) : std::span<const uint64_t>());
-      if (s_.local[u].size == 0) return Finish(false, cache_out);
-      if (complete && hop_[u] > 0) {
-        s_.local[u].mask = balls.LevelWords(b, hop_[u]);
+      if (local.size == 0) return Finish(false, cache_out);
+      if (complete && hop_[u] > 0) local.mask = balls.LevelWords(b, hop_[u]);
+      const CandidateSet& good = *cs_.good_set(u);
+      BitsetView& answer = s_.answer[u];
+      answer = local;
+      answer.words = good.bits.words();
+      if (good.members.size() < answer.sorted.size()) {
+        answer.sorted = good.members;
       }
     }
 
@@ -114,7 +132,7 @@ class FocusVerifier {
     // is quantifier-good. Witness searches run NESTED inside this
     // search's accept callback, so they need their own matcher (and
     // scratch); witness searches themselves never nest.
-    answer_matcher_.emplace(strat_, g_, s_.local, &s_.answer_search);
+    answer_matcher_.emplace(strat_, g_, s_.answer, &s_.answer_search);
     witness_matcher_.emplace(strat_, g_, s_.local, &s_.witness_search);
     std::pair<PatternNodeId, VertexId> pin{q_.focus(), vx};
     GenericMatcher::Accept accept = [this](PatternNodeId u, VertexId v) {
@@ -126,7 +144,10 @@ class FocusVerifier {
     GenericMatcher::SearchOptions sopts;
     sopts.pins = {&pin, 1};
     sopts.accept = &accept;
-    if (options_.use_potential_ordering) sopts.score = &score;
+    if (options_.use_potential_ordering) {
+      sopts.score = &score;
+      sopts.scored_nodes = scored_nodes_;
+    }
     sopts.stats = stats_;
     return Finish(answer_matcher_->FindAny(sopts), cache_out);
   }
@@ -187,28 +208,29 @@ class FocusVerifier {
   // overshot, or the upper bound `ub` (children in Lπ(u') not yet proven
   // witness-free) drops below the minimum Eval accepts. The cuts are
   // exact: the final count never exceeds `ub`, and Eval holds only at
-  // counts >= MinCountNeeded (only at it, for `=` forms).
+  // counts >= MinCountNeeded (only at it, for `=` forms), so `needed` is
+  // also the count at which a `>=` form stops (EarlyStopCount).
   bool CountSatisfies(PatternEdgeId e, VertexId v) {
     const PatternEdge& pe = q_.edge(e);
     const Quantifier& f = pe.quantifier;
-    const uint64_t total = g_.OutDegreeWithLabel(v, pe.label);
+    const std::span<const Neighbor> children =
+        g_.OutNeighborsWithLabel(v, pe.label);
+    const uint64_t total = children.size();
     std::optional<uint64_t> needed = f.MinCountNeeded(total);
     if (!needed.has_value()) return false;  // unsatisfiable at v
     const bool cut = options_.early_stop_counting;
     const bool is_eq = f.op() == QuantOp::kEq;
-    std::optional<uint64_t> early;
     uint64_t ub = 0;
     if (cut) {
-      early = f.EarlyStopCount(total);
-      ub = LocalChildren(pe, v);
+      ub = LocalChildren(pe, children);
       if (ub < *needed) return false;
     }
     uint64_t count = 0;
-    for (const Neighbor& n : g_.OutNeighborsWithLabel(v, pe.label)) {
+    for (const Neighbor& n : children) {
       if (!InLocal(pe.dst, n.v)) continue;
       if (WitnessPair(e, v, n.v)) {
         ++count;
-        if (early.has_value() && count >= *early) return true;
+        if (cut && !is_eq && count >= *needed) return true;
         if (cut && is_eq && count > *needed) return false;
       } else if (cut && --ub < *needed) {
         return false;
@@ -217,11 +239,13 @@ class FocusVerifier {
     return f.Eval(count, total);
   }
 
-  // Children of v via e's label that lie in Lπ(u'): the upper bound on
-  // v's witnessed count before any search (U(v, e) of Appendix B).
-  uint64_t LocalChildren(const PatternEdge& pe, VertexId v) const {
+  // Children of v via e's label (`children`, v's label slice) that lie
+  // in Lπ(u'): the upper bound on v's witnessed count before any search
+  // (U(v, e) of Appendix B).
+  uint64_t LocalChildren(const PatternEdge& pe,
+                         std::span<const Neighbor> children) const {
     uint64_t n = 0;
-    for (const Neighbor& c : g_.OutNeighborsWithLabel(v, pe.label)) {
+    for (const Neighbor& c : children) {
       if (InLocal(pe.dst, c.v)) ++n;
     }
     return n;
@@ -241,15 +265,18 @@ class FocusVerifier {
   // well above their thresholds are tried first. Not memoized: the search
   // scores each frontier vertex once and few (u, v) pairs recur within a
   // focus, so a memo would cost more in hashing and allocation than the
-  // recomputation it saves.
+  // recomputation it saves. Identically 0 at nodes with no quantified
+  // out-edge, which the search therefore leaves unscored.
   double Potential(PatternNodeId u, VertexId v) const {
     double score = 0.0;
     for (PatternEdgeId e : quantified_out_[u]) {
       const PatternEdge& pe = q_.edge(e);
-      uint64_t total = g_.OutDegreeWithLabel(v, pe.label);
-      std::optional<uint64_t> needed = pe.quantifier.MinCountNeeded(total);
+      const std::span<const Neighbor> children =
+          g_.OutNeighborsWithLabel(v, pe.label);
+      std::optional<uint64_t> needed =
+          pe.quantifier.MinCountNeeded(children.size());
       if (!needed.has_value() || *needed == 0) continue;
-      score += static_cast<double>(LocalChildren(pe, v)) /
+      score += static_cast<double>(LocalChildren(pe, children)) /
                static_cast<double>(*needed);
     }
     return score;
@@ -263,6 +290,7 @@ class FocusVerifier {
   const std::vector<PatternEdgeId>& edge_to_original_;
   const size_t num_original_edges_;
   const std::vector<std::vector<PatternEdgeId>>& quantified_out_;
+  const std::vector<char>& scored_nodes_;
   const std::vector<int>& hop_;
   MatchStats* stats_;
   DMatchScratch& s_;
@@ -303,12 +331,14 @@ Result<PositiveEvaluator> PositiveEvaluator::Create(
   ev.num_original_edges_ =
       num_original_edges == 0 ? ev.pattern_.num_edges() : num_original_edges;
   ev.quantified_out_.resize(ev.pattern_.num_nodes());
+  ev.scored_nodes_.assign(ev.pattern_.num_nodes(), 0);
   for (PatternNodeId u = 0; u < ev.pattern_.num_nodes(); ++u) {
     for (PatternEdgeId e : ev.pattern_.OutEdgeIds(u)) {
       if (!ev.pattern_.edge(e).quantifier.IsExistential()) {
         ev.quantified_out_[u].push_back(e);
       }
     }
+    ev.scored_nodes_[u] = ev.quantified_out_[u].empty() ? 0 : 1;
   }
   ev.pattern_edge_labels_.Resize(g.dict().size());
   for (PatternEdgeId e = 0; e < ev.pattern_.num_edges(); ++e) {
@@ -395,7 +425,8 @@ size_t PositiveEvaluator::VerifyBatch(std::span<const VertexId> foci,
     }
     FocusVerifier verifier(pattern_, stratified_, *g_, cs_, options_,
                            edge_to_original_, num_original_edges_,
-                           quantified_out_, hop_, stats, scratch);
+                           quantified_out_, scored_nodes_, hop_, stats,
+                           scratch);
     is_match[i] = verifier.VerifyInBall(
         vx, scratch.batch_ball, scratch.batch, b, complete, warm_cache,
         caches_out.empty() ? nullptr : &caches_out[i]);

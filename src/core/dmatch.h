@@ -153,6 +153,9 @@ class PositiveEvaluator {
   size_t num_original_edges_ = 0;
   /// Out-edges with non-existential quantifiers, per pattern node.
   std::vector<std::vector<PatternEdgeId>> quantified_out_;
+  /// 1 at the nodes with a quantified out-edge: the only nodes whose
+  /// potential score can be nonzero.
+  std::vector<char> scored_nodes_;
   /// Undirected hop distance of each pattern node from the focus: an
   /// embedding pinned at vx maps node u within hop_[u] hops of vx.
   std::vector<int> hop_;

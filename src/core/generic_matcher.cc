@@ -149,17 +149,20 @@ bool GenericMatcher::Extend(size_t depth, const SearchOptions& options,
     cand.Decode(frontier);
   }
 
-  if (options.score != nullptr && frontier.size() > 1) {
-    // Score each vertex once, then order by score, highest first; the
-    // stable sort keeps ties in frontier order.
+  if (options.score != nullptr && frontier.size() > 1 &&
+      (options.scored_nodes.empty() || options.scored_nodes[u] != 0)) {
+    // Score each vertex once, then order by score, highest first, and
+    // ties by ascending vertex. The frontier is ascending, so that is the
+    // order a stable sort by score alone gives, without its buffer.
     std::vector<std::pair<double, VertexId>>& scored = scratch_->scored;
     scored.clear();
     for (VertexId v : frontier) scored.emplace_back((*options.score)(u, v), v);
-    std::stable_sort(scored.begin(), scored.end(),
-                     [](const std::pair<double, VertexId>& a,
-                        const std::pair<double, VertexId>& b) {
-                       return a.first > b.first;
-                     });
+    std::sort(scored.begin(), scored.end(),
+              [](const std::pair<double, VertexId>& a,
+                 const std::pair<double, VertexId>& b) {
+                return a.first != b.first ? a.first > b.first
+                                          : a.second < b.second;
+              });
     for (size_t i = 0; i < scored.size(); ++i) frontier[i] = scored[i].second;
   }
   for (VertexId v : frontier) {

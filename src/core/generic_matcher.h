@@ -61,6 +61,11 @@ class GenericMatcher {
     std::span<const std::pair<PatternNodeId, VertexId>> pins;
     const Accept* accept = nullptr;
     const Score* score = nullptr;
+    /// Pattern nodes whose frontiers `score` orders, as one flag per
+    /// node; empty scores every node. An unscored frontier is tried in
+    /// ascending vertex order, and `score` is never called for its node
+    /// (DMatch leaves out the nodes whose score is identically 0).
+    std::span<const char> scored_nodes;
     MatchStats* stats = nullptr;
     /// Stop after this many embeddings (0 = unlimited).
     uint64_t max_isomorphisms = 0;

@@ -7,15 +7,15 @@ namespace qgp {
 namespace {
 
 // Binary-search the [lo, hi) slice of a (label, v)-sorted neighbor array
-// for the sub-range with the given label.
+// for the sub-range with the given label: O(log deg) at both ends.
 std::span<const Neighbor> LabelSlice(const std::vector<Neighbor>& nbrs,
                                      uint64_t lo, uint64_t hi, Label label) {
   const Neighbor* begin = nbrs.data() + lo;
   const Neighbor* end = nbrs.data() + hi;
   auto cmp_lo = [](const Neighbor& n, Label l) { return n.label < l; };
+  auto cmp_hi = [](Label l, const Neighbor& n) { return l < n.label; };
   const Neighbor* first = std::lower_bound(begin, end, label, cmp_lo);
-  const Neighbor* last = first;
-  while (last != end && last->label == label) ++last;
+  const Neighbor* last = std::upper_bound(first, end, label, cmp_hi);
   return {first, static_cast<size_t>(last - first)};
 }
 

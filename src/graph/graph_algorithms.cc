@@ -109,6 +109,23 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
     s.seen[src] |= bit;
     s.frontier[src] |= bit;
   }
+  // Only the hub guard reads the ball sizes, and no ball outgrows the
+  // union of all balls (`reached`). So nothing is counted per source
+  // while the union stays within max_size; when it first passes, each
+  // ball's size is popcounted from its row, and counted per fresh bit
+  // from then on, so the guard still fires mid-level at the same vertex.
+  bool counting = s.reached.size() > max_size;
+  auto start_counting = [&] {
+    for (size_t i = 0; i < k; ++i) {
+      size_t size = 0;
+      for (uint32_t w : s.reached_words) {
+        size +=
+            static_cast<size_t>(__builtin_popcountll(balls[i * stride + w]));
+      }
+      s.ball_size[i] = size;
+    }
+    counting = true;
+  };
   for (int hop = 0; hop < depth && !s.level.empty() && alive != 0; ++hop) {
     for (VertexId v : s.level) {
       const uint64_t m = s.frontier[v];
@@ -122,7 +139,10 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
           const VertexId w = nb.v;
           uint64_t fresh = m & alive & ~s.seen[w];
           if (fresh == 0) continue;
-          if (s.seen[w] == 0) reach(w);
+          if (s.seen[w] == 0) {
+            reach(w);
+            if (!counting && s.reached.size() > max_size) start_counting();
+          }
           s.seen[w] |= fresh;
           if (s.next[w] == 0) s.next_level.push_back(w);
           s.next[w] |= fresh;
@@ -132,7 +152,7 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
             const int i = __builtin_ctzll(fresh);
             fresh &= fresh - 1;
             balls[i * stride + word] |= wbit;
-            if (++s.ball_size[i] > max_size) {
+            if (counting && ++s.ball_size[i] > max_size) {
               // Hub guard: the ball outgrew the limit, so the caller
               // falls back to global sets; stop spending BFS work on it.
               alive &= ~(1ULL << i);

@@ -58,6 +58,8 @@ struct MultiBallScratch {
   SparseBitset touched;                 // over word ids
   std::vector<uint32_t> reached_words;  // `touched`, in touch order
   std::vector<uint32_t> touched_words;  // `touched`, ascending
+  /// Per-source ball sizes for the hub guard; counted only once the
+  /// union of the balls has grown past the call's `max_size`.
   std::vector<size_t> ball_size;
   /// Bit i set iff source i's ball stayed within `max_size`.
   uint64_t complete = 0;

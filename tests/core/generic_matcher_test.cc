@@ -275,6 +275,82 @@ TEST(GenericMatcherTest, ScoreOrdersChildren) {
   EXPECT_EQ(first[0], 2u);
 }
 
+// r with out-edges to 1..5, and the pattern r -> c1, r -> c2 with r
+// pinned to r: both children are anchored on r's adjacency.
+struct StarFixture {
+  Graph g;
+  Pattern p;
+  PatternNodeId pr = 0;
+  PatternNodeId c1 = 0;
+  PatternNodeId c2 = 0;
+  std::pair<PatternNodeId, VertexId> pin;
+
+  StarFixture() {
+    GraphBuilder b;
+    VertexId r = b.AddVertex("n");
+    for (int i = 0; i < 5; ++i) (void)b.AddEdge(r, b.AddVertex("n"), "e");
+    g = std::move(b).Build().value();
+    LabelDict& dict = g.mutable_dict();
+    pr = p.AddNode(dict.Intern("n"), "r");
+    c1 = p.AddNode(dict.Intern("n"), "c1");
+    c2 = p.AddNode(dict.Intern("n"), "c2");
+    (void)p.AddEdge(pr, c1, dict.Intern("e"));
+    (void)p.AddEdge(pr, c2, dict.Intern("e"));
+    (void)p.set_focus(pr);
+    pin = {pr, r};
+  }
+};
+
+TEST(GenericMatcherTest, EqualScoresAreTriedInAscendingVertexOrder) {
+  StarFixture f;
+  const Views views({{0}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}},
+                    f.g.num_vertices());
+  GenericMatcher m(f.p, f.g, views);
+  GenericMatcher::Score score = [](PatternNodeId, VertexId v) {
+    return static_cast<double>(v % 2);  // odd vertices first
+  };
+  std::vector<VertexId> tried;
+  GenericMatcher::Accept accept = [&](PatternNodeId u, VertexId v) {
+    if (u == f.pr) return true;
+    tried.push_back(v);
+    return false;  // reject every child: only the first step runs
+  };
+  GenericMatcher::SearchOptions opts;
+  opts.pins = {&f.pin, 1};
+  opts.accept = &accept;
+  opts.score = &score;
+  EXPECT_FALSE(m.FindAny(opts));
+  EXPECT_EQ(tried, (std::vector<VertexId>{1, 3, 5, 2, 4}));
+}
+
+TEST(GenericMatcherTest, UnscoredNodeKeepsFrontierOrder) {
+  // c1 (the smaller view, so placed first) is scored, highest vertex
+  // first; c2 is left out of scored_nodes, so its frontier stays
+  // ascending and the score is never asked about it.
+  StarFixture f;
+  const Views views({{0}, {1, 2}, {3, 4, 5}}, f.g.num_vertices());
+  GenericMatcher m(f.p, f.g, views);
+  std::vector<PatternNodeId> scored_at;
+  GenericMatcher::Score score = [&](PatternNodeId u, VertexId v) {
+    scored_at.push_back(u);
+    return static_cast<double>(v);
+  };
+  const std::vector<char> scored_nodes{0, 1, 0};
+  GenericMatcher::SearchOptions opts;
+  opts.pins = {&f.pin, 1};
+  opts.score = &score;
+  opts.scored_nodes = scored_nodes;
+  EXPECT_EQ(AllEmbeddings(m, opts),
+            (std::vector<std::vector<VertexId>>{{0, 2, 3},
+                                                {0, 2, 4},
+                                                {0, 2, 5},
+                                                {0, 1, 3},
+                                                {0, 1, 4},
+                                                {0, 1, 5}}));
+  ASSERT_FALSE(scored_at.empty());
+  for (PatternNodeId u : scored_at) EXPECT_EQ(u, f.c1);
+}
+
 TEST(GenericMatcherTest, SelectNextBreaksTiesByViewSize) {
   // r -> c1 and r -> c2, r pinned: both children are anchored, so
   // SelectNext takes the one with the smaller view first. c1's set is

@@ -5,17 +5,21 @@
 // use_quantifier_pruning, early_stop_counting, use_potential_ordering
 // and use_incremental_negation — over the full focus set and over a
 // focus subset (QMatch::EvaluateSubset, PQMatch's per-fragment entry).
-// The switches change the work, never the answers.
+// The switches change the work, never the answers. A hand-built case
+// pins the §2.2 rule that quantifier pruning must not cascade: a child
+// counted for its parent's quantifier need not satisfy its own.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "core/naive_matcher.h"
+#include "core/pattern_parser.h"
 #include "core/qmatch.h"
 #include "gen/knowledge_gen.h"
 #include "gen/pattern_gen.h"
 #include "gen/social_gen.h"
+#include "graph/graph_builder.h"
 
 namespace qgp {
 namespace {
@@ -152,6 +156,54 @@ TEST(VerifyOptionsDifferentialTest, KnowledgeGraphAgreesWithNaive) {
   CompareAllCombinations(g, patterns, &compared, &answered);
   EXPECT_GE(compared, 16u);
   EXPECT_GE(answered, 6u);
+}
+
+TEST(VerifyOptionsDifferentialTest, CountedChildNeedNotSatisfyItsOwnQuantifier) {
+  // x1 has two e-children: y1 with two f-children and y2 with one. Both
+  // lie on an embedding of the stratified pattern, so both count for
+  // x1's `>= 2` and `= 100%`, though only y1 meets y's own `>= 2` and
+  // y2 is outside good(y). x2's one e-child, y3, meets y's threshold
+  // but not x's `>= 2`; it is all of x2's e-children, so x2 meets
+  // `= 100%`.
+  GraphBuilder b;
+  b.AddVertex("p");  // 0: unused, so the answer lies in the focus subset
+  const VertexId x1 = b.AddVertex("p");
+  const VertexId x2 = b.AddVertex("p");
+  const VertexId y1 = b.AddVertex("q");
+  const VertexId y2 = b.AddVertex("q");
+  const VertexId y3 = b.AddVertex("q");
+  std::vector<VertexId> z;
+  for (int i = 0; i < 6; ++i) z.push_back(b.AddVertex("r"));
+  ASSERT_TRUE(b.AddEdge(x1, y1, "e").ok());
+  ASSERT_TRUE(b.AddEdge(x1, y2, "e").ok());
+  ASSERT_TRUE(b.AddEdge(x2, y3, "e").ok());
+  ASSERT_TRUE(b.AddEdge(y1, z[0], "f").ok());
+  ASSERT_TRUE(b.AddEdge(y1, z[1], "f").ok());
+  ASSERT_TRUE(b.AddEdge(y2, z[2], "f").ok());
+  for (int i = 3; i < 6; ++i) ASSERT_TRUE(b.AddEdge(y3, z[i], "f").ok());
+  Graph g = std::move(b).Build().value();
+  const std::pair<const char*, AnswerSet> cases[] = {
+      {"node x p\nnode y q\nnode z r\nedge x y e >=2\nedge y z f >=2\n"
+       "focus x\n",
+       {x1}},
+      {"node x p\nnode y q\nnode z r\nedge x y e =100%\n"
+       "edge y z f >=2\nfocus x\n",
+       {x1, x2}},
+  };
+  std::vector<Pattern> patterns;
+  for (const auto& [text, expected] : cases) {
+    auto q = PatternParser::Parse(text, g.mutable_dict());
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    auto answers = QMatch::Evaluate(*q, g);
+    ASSERT_TRUE(answers.ok());
+    EXPECT_EQ(*answers, expected) << text;
+    patterns.push_back(std::move(q).value());
+  }
+  size_t compared = 0;
+  size_t answered = 0;
+  CompareAllCombinations(g, patterns, &compared, &answered);
+  EXPECT_EQ(compared, 2u);
+  EXPECT_EQ(answered, 2u);
 }
 
 }  // namespace
