@@ -275,8 +275,9 @@ TEST(GenericMatcherTest, ScoreOrdersChildren) {
   EXPECT_EQ(first[0], 2u);
 }
 
-// r with out-edges to 1..5, and the pattern r -> c1, r -> c2 with r
-// pinned to r: both children are anchored on r's adjacency.
+// Vertex 0 with out-edges to 1..5, and the pattern r -> c1, r -> c2
+// with r pinned to vertex 0: both children are anchored on its
+// adjacency.
 struct StarFixture {
   Graph g;
   Pattern p;
@@ -352,45 +353,33 @@ TEST(GenericMatcherTest, UnscoredNodeKeepsFrontierOrder) {
 }
 
 TEST(GenericMatcherTest, SelectNextBreaksTiesByViewSize) {
-  // r -> c1 and r -> c2, r pinned: both children are anchored, so
-  // SelectNext takes the one with the smaller view first. c1's set is
-  // the smaller, but the mask leaves c2's view the smaller.
-  GraphBuilder b;
-  VertexId r = b.AddVertex("n");
-  for (int i = 0; i < 5; ++i) (void)b.AddEdge(r, b.AddVertex("n"), "e");
-  Graph g = std::move(b).Build().value();
-  LabelDict& dict = g.mutable_dict();
-  Pattern p;
-  PatternNodeId pr = p.AddNode(dict.Intern("n"), "r");
-  PatternNodeId c1 = p.AddNode(dict.Intern("n"), "c1");
-  PatternNodeId c2 = p.AddNode(dict.Intern("n"), "c2");
-  (void)p.AddEdge(pr, c1, dict.Intern("e"));
-  (void)p.AddEdge(pr, c2, dict.Intern("e"));
-  (void)p.set_focus(pr);
-  const std::vector<std::vector<VertexId>> sets{{r}, {1, 2}, {3, 4, 5}};
-  std::pair<PatternNodeId, VertexId> pin{pr, r};
+  // Both children are anchored on the pinned r, so SelectNext takes the
+  // one with the smaller view first. c1's set is the smaller, but the
+  // mask leaves c2's view the smaller.
+  StarFixture f;
+  const std::vector<std::vector<VertexId>> sets{{0}, {1, 2}, {3, 4, 5}};
   std::vector<PatternNodeId> order;
   GenericMatcher::Accept accept = [&](PatternNodeId u, VertexId) {
-    if (u == pr) return true;
+    if (u == f.pr) return true;
     order.push_back(u);
     return false;  // reject every child: only the step order matters
   };
   GenericMatcher::SearchOptions opts;
-  opts.pins = {&pin, 1};
+  opts.pins = {&f.pin, 1};
   opts.accept = &accept;
   {
-    const Views plain(sets, g.num_vertices());
-    GenericMatcher m(p, g, plain);
+    const Views plain(sets, f.g.num_vertices());
+    GenericMatcher m(f.p, f.g, plain);
     EXPECT_FALSE(m.FindAny(opts));
     ASSERT_FALSE(order.empty());
-    EXPECT_EQ(order.front(), c1);  // |{1, 2}| < |{3, 4, 5}|
+    EXPECT_EQ(order.front(), f.c1);  // |{1, 2}| < |{3, 4, 5}|
   }
   order.clear();
-  const Views masked(sets, g.num_vertices(), {0, 1, 2, 3}, true);
-  GenericMatcher m(p, g, masked);
+  const Views masked(sets, f.g.num_vertices(), {0, 1, 2, 3}, true);
+  GenericMatcher m(f.p, f.g, masked);
   EXPECT_FALSE(m.FindAny(opts));
   ASSERT_FALSE(order.empty());
-  EXPECT_EQ(order.front(), c2);  // |{3}| < |{1, 2}|
+  EXPECT_EQ(order.front(), f.c2);  // |{3}| < |{1, 2}|
 }
 
 TEST(GenericMatcherTest, StatsCountExtensions) {
