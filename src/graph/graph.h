@@ -1,6 +1,7 @@
 #ifndef QGP_GRAPH_GRAPH_H_
 #define QGP_GRAPH_GRAPH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -20,6 +21,15 @@ struct GraphDeltaSummary;
 /// vertex carries exactly one node label; every edge one edge label.
 /// Parallel edges with distinct labels are allowed; exact duplicates are
 /// removed at build time.
+///
+/// Each side also keeps a label-run directory: per vertex, its maximal
+/// runs of equal edge label in ascending label order, each an 8-byte
+/// LabelRun (the label plus the run's start relative to the vertex's first
+/// edge), indexed by per-vertex offsets. A label slice is then a scan over
+/// the vertex's few distinct labels (at most 9 on the benchmark graphs),
+/// with no search over its edges. The directory holds one entry per
+/// (vertex, label) pair per side plus V+1 offsets per side; a vertex's
+/// degree per side must stay below 2^32.
 ///
 /// Construction goes through GraphBuilder. Afterwards the only mutation
 /// entry point is ApplyDelta (graph_delta.h), which applies a whole batch
@@ -55,13 +65,20 @@ class Graph {
   }
 
   /// Out-neighbors of `v` reached via an edge labeled `label`; this is the
-  /// paper's Me(v) for a pattern edge e with LQ(e) = label.
+  /// paper's Me(v) for a pattern edge e with LQ(e) = label. O(number of
+  /// distinct labels at v); empty for a label v has no edge with.
   std::span<const Neighbor> OutNeighborsWithLabel(VertexId v,
-                                                  Label label) const;
+                                                  Label label) const {
+    return LabelSlice(out_offsets_, out_nbrs_, out_run_offsets_, out_runs_, v,
+                      label);
+  }
 
   /// In-neighbors of `v` via edges labeled `label`.
   std::span<const Neighbor> InNeighborsWithLabel(VertexId v,
-                                                 Label label) const;
+                                                 Label label) const {
+    return LabelSlice(in_offsets_, in_nbrs_, in_run_offsets_, in_runs_, v,
+                      label);
+  }
 
   /// Degree helpers.
   size_t OutDegree(VertexId v) const {
@@ -77,8 +94,14 @@ class Graph {
     return InNeighborsWithLabel(v, label).size();
   }
 
-  /// True iff edge (src, dst) with `label` exists. O(log deg).
-  bool HasEdge(VertexId src, VertexId dst, Label label) const;
+  /// True iff edge (src, dst) with `label` exists: the label slice, then
+  /// O(log) over that slice.
+  bool HasEdge(VertexId src, VertexId dst, Label label) const {
+    std::span<const Neighbor> slice = OutNeighborsWithLabel(src, label);
+    return std::binary_search(
+        slice.begin(), slice.end(), Neighbor{dst, label},
+        [](const Neighbor& a, const Neighbor& b) { return a.v < b.v; });
+  }
 
   /// Vertices carrying node label `label`, ascending. Empty span for
   /// labels that no vertex carries.
@@ -107,15 +130,44 @@ class Graph {
   /// Checks the CSR invariants the matchers rely on: offsets monotone and
   /// consistent with array sizes, adjacency sorted by (label, endpoint),
   /// out/in mirrors of each other, label index consistent with vertex
-  /// labels, and tombstoned vertices edge-free. O(V + E); tests re-assert
-  /// this after every delta.
+  /// labels, tombstoned vertices edge-free, and each label-run directory
+  /// tiling its vertex's adjacency with ascending, maximal, same-label
+  /// runs. O(V + E); tests re-assert this after every delta.
   Status ValidateInvariants() const;
 
-  /// Approximate resident bytes (CSR arrays only), for partition sizing.
+  /// Approximate resident bytes: the CSR arrays, the label-run
+  /// directories and the label index.
   size_t MemoryBytes() const;
 
  private:
   friend class GraphBuilder;
+
+  // One maximal run of equal edge label in a vertex's adjacency. The run
+  // ends where the vertex's next run starts, or at its degree.
+  struct LabelRun {
+    Label label;
+    uint32_t start;  // relative to the vertex's first edge
+  };
+
+  static std::span<const Neighbor> LabelSlice(
+      const std::vector<uint64_t>& offsets, const std::vector<Neighbor>& nbrs,
+      const std::vector<uint64_t>& run_offsets,
+      const std::vector<LabelRun>& runs, VertexId v, Label label) {
+    const LabelRun* run = runs.data() + run_offsets[v];
+    const LabelRun* last = runs.data() + run_offsets[v + 1];
+    while (run != last && run->label < label) ++run;
+    if (run == last || run->label != label) return {};
+    const uint64_t first = offsets[v];
+    const uint64_t end =
+        run + 1 != last ? first + run[1].start : offsets[v + 1];
+    return {nbrs.data() + first + run->start, end - first - run->start};
+  }
+
+  // Rebuilds one side's label-run directory from its CSR arrays.
+  static void BuildLabelRuns(const std::vector<uint64_t>& offsets,
+                             const std::vector<Neighbor>& nbrs,
+                             std::vector<uint64_t>* run_offsets,
+                             std::vector<LabelRun>* runs);
 
   LabelDict dict_;
   std::vector<Label> vertex_labels_;
@@ -124,6 +176,13 @@ class Graph {
   std::vector<Neighbor> out_nbrs_;     // sorted by (label, v) per vertex
   std::vector<uint64_t> in_offsets_;   // size V+1
   std::vector<Neighbor> in_nbrs_;      // sorted by (label, v) per vertex
+
+  // Label-run directories: v's runs are runs_[run_offsets_[v] ..
+  // run_offsets_[v + 1]), ascending by label.
+  std::vector<uint64_t> out_run_offsets_;  // size V+1
+  std::vector<LabelRun> out_runs_;
+  std::vector<uint64_t> in_run_offsets_;  // size V+1
+  std::vector<LabelRun> in_runs_;
 
   // Vertices grouped by node label: label_offsets_ indexes label_sorted_.
   std::vector<uint64_t> label_offsets_;  // size num_labels+1

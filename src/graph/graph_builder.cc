@@ -82,6 +82,11 @@ Result<Graph> GraphBuilder::Build() && {
               });
   }
 
+  Graph::BuildLabelRuns(g.out_offsets_, g.out_nbrs_, &g.out_run_offsets_,
+                        &g.out_runs_);
+  Graph::BuildLabelRuns(g.in_offsets_, g.in_nbrs_, &g.in_run_offsets_,
+                        &g.in_runs_);
+
   // Label→vertices index.
   const size_t num_labels = g.dict_.size();
   g.label_offsets_.assign(num_labels + 1, 0);

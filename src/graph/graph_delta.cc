@@ -212,7 +212,9 @@ Result<GraphDeltaSummary> Graph::ApplyDelta(const GraphDelta& delta) {
   // ---- Rebuild only the touched CSR slices. ----
   const size_t new_m = out_nbrs_.size() + adds.size() - removes.size();
   auto rebuild_side = [&](std::vector<uint64_t>* offsets,
-                          std::vector<Neighbor>* nbrs, bool out_side) {
+                          std::vector<Neighbor>* nbrs,
+                          std::vector<uint64_t>* run_offsets,
+                          std::vector<LabelRun>* runs, bool out_side) {
     // Removals/additions per vertex, in this side's order.
     std::vector<EdgeTriple> side_adds = adds, side_removes = removes;
     if (!out_side) {
@@ -276,9 +278,12 @@ Result<GraphDeltaSummary> Graph::ApplyDelta(const GraphDelta& delta) {
     new_offsets[new_n] = write;
     *offsets = std::move(new_offsets);
     *nbrs = std::move(new_nbrs);
+    BuildLabelRuns(*offsets, *nbrs, run_offsets, runs);
   };
-  rebuild_side(&out_offsets_, &out_nbrs_, /*out_side=*/true);
-  rebuild_side(&in_offsets_, &in_nbrs_, /*out_side=*/false);
+  rebuild_side(&out_offsets_, &out_nbrs_, &out_run_offsets_, &out_runs_,
+               /*out_side=*/true);
+  rebuild_side(&in_offsets_, &in_nbrs_, &in_run_offsets_, &in_runs_,
+               /*out_side=*/false);
 
   // ---- Label index: rebuild when vertex membership or the label universe
   // changed; edge-only deltas leave it untouched. ----
@@ -315,6 +320,8 @@ Status Graph::ValidateInvariants() const {
   const size_t m = out_nbrs_.size();
   auto check_side = [&](const std::vector<uint64_t>& offsets,
                         const std::vector<Neighbor>& nbrs,
+                        const std::vector<uint64_t>& run_offsets,
+                        const std::vector<LabelRun>& runs,
                         const char* side) -> Status {
     if (offsets.size() != n + 1 || offsets[0] != 0 || offsets[n] != m ||
         nbrs.size() != m) {
@@ -341,10 +348,48 @@ Status Graph::ValidateInvariants() const {
         }
       }
     }
+    // Label runs: v's runs start at 0, ascend, each is one label, and a
+    // new run starts exactly where the label changes, so they tile v's
+    // adjacency with maximal runs.
+    if (run_offsets.size() != n + 1 || run_offsets[0] != 0 ||
+        run_offsets[n] != runs.size()) {
+      return Status::Corruption(std::string(side) +
+                                " label-run offsets inconsistent");
+    }
+    for (size_t v = 0; v < n; ++v) {
+      if (run_offsets[v] > run_offsets[v + 1] ||
+          run_offsets[v + 1] > runs.size()) {
+        return Status::Corruption(std::string(side) +
+                                  " label-run offsets not monotone");
+      }
+      size_t r = run_offsets[v];
+      for (size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        if (i == offsets[v] || nbrs[i].label != nbrs[i - 1].label) {
+          if (r == run_offsets[v + 1] || runs[r].start != i - offsets[v] ||
+              runs[r].label != nbrs[i].label) {
+            return Status::Corruption(std::string(side) +
+                                      " label runs do not tile adjacency");
+          }
+          ++r;
+        }
+      }
+      if (r != run_offsets[v + 1]) {
+        return Status::Corruption(std::string(side) +
+                                  " label runs past the adjacency");
+      }
+    }
     return Status::Ok();
   };
-  if (Status s = check_side(out_offsets_, out_nbrs_, "out"); !s.ok()) return s;
-  if (Status s = check_side(in_offsets_, in_nbrs_, "in"); !s.ok()) return s;
+  if (Status s = check_side(out_offsets_, out_nbrs_, out_run_offsets_,
+                            out_runs_, "out");
+      !s.ok()) {
+    return s;
+  }
+  if (Status s = check_side(in_offsets_, in_nbrs_, in_run_offsets_, in_runs_,
+                            "in");
+      !s.ok()) {
+    return s;
+  }
 
   // Out/in mirror: every out-edge appears exactly once in the in-list of
   // its destination (sizes match, so one direction suffices).

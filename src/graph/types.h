@@ -30,7 +30,7 @@ struct EdgeTriple {
 
 /// Adjacency entry: the endpoint reached plus the edge label. Out-lists
 /// store (dst, label); in-lists store (src, label). Lists are sorted by
-/// (label, v) so per-label slices are binary-search ranges.
+/// (label, v) so per-label slices are contiguous runs.
 struct Neighbor {
   VertexId v = kInvalidVertex;
   Label label = kInvalidLabel;

@@ -165,6 +165,11 @@ Result<ShardedOutcome> ShardedEngine::Submit(const QuerySpec& spec) {
   ShardedOutcome out;
   out.tag = spec.tag;
   out.shards.resize(n);
+  size_t total_answers = 0;
+  for (const std::optional<Result<QueryOutcome>>& r : results) {
+    if (r->ok()) total_answers += r->value().answers.size();
+  }
+  out.answers.reserve(total_answers);
   std::optional<Status> first_error;
   size_t failures = 0;
   for (size_t i = 0; i < n; ++i) {
