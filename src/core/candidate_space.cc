@@ -176,6 +176,53 @@ bool PassesFilter(const Graph& g, const KeyedNode& key, VertexId v) {
   return true;
 }
 
+// Cπ(u) for every pattern node: the dual-simulation fixpoint, seeded
+// from the intern pool's label/degree sets when `cache` is given. A fired
+// token surfaces as its status, never as partial sets.
+Result<std::vector<CandidateSetRef>> SimulatedSets(
+    const Pattern& pattern, const Graph& g, const MatchOptions& options,
+    ThreadPool* pool, CandidateCache* cache) {
+  const size_t nq = pattern.num_nodes();
+  // The STARTING sets are interned: when an intern pool is available,
+  // each node's label/degree filter is fetched (or computed once)
+  // through it and seeds the fixpoint iteration. The greatest fixpoint
+  // is contained in every seed, so the result is identical to the
+  // unseeded label-scan start; warm queries just skip the per-label
+  // scans and open with tighter first-round sets. Nodes sharing a filter
+  // key fetch one entry.
+  std::vector<CandidateSetRef> seeds;
+  if (cache != nullptr) {
+    const std::vector<KeyedNode> keys = DedupeFilterKeys(pattern);
+    std::vector<CandidateSetRef> per_key(keys.size());
+    ForRange(pool, keys.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        per_key[i] =
+            cache->Get(keys[i].label, keys[i].out_labels, keys[i].in_labels);
+      }
+    });
+    seeds.resize(nq);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      for (PatternNodeId u : keys[i].nodes) seeds[u] = per_key[i];
+    }
+  }
+  // The rounds themselves parallelize (see DualSimulation) and stay
+  // bit-identical at any thread count.
+  std::vector<std::vector<VertexId>> sim =
+      DualSimulation(pattern, g, pool, cache != nullptr ? &seeds : nullptr,
+                     options.cancel);
+  // A fired token means the fixpoint broke early and `sim` holds
+  // partial supersets — discard them before they can reach a caller.
+  QGP_CHECK_CANCEL(options.cancel);
+  // Bitset construction per node is independent work.
+  std::vector<CandidateSetRef> sets(nq);
+  ForRange(pool, nq, 1, [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      sets[u] = MakeCandidateSet(std::move(sim[u]), g.num_vertices());
+    }
+  });
+  return sets;
+}
+
 }  // namespace
 
 Result<CandidateSpace> CandidateSpace::Build(const Pattern& pattern,
@@ -194,44 +241,18 @@ Result<CandidateSpace> CandidateSpace::Build(const Pattern& pattern,
   cs.stratified_.resize(nq);
 
   if (options.use_simulation) {
-    // Simulation sets depend on the whole pattern topology, so they are
-    // never interned themselves — but their STARTING sets are: when an
-    // intern pool is available, each node's label/degree filter is
-    // fetched (or computed once) through it and seeds the fixpoint
-    // iteration. The greatest fixpoint is contained in every seed, so
-    // the result is identical to the unseeded label-scan start; warm
-    // queries just skip the per-label scans and open with tighter
-    // first-round sets. Nodes sharing a filter key fetch one entry.
-    std::vector<CandidateSetRef> seeds;
-    if (cache != nullptr) {
-      const std::vector<KeyedNode> keys = DedupeFilterKeys(pattern);
-      std::vector<CandidateSetRef> per_key(keys.size());
-      ForRange(pool, keys.size(), 1, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          per_key[i] =
-              cache->Get(keys[i].label, keys[i].out_labels, keys[i].in_labels);
-        }
-      });
-      seeds.resize(nq);
-      for (size_t i = 0; i < keys.size(); ++i) {
-        for (PatternNodeId u : keys[i].nodes) seeds[u] = per_key[i];
+    // The fixpoint reads only node labels and labelled edges, so every
+    // quantifier variant of one topology shares it: with an intern pool,
+    // a memoized result at this graph version replaces the whole
+    // fixpoint, and a finished one is memoized for the next variant.
+    if (cache == nullptr || !cache->FindSimulation(pattern, &cs.stratified_)) {
+      QGP_ASSIGN_OR_RETURN(
+          cs.stratified_, SimulatedSets(pattern, g, options, pool, cache));
+      if (cache != nullptr) {
+        cs.stratified_ =
+            cache->AdmitSimulation(pattern, std::move(cs.stratified_));
       }
     }
-    // The rounds themselves parallelize (see DualSimulation) and stay
-    // bit-identical at any thread count.
-    std::vector<std::vector<VertexId>> sim =
-        DualSimulation(pattern, g, pool, cache != nullptr ? &seeds : nullptr,
-                       options.cancel);
-    // A fired token means the fixpoint broke early and `sim` holds
-    // partial supersets — discard them before they can reach a caller.
-    QGP_CHECK_CANCEL(options.cancel);
-    // Bitset construction per node is independent work.
-    ForRange(pool, nq, 1, [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        cs.stratified_[u] = MakeCandidateSet(std::move(sim[u]),
-                                             g.num_vertices());
-      }
-    });
   } else {
     // Label + existential degree refinement: dedupe the keys, compute
     // each distinct filter once — through the intern pool when one is

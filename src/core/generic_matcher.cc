@@ -99,6 +99,33 @@ bool GenericMatcher::Consistent(PatternNodeId u, VertexId v) const {
   return true;
 }
 
+void GenericMatcher::PlanChecks() {
+  placed_at_.assign(q_.num_nodes(), 0);
+  for (size_t d = 0; d < plan_.size(); ++d) placed_at_[plan_[d].u] = d + 1;
+  checks_.clear();
+  check_begin_.clear();
+  for (size_t d = 0; d < plan_.size(); ++d) {
+    const Step& step = plan_[d];
+    check_begin_.push_back(checks_.size());
+    for (PatternEdgeId e : q_.OutEdgeIds(step.u)) {
+      const PatternEdge& pe = q_.edge(e);
+      if (e != step.anchor_edge &&
+          (pe.dst == step.u || placed_at_[pe.dst] <= d)) {
+        checks_.push_back(e);
+      }
+    }
+    for (PatternEdgeId e : q_.InEdgeIds(step.u)) {
+      const PatternEdge& pe = q_.edge(e);
+      // Self-loops were taken with the out-edges.
+      if (e != step.anchor_edge && pe.src != step.u &&
+          placed_at_[pe.src] <= d) {
+        checks_.push_back(e);
+      }
+    }
+  }
+  check_begin_.push_back(checks_.size());
+}
+
 bool GenericMatcher::Extend(size_t depth, const SearchOptions& options,
                             const Callback& cb) {
   if (stopped_) return false;
@@ -115,11 +142,20 @@ bool GenericMatcher::Extend(size_t depth, const SearchOptions& options,
   const Step& step = plan_[depth];
   const PatternNodeId u = step.u;
   const BitsetView& cand = candidates_[u];
+  const std::span<const PatternEdgeId> checks(
+      checks_.data() + check_begin_[depth],
+      checks_.data() + check_begin_[depth + 1]);
 
   auto try_vertex = [&](VertexId v) {
     if (scratch_->used.Test(v)) return;
     if (options.stats != nullptr) ++options.stats->search_extensions;
-    if (!Consistent(u, v)) return;
+    for (PatternEdgeId e : checks) {
+      const PatternEdge& pe = q_.edge(e);
+      if (!g_.HasEdge(pe.src == u ? v : assignment_[pe.src],
+                      pe.dst == u ? v : assignment_[pe.dst], pe.label)) {
+        return;
+      }
+    }
     if (options.accept != nullptr && !(*options.accept)(u, v)) return;
     assignment_[u] = v;
     scratch_->used.Set(v);
@@ -217,6 +253,7 @@ bool GenericMatcher::Enumerate(const SearchOptions& options,
   }
   // Temporarily rebase the plan so Extend() starts at the right depth.
   plan_.erase(plan_.begin(), plan_.begin() + static_cast<ptrdiff_t>(start));
+  PlanChecks();
   Extend(0, options, cb);
   return !overflow_;
 }

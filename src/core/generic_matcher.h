@@ -101,6 +101,8 @@ class GenericMatcher {
 
   std::vector<Step> PlanOrder(
       std::span<const std::pair<PatternNodeId, VertexId>> pins) const;
+  // Fills checks_/check_begin_ for plan_ (pinned prefix already removed).
+  void PlanChecks();
 
   bool Consistent(PatternNodeId u, VertexId v) const;
   bool Extend(size_t depth, const SearchOptions& options, const Callback& cb);
@@ -111,6 +113,12 @@ class GenericMatcher {
 
   // Search state (single-threaded per instance), reused across calls.
   std::vector<Step> plan_;
+  // Step d's checks are checks_[check_begin_[d], check_begin_[d + 1]):
+  // its edges to nodes placed before it (pins included) and its
+  // self-loops, minus the anchor edge, which holds by construction.
+  std::vector<PatternEdgeId> checks_;
+  std::vector<size_t> check_begin_;
+  std::vector<size_t> placed_at_;  // PlanChecks scratch: 0 = pinned
   std::vector<VertexId> assignment_;
   Scratch own_scratch_;          // used when no external arena was given
   Scratch* scratch_ = nullptr;   // &own_scratch_ or the caller's arena

@@ -181,7 +181,6 @@ Result<ShardedOutcome> ShardedEngine::Submit(const QuerySpec& spec) {
     if (failed.ok()) {
       const std::vector<VertexId>& l2g = shards_[i].local_to_global;
       QueryOutcome& q = r.value();
-      slice.answers.reserve(q.answers.size());
       for (VertexId lv : q.answers) {
         if (lv >= l2g.size()) {
           // Not a policy matter: a shard answering outside its own id
@@ -191,15 +190,12 @@ Result<ShardedOutcome> ShardedEngine::Submit(const QuerySpec& spec) {
               std::to_string(lv) + " outside its fragment (" +
               std::to_string(l2g.size()) + " vertices)");
         }
-        slice.answers.push_back(l2g[lv]);
+        out.answers.push_back(l2g[lv]);
       }
       slice.ok = true;
-      slice.stats = q.stats;
+      slice.answer_count = q.answers.size();
       slice.wall_ms = q.wall_ms;
-      slice.algo = q.algo;
       out.stats.Add(q.stats);
-      out.answers.insert(out.answers.end(), slice.answers.begin(),
-                         slice.answers.end());
       continue;
     }
     if (failed.code() == StatusCode::kCancelled) return failed;

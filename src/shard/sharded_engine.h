@@ -99,11 +99,10 @@ struct ShardedOptions {
 struct ShardSlice {
   size_t shard = 0;
   bool ok = false;
-  /// GLOBAL vertex ids (already mapped), sorted.
-  AnswerSet answers;
-  MatchStats stats;
+  /// How many of ShardedOutcome::answers this shard contributed (the
+  /// foci it owns that matched).
+  size_t answer_count = 0;
   double wall_ms = 0;
-  EngineAlgo algo = EngineAlgo::kQMatch;
   /// StatusCodeName of the failure when !ok.
   std::string error_code;
   std::string error_message;
