@@ -378,10 +378,10 @@ int main() {
     if (overhead > 0.01) Die("armed-but-unset deadline costs more than 1%");
   }
 
-  // --- algo = auto: the cost-based planner routes every query, cold
-  // (a fresh engine) then warm (the same engine again, candidate cache
-  // warm). Answers must be identical to the manual qmatch runs above —
-  // the planner is a routing layer, never a semantic one.
+  // --- algo = auto: the engine resolves every query, cold (a fresh
+  // engine) then warm (the same engine again, candidate cache warm).
+  // Answers must be identical to the manual qmatch runs above — auto is
+  // a routing layer, never a semantic one.
   {
     std::vector<QuerySpec> routed = workload;
     for (QuerySpec& spec : routed) spec.algo = EngineAlgo::kAuto;

@@ -38,7 +38,7 @@ void MineAndReport(const char* name, const Graph& g, double eta,
                 c.ToString().c_str(), r.support, r.confidence);
   }
 
-  // The same mining run under algo = auto: the planner routes every
+  // The same mining run under algo = auto: the engine resolves every
   // rule evaluation, and must mine the exact same rules.
   MinerConfig ac = mc;
   ac.algo = EngineAlgo::kAuto;

@@ -4,9 +4,10 @@
 /// \file
 /// Named failpoints: test-armable fault hooks compiled into a handful
 /// of hot seams (service dispatch dequeue, engine submit, delta apply,
-/// socket write, shard scatter/gather, PQMatch fragments) so tests can
-/// deterministically force slow-query, stuck-worker and
-/// mid-response-disconnect scenarios without races or sleeps.
+/// socket write, shard scatter/gather, QMatch verification, PQMatch
+/// fragments) so tests can deterministically force slow-query,
+/// stuck-worker and mid-response-disconnect scenarios without races or
+/// sleeps.
 ///
 /// Current seam catalog:
 ///  * service.dispatch_dequeue — dispatch worker after dequeuing a unit
@@ -19,6 +20,8 @@
 ///                               slice's answers join the union
 ///  * pqmatch.fragment         — PQMatch per-fragment worker, before a
 ///                               fragment that owns foci evaluates
+///  * qmatch.verify            — QMatch, after Π(Q)'s candidate space
+///                               is built, before its foci verify
 ///
 /// Cost when unarmed: QGP_FAILPOINT expands to one relaxed atomic load
 /// of a global armed counter — the registry mutex and the name lookup

@@ -307,7 +307,7 @@ Result<PositiveEvaluator> PositiveEvaluator::Create(
     Pattern positive, const Graph& g, MatchOptions options,
     const std::vector<PatternEdgeId>* edge_to_original,
     size_t num_original_edges, ThreadPool* pool, CandidateCache* cache,
-    const SpaceRepairHint* repair) {
+    const SpaceRepairHint* repair, MatchStats* stats) {
   if (!positive.IsPositive()) {
     return Status::InvalidArgument(
         "PositiveEvaluator requires a positive pattern");
@@ -353,12 +353,12 @@ Result<PositiveEvaluator> PositiveEvaluator::Create(
     QGP_ASSIGN_OR_RETURN(
         ev.cs_,
         CandidateSpace::Repair(*repair->previous, ev.pattern_, g,
-                               *repair->delta, options, nullptr, pool, cache,
+                               *repair->delta, options, stats, pool, cache,
                                repair->info));
   } else {
     QGP_ASSIGN_OR_RETURN(
         ev.cs_,
-        CandidateSpace::Build(ev.pattern_, g, options, nullptr, pool, cache));
+        CandidateSpace::Build(ev.pattern_, g, options, stats, pool, cache));
   }
   return ev;
 }
@@ -470,8 +470,10 @@ AnswerSet PositiveEvaluator::EvaluateSubset(
 Result<AnswerSet> DMatchEvaluate(const Pattern& positive, const Graph& g,
                                  const MatchOptions& options,
                                  MatchStats* stats) {
-  QGP_ASSIGN_OR_RETURN(PositiveEvaluator ev,
-                       PositiveEvaluator::Create(positive, g, options));
+  QGP_ASSIGN_OR_RETURN(
+      PositiveEvaluator ev,
+      PositiveEvaluator::Create(positive, g, options, nullptr, 0, nullptr,
+                                nullptr, nullptr, stats));
   return ev.EvaluateAll(stats, nullptr);
 }
 

@@ -73,11 +73,13 @@ class PositiveEvaluator {
   /// `repair` (optional) swaps the from-scratch candidate-space build
   /// for an incremental CandidateSpace::Repair from a prior evaluator's
   /// space — same resulting sets, less work after a small graph delta.
+  /// `stats` (optional) receives the build's candidates_initial and
+  /// candidates_pruned.
   static Result<PositiveEvaluator> Create(
       Pattern positive, const Graph& g, MatchOptions options,
       const std::vector<PatternEdgeId>* edge_to_original = nullptr,
       size_t num_original_edges = 0, ThreadPool* pool = nullptr, CandidateCache* cache = nullptr,
-      const SpaceRepairHint* repair = nullptr);
+      const SpaceRepairHint* repair = nullptr, MatchStats* stats = nullptr);
 
   /// Good focus candidates (the outer-loop domain of Fig. 5). The span
   /// views the evaluator's shared candidate set and stays valid for the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/failpoint.h"
 #include "core/dmatch.h"
 #include "graph/graph_delta.h"
 
@@ -118,8 +119,10 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
       PositiveEvaluator ev0,
       PositiveEvaluator::Create(std::move(pi_pattern), g, options,
                                 &pi_map.edge_to_original,
-                                pattern.num_edges(), pool, cache));
+                                pattern.num_edges(), pool, cache,
+                                /*repair=*/nullptr, stats));
 
+  QGP_FAILPOINT("qmatch.verify");
   if (artifacts != nullptr) artifacts->pi_space = ev0.candidate_space();
 
   const std::vector<PatternEdgeId> negated = pattern.NegatedEdgeIds();
@@ -156,7 +159,8 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
         PositiveEvaluator ev_e,
         PositiveEvaluator::Create(std::move(pi_pos.value().first), g, options,
                                   &pi_pos.value().second.edge_to_original,
-                                  pattern.num_edges(), pool, cache));
+                                  pattern.num_edges(), pool, cache,
+                                  /*repair=*/nullptr, stats));
     AnswerSet negative;
     if (options.use_incremental_negation) {
       // IncQMatch: only cached answers are re-verified, each seeded with
@@ -220,7 +224,7 @@ Result<AnswerSet> QMatch::EvaluateRepaired(
       PositiveEvaluator ev,
       PositiveEvaluator::Create(std::move(pi_pattern), g, options,
                                 &pi_map.edge_to_original, pattern.num_edges(),
-                                pool, cache, &hint));
+                                pool, cache, &hint, stats));
   if (artifacts != nullptr) artifacts->pi_space = ev.candidate_space();
 
   // Affected region: every focus whose verdict can have flipped lies

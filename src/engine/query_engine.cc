@@ -8,10 +8,8 @@
 
 #include "common/failpoint.h"
 #include "common/timer.h"
-#include "core/enum_matcher.h"
 #include "core/qmatch.h"
 #include "parallel/dpar.h"
-#include "parallel/penum.h"
 #include "parallel/pqmatch.h"
 
 namespace qgp {
@@ -38,19 +36,17 @@ std::shared_ptr<const Graph> BorrowGraph(const Graph* graph) {
 // run's MatchStats, which the option toggles change (answers never
 // depend on them, stats do). scheduler_grain is deliberately NOT keyed:
 // it moves only the scheduler telemetry, which the determinism contract
-// already excludes. Keyed on the EFFECTIVE algo — post-planner, never
-// the submitted spec — so two auto specs whose plans diverge (e.g.
-// before and after a delta shifts statistics) land on distinct entries,
-// and an auto query shares its entry with the manual submission it
-// resolved to.
+// already excludes; neither is max_isomorphisms, which only the
+// enumeration baselines read. Keyed on the EFFECTIVE algo — resolved,
+// never the submitted spec — so an auto query shares its entry with the
+// manual submission it resolved to.
 std::string ResultKey(EngineAlgo algo, const MatchOptions& o,
                       const Pattern& q) {
   std::ostringstream key;
   key << EngineAlgoName(algo) << '|' << o.use_simulation
       << o.use_quantifier_pruning << o.use_potential_ordering
       << o.early_stop_counting << o.use_incremental_negation << '|'
-      << o.max_quantified_per_path << '|' << o.max_isomorphisms << '|'
-      << o.ball_limit << '|';
+      << o.max_quantified_per_path << '|' << o.ball_limit << '|';
   for (PatternNodeId u = 0; u < q.num_nodes(); ++u) {
     key << 'n' << q.node(u).label << ';';
   }
@@ -61,6 +57,20 @@ std::string ResultKey(EngineAlgo algo, const MatchOptions& o,
   }
   key << 'f' << q.focus();
   return std::move(key).str();
+}
+
+/// Resolves algo = auto; any other algo passes through. Fragment-parallel
+/// evaluation pays for its scatter/gather only on big graphs, and needs
+/// the pattern's radius to fit the partition's hop-preservation depth.
+/// Negated patterns stay on QMatch. Reads only the pattern, the graph
+/// size and the options, so the choice never depends on cache state.
+EngineAlgo ResolveAlgo(EngineAlgo requested, const Pattern& q,
+                       size_t num_vertices, const EngineOptions& o) {
+  if (requested != EngineAlgo::kAuto) return requested;
+  const bool partition_pays =
+      q.IsPositive() && num_vertices >= o.partition_vertex_cutoff &&
+      o.partition_fragments > 1 && q.Radius() <= o.partition_d;
+  return partition_pays ? EngineAlgo::kPQMatch : EngineAlgo::kQMatch;
 }
 
 /// Normalizes EngineOptions::focus_subset: sorted, deduplicated, ids
@@ -83,12 +93,8 @@ const char* EngineAlgoName(EngineAlgo algo) {
   switch (algo) {
     case EngineAlgo::kQMatch:
       return "qmatch";
-    case EngineAlgo::kEnum:
-      return "enum";
     case EngineAlgo::kPQMatch:
       return "pqmatch";
-    case EngineAlgo::kPEnum:
-      return "penum";
     case EngineAlgo::kAuto:
       return "auto";
   }
@@ -97,9 +103,7 @@ const char* EngineAlgoName(EngineAlgo algo) {
 
 std::optional<EngineAlgo> ParseEngineAlgo(std::string_view name) {
   if (name == "qmatch") return EngineAlgo::kQMatch;
-  if (name == "enum") return EngineAlgo::kEnum;
   if (name == "pqmatch") return EngineAlgo::kPQMatch;
-  if (name == "penum") return EngineAlgo::kPEnum;
   if (name == "auto") return EngineAlgo::kAuto;
   return std::nullopt;
 }
@@ -160,26 +164,18 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
   const CancelToken* cancel_armed =
       deadline_token.has_value() ? &*deadline_token : spec.options.cancel;
   // No-cache-poisoning bracket: remember the candidate-cache admission
-  // epoch before any of this run's work (the planner's cardinality probe
-  // included) so a cancelled unwind can roll its insertions back.
+  // epoch before any of this run's work so a cancelled unwind can roll
+  // its insertions back.
   const uint64_t cache_mark = (cancel_armed != nullptr && spec.share_cache)
                                   ? cache_.MarkEpoch()
                                   : 0;
   // Resolve the matcher FIRST: everything downstream — result-cache key,
   // repair key, dispatch — speaks the effective algorithm, never the
-  // submitted one. An unset spec algo falls back to the engine default;
-  // auto (from either) hands the choice to the planner.
+  // submitted one. An unset spec algo falls back to the engine default.
   const CandidateCache::Stats cache_before = cache_.stats();
-  const EngineAlgo requested = spec.algo.value_or(options_.default_algo);
-  EngineAlgo effective = requested;
-  if (requested == EngineAlgo::kAuto) {
-    PlanContext ctx;
-    ctx.graph = graph_.get();
-    ctx.cache = spec.share_cache ? &cache_ : nullptr;
-    ctx.partition_fragments = options_.partition_fragments;
-    ctx.partition_d = options_.partition_d;
-    effective = Plan(spec.pattern, options_.planner, ctx);
-  }
+  const EngineAlgo effective =
+      ResolveAlgo(spec.algo.value_or(options_.default_algo), spec.pattern,
+                  graph_->num_vertices(), options_);
   outcome.algo = effective;
   MatchOptions effective_options = spec.options;
   // The deadline token rides the effective options into every matcher
@@ -189,9 +185,9 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
   // Shard mode, engaged-but-empty subset: this engine owns no foci, so
   // every (valid) query answers with the empty set. Short-circuited
   // HERE because the lower-level subset entry points read an empty span
-  // as "all candidates" (EnumMatcher::Evaluate) — the opposite
-  // meaning. Mirrors the parallel workers' empty-fragment skip: zero
-  // work counters, nothing admitted into any cache.
+  // as "all candidates" — the opposite meaning. Mirrors the parallel
+  // workers' empty-fragment skip: zero work counters, nothing admitted
+  // into any cache.
   if (options_.focus_subset.has_value() && options_.focus_subset->empty()) {
     const Status valid =
         spec.pattern.Validate(effective_options.max_quantified_per_path);
@@ -307,14 +303,7 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
                                          effective_options, &outcome.stats,
                                          pool_.get(), cache, artifacts_out);
         break;
-      case EngineAlgo::kEnum:
-        answers = EnumMatcher::Evaluate(
-            spec.pattern, *graph_, effective_options, &outcome.stats, cache,
-            subset ? std::span<const VertexId>(*options_.focus_subset)
-                   : std::span<const VertexId>());
-        break;
-      case EngineAlgo::kPQMatch:
-      case EngineAlgo::kPEnum: {
+      case EngineAlgo::kPQMatch: {
         auto part = PartitionAdmitted();
         if (!part.ok()) {
           answers = part.status();
@@ -325,9 +314,7 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
         config.pool = pool_.get();
         config.match = effective_options;
         Result<ParallelRunResult> run =
-            effective == EngineAlgo::kPQMatch
-                ? PQMatch::Evaluate(spec.pattern, **part, config)
-                : PEnum::Evaluate(spec.pattern, **part, config);
+            PQMatch::Evaluate(spec.pattern, **part, config);
         if (!run.ok()) {
           answers = run.status();
           break;
@@ -344,7 +331,7 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
         break;
       }
       case EngineAlgo::kAuto:
-        // The planner never returns kAuto; reaching here is a logic bug.
+        // ResolveAlgo never returns kAuto; reaching here is a logic bug.
         answers = Status::Internal("algo=auto was not resolved to a matcher");
         break;
     }

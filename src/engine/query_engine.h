@@ -29,7 +29,6 @@
 #include "core/candidate_space.h"
 #include "core/match_types.h"
 #include "core/pattern.h"
-#include "engine/planner.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
 #include "parallel/partition.h"
@@ -40,17 +39,20 @@ namespace qgp {
 /// the same entry points the standalone APIs expose; answers are
 /// identical either way (the differential suite in
 /// tests/engine/engine_differential_test.cc locks this down).
+///
+/// The §7 enumerate-then-verify baselines (EnumMatcher, PEnum) are not
+/// served: they stay callable directly for the paper's benches and the
+/// differential suites.
 enum class EngineAlgo {
   kQMatch,   ///< QMatch::Evaluate — incremental negation (§4.2); with
              ///< MatchOptions::use_incremental_negation = false, the §7
              ///< QMatchn baseline.
-  kEnum,     ///< EnumMatcher::Evaluate — enumerate-then-verify baseline.
   kPQMatch,  ///< PQMatch over the engine's lazily built DPar partition.
-  kPEnum,    ///< PEnum over the same partition.
-  kAuto,     ///< Cost-based planner picks one of the above (engine/planner.h).
+  kAuto,     ///< kPQMatch when partitioning pays, else kQMatch
+             ///< (EngineOptions::partition_vertex_cutoff).
 };
 
-/// Stable lower-case name of an algorithm ("qmatch", "penum", ...).
+/// Stable lower-case name of an algorithm ("qmatch", "pqmatch", "auto").
 const char* EngineAlgoName(EngineAlgo algo);
 
 /// Parses an algorithm name as printed by EngineAlgoName; nullopt when
@@ -65,11 +67,11 @@ struct QuerySpec {
   Pattern pattern;
   /// Matcher selection. Unset falls back to EngineOptions::default_algo
   /// (itself kQMatch unless configured), so a bare spec behaves exactly
-  /// as before. kAuto — set here or as the engine default — hands the
-  /// choice to the cost-based planner; the resolved algorithm comes back
-  /// in QueryOutcome::algo.
+  /// as before. kAuto — set here or as the engine default — lets the
+  /// engine choose; the resolved algorithm comes back in
+  /// QueryOutcome::algo.
   std::optional<EngineAlgo> algo;
-  /// Per-query matcher knobs (pruning toggles, caps, scheduler grain).
+  /// Per-query matcher knobs (pruning toggles, scheduler grain).
   MatchOptions options;
   /// Evaluation deadline, milliseconds; 0 = none. Measured from the
   /// moment the query is admitted (queue wait under the admission lock
@@ -104,7 +106,7 @@ struct QueryOutcome {
   /// Wall-clock evaluation time, milliseconds.
   double wall_ms = 0;
   /// The matcher that actually produced this outcome: the submitted
-  /// algorithm, or — under algo = auto — whatever the planner chose.
+  /// algorithm, or — under algo = auto — whatever the engine chose.
   /// On a result-cache hit this is the effective algorithm of the probe
   /// (the stored entry was keyed on exactly it).
   EngineAlgo algo = EngineAlgo::kQMatch;
@@ -148,7 +150,7 @@ struct DeltaOutcome {
 /// Engine construction knobs.
 struct EngineOptions {
   /// Width of the engine's pool: every fan-out of a query (candidate
-  /// build, simulation, focus verification, PQMatch/PEnum fragments)
+  /// build, simulation, focus verification, PQMatch fragments)
   /// runs on the submitting thread plus num_threads − 1 pool workers.
   /// 0 = hardware concurrency; 1 starts no worker and runs every
   /// fan-out inline.
@@ -159,7 +161,7 @@ struct EngineOptions {
   /// 0 = unbounded (never evict implicitly).
   size_t cache_max_entries = 0;
   /// DPar fragment count n for the lazily built partition that serves
-  /// kPQMatch / kPEnum queries.
+  /// kPQMatch queries.
   size_t partition_fragments = 4;
   /// DPar hop-preservation depth d. Queries whose pattern radius exceeds
   /// it fail with InvalidArgument, exactly like standalone PQMatch.
@@ -192,7 +194,7 @@ struct EngineOptions {
   /// Focus restriction for shard-mode engines (src/shard/): when
   /// engaged, every query evaluates only foci in this set — the owned
   /// vertices of one DPar fragment — exactly like a single
-  /// PQMatch/PEnum worker, so a coordinator that unions subset answers
+  /// PQMatch worker, so a coordinator that unions subset answers
   /// across shards gets each answer exactly once. nullopt (the default)
   /// = all foci, the historical behavior. An engaged-but-EMPTY set owns
   /// nothing and answers every query with the empty set (mirroring the
@@ -206,11 +208,13 @@ struct EngineOptions {
   /// every stored entry anyway.
   std::optional<std::vector<VertexId>> focus_subset;
   /// What a QuerySpec that leaves its algo unset runs as. Set this to
-  /// EngineAlgo::kAuto to hand every such query to the planner without
-  /// touching the specs.
+  /// EngineAlgo::kAuto to let the engine choose for every such query
+  /// without touching the specs.
   EngineAlgo default_algo = EngineAlgo::kQMatch;
-  /// Cost-model cutoffs for algo = auto.
-  PlannerConfig planner;
+  /// algo = auto runs a positive pattern as kPQMatch on a graph of at
+  /// least this many vertices, when partition_fragments > 1 and the
+  /// pattern's radius fits partition_d; everything else runs as kQMatch.
+  size_t partition_vertex_cutoff = 200000;
 };
 
 /// Cumulative engine telemetry across every query since construction.
@@ -271,7 +275,7 @@ struct EngineStats {
 ///    repeated requests) hit instead of recomputing;
 ///  * a ThreadPool, the one executor of every fan-out its queries make:
 ///    the work-stealing match scheduler, the parallel CandidateSpace
-///    build, the lazy DPar build and the PQMatch/PEnum fragments;
+///    build, the lazy DPar build and the PQMatch fragments;
 ///  * lazily, a d-hop preserving DPar Partition serving the
 ///    partition-parallel algorithms.
 ///
@@ -385,7 +389,7 @@ class QueryEngine {
     return draining_.load(std::memory_order_acquire);
   }
 
-  /// The lazily built partition for kPQMatch/kPEnum (built on first use
+  /// The lazily built partition for kPQMatch (built on first use
   /// with the engine's pool — identical to a serial DPar build). Exposed
   /// so drivers can report partition diagnostics.
   Result<const Partition*> partition();

@@ -31,8 +31,8 @@ Result<GarMatchResult> GarMatch(const Qgar& rule, const Graph& g, double eta,
 /// pool and one worker pool (rule mining evaluates hundreds of
 /// structurally overlapping patterns — the miner's hot path). Answers
 /// and metrics are identical to the per-graph overload. `algo` selects
-/// the engine matcher per query; EngineAlgo::kAuto hands the choice to
-/// the planner.
+/// the engine matcher per query; EngineAlgo::kAuto lets the engine
+/// choose.
 Result<GarMatchResult> GarMatch(const Qgar& rule, QueryEngine& engine,
                                 double eta, const MatchOptions& options = {},
                                 MatchStats* stats = nullptr,

@@ -34,9 +34,8 @@ struct MinerConfig {
   /// (0 = hardware concurrency). Mined rules are identical at any
   /// setting — evaluation is deterministic across thread counts.
   size_t threads = 0;
-  /// Matcher every rule evaluation runs as. kAuto hands the choice to
-  /// the engine's planner, per evaluation. Mined rules are identical for
-  /// any choice.
+  /// Matcher every rule evaluation runs as. kAuto lets the engine
+  /// choose, per evaluation. Mined rules are identical for any choice.
   EngineAlgo algo = EngineAlgo::kQMatch;
 };
 

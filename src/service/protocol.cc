@@ -58,8 +58,6 @@ Result<MatchOptions> DecodeOptions(const JsonValue& value) {
     } else if (key == "max_quantified_per_path") {
       QGP_ASSIGN_OR_RETURN(uint64_t n, AsUint(v, key));
       o.max_quantified_per_path = static_cast<int>(n);
-    } else if (key == "max_isomorphisms") {
-      QGP_ASSIGN_OR_RETURN(o.max_isomorphisms, AsUint(v, key));
     } else if (key == "ball_limit") {
       QGP_ASSIGN_OR_RETURN(uint64_t n, AsUint(v, key));
       o.ball_limit = static_cast<size_t>(n);
@@ -95,9 +93,6 @@ JsonValue EncodeOptions(const MatchOptions& o) {
   }
   if (o.max_quantified_per_path != defaults.max_quantified_per_path) {
     out["max_quantified_per_path"] = int64_t{o.max_quantified_per_path};
-  }
-  if (o.max_isomorphisms != defaults.max_isomorphisms) {
-    out["max_isomorphisms"] = o.max_isomorphisms;
   }
   if (o.ball_limit != defaults.ball_limit) {
     out["ball_limit"] = uint64_t{o.ball_limit};

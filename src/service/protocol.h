@@ -10,10 +10,10 @@
 ///
 /// Requests:
 ///   {"op":"query","pattern":"node xo person\n...","algo":"qmatch",
-///    "options":{"max_isomorphisms":1000000},"share_cache":true,
+///    "options":{"ball_limit":4096},"share_cache":true,
 ///    "timeout_ms":250,"tag":"req-17"}
-///                                  — "algo" accepts any EngineAlgoName
-///                                    including "auto" (planner picks);
+///                                  — "algo" is "qmatch", "pqmatch" or
+///                                    "auto" (the engine picks);
 ///                                    omitted = the engine's default.
 ///                                    "timeout_ms" (query only; omitted
 ///                                    or 0 = none) is an end-to-end
@@ -78,9 +78,11 @@ struct ServiceRequest {
   /// PatternParser DSL text (kQuery only).
   std::string pattern_text;
   /// Matcher selection: any EngineAlgoName, including "auto" (the
-  /// cost-based planner picks). Omitted on the wire = unset here = the
-  /// engine's configured default.
+  /// engine picks). Omitted on the wire = unset here = the engine's
+  /// configured default.
   std::optional<EngineAlgo> algo;
+  /// Every knob but max_isomorphisms travels: no served matcher reads
+  /// it, so the codec neither decodes nor encodes it.
   MatchOptions options;
   bool share_cache = true;
   /// End-to-end deadline in milliseconds, 0 = none (kQuery only). The
@@ -136,7 +138,7 @@ struct ServiceResponse {
   bool result_cache_hit = false;
   bool delta_repaired = false;
   /// The matcher that produced the answer (EngineAlgoName string) — the
-  /// planner's choice when the request ran with algo "auto".
+  /// engine's choice when the request ran with algo "auto".
   std::string algo;
   /// Graph version after a delta op (ok && op == "delta"); the rest of
   /// the DeltaOutcome (net counts, invalidation tallies) is in `body`.

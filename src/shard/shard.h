@@ -77,7 +77,7 @@ class Shard {
 
 /// Builds the QueryEngine for one fragment: `base` plus the shard-mode
 /// overrides (focus_subset = `owned_local`, partition_d = `d` so a
-/// nested pqmatch/penum partition preserves the same radius bound).
+/// nested pqmatch partition preserves the same radius bound).
 /// Shared by InProcessShard, `qgp_cli shard-serve`, and tests so every
 /// transport serves an identically configured engine.
 std::unique_ptr<QueryEngine> MakeShardEngine(Graph fragment_graph,

@@ -134,15 +134,18 @@ Outcome PerFocusQMatch(const Pattern& q, const Graph& g,
   Outcome o;
   auto pi = q.Pi();
   EXPECT_TRUE(pi.ok());
+  MatchStats pi_build;  // QMatch counts its candidate-space builds too
   auto ev0 = PositiveEvaluator::Create(
       std::move(pi.value().first), g, options,
-      &pi.value().second.edge_to_original, q.num_edges());
+      &pi.value().second.edge_to_original, q.num_edges(), nullptr, nullptr,
+      nullptr, &pi_build);
   EXPECT_TRUE(ev0.ok()) << ev0.status().ToString();
   const std::vector<PatternEdgeId> negated = q.NegatedEdgeIds();
   Outcome pi_run = PerFocus(*ev0, subset.empty() ? ev0->FocusCandidates()
                                                  : subset);
   o.answers = pi_run.answers;
   o.stats = pi_run.stats;
+  o.stats.Add(pi_build);
   for (PatternEdgeId e : negated) {
     if (o.answers.empty()) break;
     auto positified = q.Positify(e);
@@ -151,7 +154,8 @@ Outcome PerFocusQMatch(const Pattern& q, const Graph& g,
     EXPECT_TRUE(pi_pos.ok());
     auto ev_e = PositiveEvaluator::Create(
         std::move(pi_pos.value().first), g, options,
-        &pi_pos.value().second.edge_to_original, q.num_edges());
+        &pi_pos.value().second.edge_to_original, q.num_edges(), nullptr,
+        nullptr, nullptr, &o.stats);
     EXPECT_TRUE(ev_e.ok()) << ev_e.status().ToString();
     o.stats.inc_candidates_checked += o.answers.size();
     AnswerSet negative;

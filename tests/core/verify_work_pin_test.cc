@@ -155,16 +155,16 @@ TEST_F(VerifyWorkPinTest, SuiteIsTheOnePinned) {
 TEST_F(VerifyWorkPinTest, QMatchIncrementalNegation) {
   MatchOptions options;
   ExpectPinned("qmatch", RunQMatch(options),
-               {12049431453365282577ULL, 2761, 2128, 8187, 0, 0, 1625, 808,
-                1625});
+               {12049431453365282577ULL, 2761, 2128, 8187, 13882, 6252, 1625,
+                808, 1625});
 }
 
 TEST_F(VerifyWorkPinTest, QMatchRecomputedNegation) {
   MatchOptions options;
   options.use_incremental_negation = false;
   ExpectPinned("qmatch naive", RunQMatch(options),
-               {12049431453365282577ULL, 2775, 2378, 8469, 0, 0, 1731, 0,
-                1731});
+               {12049431453365282577ULL, 2775, 2378, 8469, 13882, 6252, 1731,
+                0, 1731});
 }
 
 TEST_F(VerifyWorkPinTest, QMatchHubGuard) {
@@ -173,8 +173,8 @@ TEST_F(VerifyWorkPinTest, QMatchHubGuard) {
   MatchOptions options;
   options.ball_limit = 8;
   ExpectPinned("qmatch hub guard", RunQMatch(options),
-               {12049431453365282577ULL, 2761, 2129, 8234, 0, 0, 1625, 808,
-                1625});
+               {12049431453365282577ULL, 2761, 2129, 8234, 13882, 6252, 1625,
+                808, 1625});
 }
 
 TEST_F(VerifyWorkPinTest, Enum) {

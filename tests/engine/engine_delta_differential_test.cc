@@ -2,8 +2,10 @@
 // engine evaluating a mixed-algorithm workload on the mutated graph must
 // be ANSWER- and MATCHSTATS-identical to a fresh engine on a from-scratch
 // rebuilt copy of the same content — for qmatch / QMatchn (qmatch with
-// use_incremental_negation = false) / enum / pqmatch at thread counts {1, 2, 4, 8}, across randomized delta batches
-// (including no-ops and inverse pairs that must round-trip answers).
+// use_incremental_negation = false) / auto / pqmatch at thread counts
+// {1, 2, 4, 8}, across randomized delta batches (including no-ops and
+// inverse pairs that must round-trip answers) — and its answers must
+// equal the Enum baseline's, called directly on the rebuilt graph.
 // CSR invariants are re-asserted after every delta. Both engines run
 // with the result cache and delta repair OFF (the defaults), which is
 // what makes exact stats identity a fair demand; the repair-enabled
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/enum_matcher.h"
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
@@ -110,7 +113,7 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
   };
   const Matcher matchers[] = {{EngineAlgo::kQMatch, true},
                               {EngineAlgo::kQMatch, false},
-                              {EngineAlgo::kEnum, true},
+                              {EngineAlgo::kAuto, true},
                               {EngineAlgo::kPQMatch, true}};
   std::vector<QuerySpec> workload;
   for (size_t i = 0; i < suite.size(); ++i) {
@@ -119,7 +122,6 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
     spec.algo = matchers[i % 4].algo;
     spec.options.use_incremental_negation =
         matchers[i % 4].incremental_negation;
-    spec.options.max_isomorphisms = 2'000'000;
     spec.tag = "q" + std::to_string(i);
     workload.push_back(std::move(spec));
   }
@@ -141,7 +143,7 @@ void ExpectSameWork(const MatchStats& a, const MatchStats& b,
 }
 
 // Drops workload entries the engine cannot evaluate on this graph at
-// all (pattern radius exceeding partition d, isomorphism caps): both
+// all (pattern radius exceeding partition d): both
 // sides of the differential would fail identically, but the harness
 // wants every retained spec to produce comparable outcomes.
 std::vector<QuerySpec> FilterEvaluable(std::vector<QuerySpec> workload,
@@ -161,7 +163,8 @@ std::vector<QuerySpec> FilterEvaluable(std::vector<QuerySpec> workload,
 // engine over a rebuilt content-equal graph, and the mutated CSR must
 // pass its invariant audit. `*batches_run` counts exercised batches
 // (out-param because ASSERT_* needs a void-returning frame).
-void RunSweep(uint64_t seed, size_t threads, size_t* batches_run) {
+void RunSweep(uint64_t seed, size_t threads, size_t* batches_run,
+              size_t* enum_compared) {
   Graph base = MakeGraph(seed);
   std::vector<QuerySpec> workload =
       FilterEvaluable(MakeWorkload(base, seed), base, threads);
@@ -187,6 +190,8 @@ void RunSweep(uint64_t seed, size_t threads, size_t* batches_run) {
     Graph rebuilt = RebuildLike(engine.graph());
     ASSERT_TRUE(ContentEquals(engine.graph(), rebuilt));
     QueryEngine reference(&rebuilt, opts);
+    MatchOptions capped;
+    capped.max_isomorphisms = 2'000'000;
     for (const QuerySpec& spec : workload) {
       auto got = engine.Submit(spec);
       auto want = reference.Submit(spec);
@@ -199,20 +204,29 @@ void RunSweep(uint64_t seed, size_t threads, size_t* batches_run) {
                                   std::to_string(batch) + " " + spec.tag;
       EXPECT_EQ(got->answers, want->answers) << context;
       ExpectSameWork(got->stats, want->stats, context);
+      // The graph sequence is the same at every width, so one width
+      // suffices for the single-threaded baseline.
+      if (threads != 1) continue;
+      auto enumerated = EnumMatcher::Evaluate(spec.pattern, rebuilt, capped);
+      if (!enumerated.ok()) continue;  // cap tripped
+      EXPECT_EQ(got->answers, *enumerated) << context << " vs Enum";
+      ++*enum_compared;
     }
   }
 }
 
 TEST(EngineDeltaDifferential, ApplyEqualsRebuildAcrossThreadCounts) {
   size_t total_batches = 0;
+  size_t enum_compared = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     for (size_t threads : {1u, 2u, 4u, 8u}) {
-      RunSweep(seed, threads, &total_batches);
+      RunSweep(seed, threads, &total_batches, &enum_compared);
     }
   }
   // The acceptance floor: at least 100 randomized delta batches across
   // algorithms and thread counts, every one differentially checked.
   EXPECT_GE(total_batches, 100u);
+  EXPECT_GE(enum_compared, 100u) << "Enum overflowed too often";
 }
 
 // Applies edge-only deltas followed by their inverses; after every pair
@@ -373,11 +387,10 @@ TEST(EngineDeltaDifferential, RejectedDeltaPerturbsNothing) {
 }
 
 // algo = auto through deltas: after every ApplyDelta, an auto query on
-// the mutated engine must pick the same plan — and produce the same
-// answers and work counters — as an auto query on a fresh engine over a
-// rebuilt content-equal graph. The planner reads its statistics through
-// the (post-sweep) candidate cache, so this locks down that plans never
-// depend on pre-delta state.
+// the mutated engine must resolve to the same matcher — and produce the
+// same answers and work counters — as an auto query on a fresh engine
+// over a rebuilt content-equal graph, so the choice never depends on
+// pre-delta state.
 TEST(EngineDeltaDifferential, AutoPlansMatchRebuildAfterDeltas) {
   for (uint64_t seed : {21u, 22u}) {
     Graph base = MakeGraph(seed);

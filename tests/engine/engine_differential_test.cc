@@ -6,9 +6,11 @@
 // entries, and under concurrent Submit from multiple client threads.
 // Only the scheduler telemetry (MatchStats::scheduler_tasks/steals) may
 // differ; every work counter must match exactly, which is what makes the
-// engine's shared-cache + shared-pool reuse a pure optimization.
+// engine's shared-cache + shared-pool reuse a pure optimization. The
+// answers must also equal the Enum baseline's, called directly.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +38,7 @@ Graph MakeGraph(uint64_t seed) {
 
 // A mixed workload: two pattern families (different shapes, one with
 // negated edges) interleaved, matchers rotating qmatch / QMatchn (qmatch
-// with use_incremental_negation = false) / enum so one batch exercises
+// with use_incremental_negation = false) / auto so one batch exercises
 // every sequential dispatch path.
 std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
   PatternGenConfig small;
@@ -59,7 +61,7 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
   };
   const Matcher matchers[] = {{EngineAlgo::kQMatch, true},
                               {EngineAlgo::kQMatch, false},
-                              {EngineAlgo::kEnum, true}};
+                              {EngineAlgo::kAuto, true}};
   std::vector<QuerySpec> workload;
   for (size_t i = 0; i < a.size(); ++i) {
     QuerySpec spec;
@@ -67,30 +69,10 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
     spec.algo = matchers[i % 3].algo;
     spec.options.use_incremental_negation =
         matchers[i % 3].incremental_negation;
-    spec.options.max_isomorphisms = 2'000'000;
     spec.tag = "q" + std::to_string(i);
     workload.push_back(std::move(spec));
   }
   return workload;
-}
-
-// Standalone reference for one spec: the per-query API, serial, no
-// shared state. Returns false when the (capped) evaluation overflows —
-// the caller then drops the spec from the workload entirely.
-bool RunStandalone(const QuerySpec& spec, const Graph& g, AnswerSet* answers,
-                   MatchStats* stats) {
-  Result<AnswerSet> r = Status::Ok();
-  switch (*spec.algo) {
-    case EngineAlgo::kQMatch:
-      r = QMatch::Evaluate(spec.pattern, g, spec.options, stats);
-      break;
-    default:
-      r = EnumMatcher::Evaluate(spec.pattern, g, spec.options, stats);
-      break;
-  }
-  if (!r.ok()) return false;
-  *answers = std::move(r).value();
-  return true;
 }
 
 // Work-counter identity: every MatchStats field except the scheduler
@@ -108,20 +90,30 @@ void ExpectSameWork(const MatchStats& a, const MatchStats& b,
   EXPECT_EQ(a.balls_built, b.balls_built) << context;
 }
 
+// Standalone reference per spec: the per-query QMatch API (auto
+// resolves to it on graphs this small), serial, no shared state; plus
+// the Enum baseline's answers, nullopt where its isomorphism cap trips.
 struct Reference {
   std::vector<QuerySpec> workload;
   std::vector<AnswerSet> answers;
   std::vector<MatchStats> stats;
+  std::vector<std::optional<AnswerSet>> enum_answers;
 };
 
 Reference MakeReference(const Graph& g, uint64_t seed) {
   Reference ref;
+  MatchOptions capped;
+  capped.max_isomorphisms = 2'000'000;
   for (QuerySpec& spec : MakeWorkload(g, seed)) {
-    AnswerSet answers;
     MatchStats stats;
-    if (!RunStandalone(spec, g, &answers, &stats)) continue;  // overflow
+    auto answers = QMatch::Evaluate(spec.pattern, g, spec.options, &stats);
+    if (!answers.ok()) continue;
+    auto enumerated = EnumMatcher::Evaluate(spec.pattern, g, capped);
+    ref.enum_answers.push_back(
+        enumerated.ok() ? std::optional<AnswerSet>(*enumerated)
+                        : std::nullopt);
     ref.workload.push_back(std::move(spec));
-    ref.answers.push_back(std::move(answers));
+    ref.answers.push_back(std::move(answers).value());
     ref.stats.push_back(stats);
   }
   return ref;
@@ -131,6 +123,7 @@ Reference MakeReference(const Graph& g, uint64_t seed) {
 // are answer- and work-counter-identical to standalone serial runs.
 TEST(EngineDifferentialTest, BatchesMatchStandaloneAtAllThreadCounts) {
   size_t compared = 0;
+  size_t enum_compared = 0;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Graph g = MakeGraph(seed);
     Reference ref = MakeReference(g, seed);
@@ -148,6 +141,11 @@ TEST(EngineDifferentialTest, BatchesMatchStandaloneAtAllThreadCounts) {
             std::to_string(threads) + " " + ref.workload[i].tag + " (" +
             EngineAlgoName(*ref.workload[i].algo) + ")";
         EXPECT_EQ((*outcomes)[i].answers, ref.answers[i]) << context;
+        if (ref.enum_answers[i].has_value()) {
+          EXPECT_EQ((*outcomes)[i].answers, *ref.enum_answers[i])
+              << context << " vs Enum";
+          ++enum_compared;
+        }
         ExpectSameWork((*outcomes)[i].stats, ref.stats[i], context);
         ++compared;
       }
@@ -159,6 +157,7 @@ TEST(EngineDifferentialTest, BatchesMatchStandaloneAtAllThreadCounts) {
     }
   }
   EXPECT_GE(compared, 100u) << "suite lost its volume; widen the seeds";
+  EXPECT_GE(enum_compared, 100u) << "Enum overflowed too often";
 }
 
 // Cache eviction interleaved between batch entries — a server shedding

@@ -4,7 +4,9 @@
 //   Submit(spec) on an engine with focus_subset S ==
 //       SetIntersection(Submit(spec) on the full engine, S)
 //
-// plus the subset lifecycle: an engaged-but-EMPTY subset answers
+// and the same restriction holds for the Enum and PEnum baselines,
+// called directly: their answers intersected with S equal the subset
+// engine's. Plus the subset lifecycle: an engaged-but-EMPTY subset answers
 // nothing (it owns nothing — never "all", which is what an empty span
 // means further down the matcher stack); out-of-range ids are dropped
 // at construction; ApplyDelta(delta, own) atomically extends the subset
@@ -13,15 +15,19 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/enum_matcher.h"
+#include "core/pattern_parser.h"
 #include "core/qmatch.h"
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
-#include "core/pattern_parser.h"
 #include "graph/graph_builder.h"
+#include "parallel/dpar.h"
+#include "parallel/penum.h"
 
 namespace qgp {
 namespace {
@@ -64,19 +70,28 @@ TEST(EngineSubsetTest, EveryAlgoRestrictsToTheSubset) {
     EngineAlgo algo;
     bool incremental_negation;
   };
-  const Matcher matchers[] = {
-      {EngineAlgo::kQMatch, true},  {EngineAlgo::kQMatch, false},
-      {EngineAlgo::kEnum, true},    {EngineAlgo::kPQMatch, true},
-      {EngineAlgo::kPEnum, true},   {EngineAlgo::kAuto, true}};
+  const Matcher matchers[] = {{EngineAlgo::kQMatch, true},
+                              {EngineAlgo::kQMatch, false},
+                              {EngineAlgo::kPQMatch, true},
+                              {EngineAlgo::kAuto, true}};
+  // The baselines' reference: the partition the engines build lazily.
+  DParConfig dpc;
+  dpc.num_fragments = full_opts.partition_fragments;
+  dpc.d = full_opts.partition_d;
+  auto partition = DPar(g, dpc);
+  ASSERT_TRUE(partition.ok());
+  ParallelConfig capped;
+  capped.match.max_isomorphisms = 2'000'000;
   size_t compared = 0;
+  size_t baselines_compared = 0;
   for (const Pattern& p : suite) {
     if (p.Radius() > 2) continue;  // parallel families' partition depth
+    std::optional<AnswerSet> owned;
     for (const Matcher& m : matchers) {
       QuerySpec spec;
       spec.pattern = p;
       spec.algo = m.algo;
       spec.options.use_incremental_negation = m.incremental_negation;
-      spec.options.max_isomorphisms = 2'000'000;
       const std::string context = std::string(EngineAlgoName(m.algo)) +
                                   (m.incremental_negation ? "" : " naive");
       auto want = full.Submit(spec);
@@ -85,10 +100,19 @@ TEST(EngineSubsetTest, EveryAlgoRestrictsToTheSubset) {
       if (!got.ok()) continue;
       EXPECT_EQ(got->answers, SetIntersection(want->answers, subset))
           << context;
+      owned = got->answers;
       ++compared;
     }
+    auto enumerated =
+        EnumMatcher::Evaluate(p, g, capped.match, nullptr, nullptr, subset);
+    auto penum = PEnum::Evaluate(p, *partition, capped);
+    if (!owned || !enumerated.ok() || !penum.ok()) continue;  // cap tripped
+    EXPECT_EQ(*enumerated, *owned) << "Enum over the subset";
+    EXPECT_EQ(SetIntersection(penum->answers, subset), *owned) << "PEnum";
+    ++baselines_compared;
   }
   EXPECT_GT(compared, 0u);
+  EXPECT_GT(baselines_compared, 0u);
 }
 
 // With incremental negation off, every pass of a subset engine verifies
@@ -175,7 +199,7 @@ TEST(EngineSubsetTest, EngagedEmptySubsetAnswersNothing) {
   std::vector<Pattern> suite = GeneratePatternSuite(g, 4, pc, 3);
   ASSERT_FALSE(suite.empty());
   for (EngineAlgo algo :
-       {EngineAlgo::kQMatch, EngineAlgo::kEnum, EngineAlgo::kPQMatch}) {
+       {EngineAlgo::kQMatch, EngineAlgo::kPQMatch, EngineAlgo::kAuto}) {
     QuerySpec spec;
     spec.pattern = suite[0];
     spec.algo = algo;

@@ -1,20 +1,22 @@
-// Planner suite: the semantics lock for algo = auto. The headline
-// differential asserts that an auto query is ANSWER- and MATCHSTATS-
-// identical to submitting the planner's chosen algorithm manually, at
-// thread counts {1, 2, 4, 8} — the planner may change the schedule but
-// never the work. The rest pins the cost model's decision boundaries on
-// hand-built graphs (quantifier-only variants plan alike; cache-bypassing
-// specs plan like shared ones), and the effective-algo result-cache
+// algo = auto suite. The headline differential asserts that an auto
+// query is ANSWER- and MATCHSTATS-identical to submitting the resolved
+// algorithm manually, at thread counts {1, 2, 4, 8} — auto may change
+// the schedule but never the work. The rest pins the one rule (pqmatch
+// for a positive pattern when partitioning pays, else qmatch) on
+// hand-built graphs, checks the answers against the Enum and PEnum
+// baselines called directly, and pins the effective-algo result-cache
 // keying.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/enum_matcher.h"
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
 #include "graph/graph_builder.h"
+#include "parallel/penum.h"
 
 namespace qgp {
 namespace {
@@ -31,9 +33,8 @@ Graph MakeSynthetic(uint64_t seed) {
   return std::move(GenerateSynthetic(gc)).value();
 }
 
-// A graph whose "user" label has exactly 4 vertices (below the default
-// enum_focus_cutoff of 8) and whose "page" label has 30 (above it), so
-// cost-model decisions are pinned rather than sampled.
+// A graph whose "user" label has exactly 4 vertices and whose "page"
+// label has 30, so focus counts are pinned rather than sampled.
 Graph MakeTinyFocusGraph() {
   GraphBuilder b;
   std::vector<VertexId> users, pages;
@@ -77,8 +78,8 @@ void ExpectSameWork(const MatchStats& a, const MatchStats& b,
 // ---------------------------------------------------------------------
 // The differential: auto ≡ the manually submitted plan
 
-// Submit every pattern under algo = auto, read back the planner's
-// choice, then run the identical spec with that algorithm requested
+// Submit every pattern under algo = auto, read back the resolved
+// algorithm, then run the identical spec with that algorithm requested
 // explicitly on a fresh engine. Answers and work counters must match
 // exactly at every thread count — auto is a routing decision, never a
 // semantic one. Negated patterns also run as the QMatchn baseline
@@ -104,11 +105,10 @@ TEST(PlannerDifferential, AutoMatchesManualChoiceAtAllThreadCounts) {
           QuerySpec spec;
           spec.pattern = suite[i];
           spec.algo = EngineAlgo::kAuto;
-          spec.options.max_isomorphisms = 2'000'000;
           spec.options.use_incremental_negation = incremental;
           spec.tag = "q" + std::to_string(i) + (incremental ? "" : " naive");
           auto planned = auto_engine.Submit(spec);
-          if (!planned.ok()) continue;  // overflow under caps: skip
+          ASSERT_TRUE(planned.ok()) << planned.status().ToString();
           ASSERT_NE(planned->algo, EngineAlgo::kAuto)
               << "auto must resolve to a concrete matcher";
 
@@ -131,31 +131,26 @@ TEST(PlannerDifferential, AutoMatchesManualChoiceAtAllThreadCounts) {
 // ---------------------------------------------------------------------
 // Decision boundaries (hand-built graph, pinned cutoffs)
 
-TEST(PlannerDecisions, TinyFocusConventionalPlansToEnum) {
+TEST(PlannerDecisions, TinyFocusConventionalPlansToQMatch) {
   Graph g = MakeTinyFocusGraph();
   QueryEngine engine(&g);
+  // 4 "user" foci and no counting quantifier: still QMatch, and the
+  // answers are the Enum baseline's.
   QuerySpec spec;
   spec.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 1));
   spec.algo = EngineAlgo::kAuto;
-  auto outcome = engine.Submit(spec);
-  ASSERT_TRUE(outcome.ok());
-  // 4 "user" foci <= enum_focus_cutoff (8), no counting quantifier:
-  // enumerate-then-verify wins.
-  EXPECT_EQ(outcome->algo, EngineAlgo::kEnum);
-
-  // The same shape focused on "page" (30 candidates) crosses the cutoff.
-  QuerySpec wide = spec;
+  QuerySpec wide = spec;  // focused on "page": 30 candidates
   (void)wide.pattern.set_focus(1);
-  auto wide_outcome = engine.Submit(wide);
-  ASSERT_TRUE(wide_outcome.ok());
-  EXPECT_EQ(wide_outcome->algo, EngineAlgo::kQMatch);
-
-  // A counting quantifier disqualifies enum regardless of focus count.
   QuerySpec counting = spec;
   counting.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 2));
-  auto counting_outcome = engine.Submit(counting);
-  ASSERT_TRUE(counting_outcome.ok());
-  EXPECT_EQ(counting_outcome->algo, EngineAlgo::kQMatch);
+  for (const QuerySpec* s : {&spec, &wide, &counting}) {
+    auto outcome = engine.Submit(*s);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome->algo, EngineAlgo::kQMatch);
+    auto enumerated = EnumMatcher::Evaluate(s->pattern, g);
+    ASSERT_TRUE(enumerated.ok());
+    EXPECT_EQ(outcome->answers, *enumerated);
+  }
 }
 
 TEST(PlannerDecisions, NegatedPatternsPlanToQmatchAndRespectOptions) {
@@ -182,32 +177,52 @@ TEST(PlannerDecisions, PartitionCutoffRoutesToParallelAlgos) {
   EngineOptions opts;
   // Force "this graph is big enough to shard" so the partition branch is
   // exercised without a 200k-vertex fixture.
-  opts.planner.partition_vertex_cutoff = 1;
+  opts.partition_vertex_cutoff = 1;
   QueryEngine engine(&g, opts);
-
-  QuerySpec counting;
-  counting.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 2));
-  counting.algo = EngineAlgo::kAuto;
-  auto pq = engine.Submit(counting);
-  ASSERT_TRUE(pq.ok());
-  EXPECT_EQ(pq->algo, EngineAlgo::kPQMatch);
-
-  QuerySpec conventional;
-  conventional.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 1));
-  conventional.algo = EngineAlgo::kAuto;
-  auto pe = engine.Submit(conventional);
-  ASSERT_TRUE(pe.ok());
-  EXPECT_EQ(pe->algo, EngineAlgo::kPEnum);
-
-  // Parallel routing is still answer-identical to the serial picks.
   EngineOptions serial_opts;
   QueryEngine serial(&g, serial_opts);
-  auto pq_serial = serial.Submit(counting);
-  auto pe_serial = serial.Submit(conventional);
-  ASSERT_TRUE(pq_serial.ok());
-  ASSERT_TRUE(pe_serial.ok());
-  EXPECT_EQ(pq->answers, pq_serial->answers);
-  EXPECT_EQ(pe->answers, pe_serial->answers);
+  auto partition = engine.partition();
+  ASSERT_TRUE(partition.ok());
+
+  // Positive patterns, counting or not, go fragment-parallel, answer like
+  // the serial pick and like the PEnum baseline over the same partition.
+  for (const Quantifier& quant : {Quantifier::Numeric(QuantOp::kGe, 2),
+                                  Quantifier::Numeric(QuantOp::kGe, 1)}) {
+    QuerySpec spec;
+    spec.pattern = UserPattern(quant);
+    spec.algo = EngineAlgo::kAuto;
+    auto parallel = engine.Submit(spec);
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_EQ(parallel->algo, EngineAlgo::kPQMatch);
+    auto serial_outcome = serial.Submit(spec);
+    ASSERT_TRUE(serial_outcome.ok());
+    EXPECT_EQ(serial_outcome->algo, EngineAlgo::kQMatch);
+    EXPECT_EQ(parallel->answers, serial_outcome->answers);
+    auto penum = PEnum::Evaluate(spec.pattern, **partition, ParallelConfig{});
+    ASSERT_TRUE(penum.ok());
+    EXPECT_EQ(parallel->answers, penum->answers);
+  }
+
+  // Negated patterns, a single fragment, or a radius past the
+  // partition's depth keep QMatch.
+  QuerySpec negated;
+  negated.pattern = UserPattern(Quantifier::Negation());
+  negated.algo = EngineAlgo::kAuto;
+  auto negated_outcome = engine.Submit(negated);
+  ASSERT_TRUE(negated_outcome.ok());
+  EXPECT_EQ(negated_outcome->algo, EngineAlgo::kQMatch);
+  QuerySpec positive = negated;
+  positive.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 1));
+  EngineOptions one_fragment = opts;
+  one_fragment.partition_fragments = 1;
+  EngineOptions shallow = opts;
+  shallow.partition_d = 0;
+  for (const EngineOptions& narrowed : {one_fragment, shallow}) {
+    QueryEngine narrow_engine(&g, narrowed);
+    auto outcome = narrow_engine.Submit(positive);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome->algo, EngineAlgo::kQMatch);
+  }
 }
 
 TEST(PlannerDecisions, QuantifierVariantsPlanAlike) {
@@ -230,8 +245,7 @@ TEST(PlannerDecisions, QuantifierVariantsPlanAlike) {
 
 TEST(PlannerDecisions, CacheBypassingSpecsPlanAlike) {
   Graph g = MakeTinyFocusGraph();
-  // The conventional pattern reads the focus count, fresh when the spec
-  // bypasses the shared cache; the counting one never reads it.
+  // Resolving auto reads no cache, so bypassing changes nothing.
   for (const Quantifier& quant : {Quantifier::Numeric(QuantOp::kGe, 1),
                                   Quantifier::Numeric(QuantOp::kGe, 2)}) {
     QueryEngine engine(&g);
@@ -261,28 +275,27 @@ TEST(PlannerResultCache, AutoSharesEntriesWithItsResolvedAlgo) {
 
   QuerySpec manual;
   manual.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 1));
-  manual.algo = EngineAlgo::kEnum;
+  manual.algo = EngineAlgo::kQMatch;
   auto stored = engine.Submit(manual);
   ASSERT_TRUE(stored.ok());
   EXPECT_FALSE(stored->result_cache_hit);
 
-  // Auto resolves this pattern to enum, so the result key — built from
-  // the EFFECTIVE algorithm, not the submitted "auto" — lands on the
-  // manual run's entry.
+  // Auto resolves this pattern to qmatch, so the result key — built
+  // from the EFFECTIVE algorithm, not the submitted "auto" — lands on
+  // the manual run's entry.
   QuerySpec automatic = manual;
   automatic.algo = EngineAlgo::kAuto;
   auto replayed = engine.Submit(automatic);
   ASSERT_TRUE(replayed.ok());
   EXPECT_TRUE(replayed->result_cache_hit);
-  EXPECT_EQ(replayed->algo, EngineAlgo::kEnum);
+  EXPECT_EQ(replayed->algo, EngineAlgo::kQMatch);
   EXPECT_EQ(replayed->answers, stored->answers);
 
   // A different matcher over the same pattern must NOT collide: keying
-  // on the submitted spec (the old behavior) would have replayed the
-  // enum entry here.
-  QuerySpec qmatch = manual;
-  qmatch.algo = EngineAlgo::kQMatch;
-  auto fresh = engine.Submit(qmatch);
+  // on the submitted spec would have replayed the qmatch entry here.
+  QuerySpec pqmatch = manual;
+  pqmatch.algo = EngineAlgo::kPQMatch;
+  auto fresh = engine.Submit(pqmatch);
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE(fresh->result_cache_hit);
   EXPECT_EQ(fresh->answers, stored->answers);  // same semantics either way
@@ -320,13 +333,13 @@ TEST(PlannerDefaults, DefaultAlgoAutoAppliesToBareSpecs) {
   spec.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 1));
   auto outcome = engine.Submit(spec);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->algo, EngineAlgo::kEnum);
+  EXPECT_EQ(outcome->algo, EngineAlgo::kQMatch);
 
   // An explicit spec algo still overrides the engine default.
-  spec.algo = EngineAlgo::kQMatch;
+  spec.algo = EngineAlgo::kPQMatch;
   auto manual = engine.Submit(spec);
   ASSERT_TRUE(manual.ok());
-  EXPECT_EQ(manual->algo, EngineAlgo::kQMatch);
+  EXPECT_EQ(manual->algo, EngineAlgo::kPQMatch);
   EXPECT_EQ(manual->answers, outcome->answers);
 }
 

@@ -9,12 +9,14 @@
 #include <thread>
 
 #include "common/failpoint.h"
+#include "core/candidate_space.h"
 #include "core/enum_matcher.h"
 #include "core/qmatch.h"
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
 #include "parallel/dpar.h"
+#include "parallel/penum.h"
 #include "parallel/pqmatch.h"
 #include "testing/thread_count.h"
 
@@ -45,8 +47,7 @@ std::vector<Pattern> MakePatterns(const Graph& g, size_t count,
 
 TEST(EngineAlgoTest, NamesRoundTrip) {
   for (EngineAlgo algo :
-       {EngineAlgo::kQMatch, EngineAlgo::kEnum, EngineAlgo::kPQMatch,
-        EngineAlgo::kPEnum, EngineAlgo::kAuto}) {
+       {EngineAlgo::kQMatch, EngineAlgo::kPQMatch, EngineAlgo::kAuto}) {
     auto parsed = ParseEngineAlgo(EngineAlgoName(algo));
     ASSERT_TRUE(parsed.has_value()) << EngineAlgoName(algo);
     EXPECT_EQ(*parsed, algo);
@@ -54,6 +55,9 @@ TEST(EngineAlgoTest, NamesRoundTrip) {
   // The QMatchn baseline is qmatch with use_incremental_negation = false,
   // not an algo of its own.
   EXPECT_FALSE(ParseEngineAlgo("qmatchn").has_value());
+  // The enumeration baselines are direct calls, not served algos.
+  EXPECT_FALSE(ParseEngineAlgo("enum").has_value());
+  EXPECT_FALSE(ParseEngineAlgo("penum").has_value());
   EXPECT_FALSE(ParseEngineAlgo("bogus").has_value());
   EXPECT_FALSE(ParseEngineAlgo("").has_value());
 }
@@ -86,11 +90,10 @@ TEST(QueryEngineTest, SequentialAlgosMatchStandalone) {
     EXPECT_EQ(via_engine->answers, standalone.value());
     spec.options.use_incremental_negation = true;
 
-    spec.algo = EngineAlgo::kEnum;
-    spec.options.max_isomorphisms = 5'000'000;
-    via_engine = engine.Submit(spec);
-    ASSERT_TRUE(via_engine.ok());
-    standalone = EnumMatcher::Evaluate(q, g, spec.options);
+    // The enumeration baseline, called directly, agrees.
+    MatchOptions capped;
+    capped.max_isomorphisms = 5'000'000;
+    standalone = EnumMatcher::Evaluate(q, g, capped);
     ASSERT_TRUE(standalone.ok());
     EXPECT_EQ(via_engine->answers, standalone.value());
   }
@@ -124,12 +127,12 @@ TEST(QueryEngineTest, PartitionAlgosMatchStandalone) {
     ASSERT_TRUE(standalone.ok());
     EXPECT_EQ(via_engine->answers, standalone->answers);
 
-    spec.algo = EngineAlgo::kPEnum;
-    spec.options.max_isomorphisms = 5'000'000;
-    via_engine = engine.Submit(spec);
-    ASSERT_TRUE(via_engine.ok()) << via_engine.status().ToString();
-    EXPECT_EQ(via_engine->answers, standalone->answers)
-        << "PEnum disagrees with PQMatch";
+    ParallelConfig capped;
+    capped.match.max_isomorphisms = 5'000'000;
+    auto penum = PEnum::Evaluate(q, *partition, capped);
+    ASSERT_TRUE(penum.ok()) << penum.status().ToString();
+    EXPECT_EQ(via_engine->answers, penum->answers)
+        << "PEnum disagrees with the engine's PQMatch";
   }
 }
 
@@ -201,7 +204,7 @@ TEST(QueryEngineTest, PartitionIsLazyAndRadiusChecked) {
 
 TEST(QueryEngineTest, WarmCacheHitsAndIdenticalAnswers) {
   Graph g = MakeGraph(11);
-  std::vector<Pattern> patterns = MakePatterns(g, 3);
+  std::vector<Pattern> patterns = MakePatterns(g, 3, /*num_negated=*/0);
   ASSERT_FALSE(patterns.empty());
   QueryEngine engine(&g);
   QuerySpec spec;
@@ -214,6 +217,18 @@ TEST(QueryEngineTest, WarmCacheHitsAndIdenticalAnswers) {
   EXPECT_GT(warm->cache_hits, 0u) << "repeat query should hit";
   EXPECT_EQ(warm->cache_misses, 0u);
   EXPECT_EQ(cold->answers, warm->answers);
+
+  // The candidate counters are those of Π(Q)'s candidate-space build,
+  // warm or cold.
+  auto pi = spec.pattern.Pi();
+  ASSERT_TRUE(pi.ok());
+  MatchStats build;
+  ASSERT_TRUE(CandidateSpace::Build(pi->first, g, MatchOptions{}, &build).ok());
+  EXPECT_GT(cold->stats.candidates_initial, 0u);
+  for (const QueryOutcome* o : {&*cold, &*warm}) {
+    EXPECT_EQ(o->stats.candidates_initial, build.candidates_initial);
+    EXPECT_EQ(o->stats.candidates_pruned, build.candidates_pruned);
+  }
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries, 2u);
@@ -448,21 +463,25 @@ TEST(QueryEngineTest, FailuresFeedWallClockCacheTrafficAndPressure) {
   EngineOptions opts;
   opts.cache_max_entries = 1;
   QueryEngine engine(&g, opts);
+  // Every evaluation fails after its candidate space is built, so each
+  // one has interned sets before it errors out.
+  failpoint::Action fail;
+  fail.kind = failpoint::Action::Kind::kError;
+  failpoint::Arm("qmatch.verify", fail);
   size_t failures = 0;
   for (const Pattern& q : patterns) {
     QuerySpec spec;
     spec.pattern = q;
-    spec.algo = EngineAlgo::kEnum;
-    spec.options.max_isomorphisms = 1;  // trips mid-enumeration
     const double wall_before = engine.stats().wall_ms;
     auto outcome = engine.Submit(spec);
-    if (outcome.ok()) continue;  // pattern with <= 1 embedding: fine
+    if (outcome.ok()) continue;
     ++failures;
     EXPECT_EQ(outcome.status().code(), StatusCode::kInternal);
     EXPECT_GT(engine.stats().wall_ms, wall_before)
         << "failed evaluation did not report its wall time";
   }
-  ASSERT_GT(failures, 0u) << "no pattern tripped the cap - tighten it";
+  failpoint::DisarmAll();
+  ASSERT_EQ(failures, patterns.size());
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.failed, failures);
   EXPECT_GT(stats.cache_misses, 0u)

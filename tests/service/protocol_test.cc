@@ -69,8 +69,8 @@ TEST(ProtocolTest, RequestRoundTripsThroughCodec) {
   ServiceRequest request;
   request.op = ServiceRequest::Op::kQuery;
   request.pattern_text = "node a person\nnode b person\nedge a b e\nfocus a\n";
-  request.algo = EngineAlgo::kEnum;
-  request.options.max_isomorphisms = 123456;
+  request.algo = EngineAlgo::kPQMatch;
+  request.options.ball_limit = 123456;
   request.options.use_simulation = true;
   // How a client asks for the QMatchn baseline.
   request.options.use_incremental_negation = false;
@@ -81,8 +81,8 @@ TEST(ProtocolTest, RequestRoundTripsThroughCodec) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->op, ServiceRequest::Op::kQuery);
   EXPECT_EQ(decoded->pattern_text, request.pattern_text);
-  EXPECT_EQ(decoded->algo, EngineAlgo::kEnum);
-  EXPECT_EQ(decoded->options.max_isomorphisms, 123456u);
+  EXPECT_EQ(decoded->algo, EngineAlgo::kPQMatch);
+  EXPECT_EQ(decoded->options.ball_limit, 123456u);
   EXPECT_TRUE(decoded->options.use_simulation);
   EXPECT_FALSE(decoded->options.use_incremental_negation);
   EXPECT_FALSE(decoded->share_cache);
@@ -110,7 +110,7 @@ TEST(ProtocolTest, OpDefaultsToQuery) {
 }
 
 TEST(ProtocolTest, AlgoFieldRoundTripsAutoAndDefaultsToUnset) {
-  // "auto" is a first-class wire name: the planner resolves it
+  // "auto" is a first-class wire name: the engine resolves it
   // server-side, so it must survive the request codec like any other.
   ServiceRequest request;
   request.pattern_text = "node a x\nfocus a\n";
@@ -144,8 +144,10 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       R"({"pattern":"p","algo":"qmatchn"})",        // an option, not an algo
       R"({"pattern":"p","bogus":1})",               // unknown top-level key
       R"({"pattern":"p","options":{"bogus":1}})",   // unknown option
-      R"({"pattern":"p","options":{"max_isomorphisms":-1}})",  // negative
-      R"({"pattern":"p","options":{"max_isomorphisms":3.7}})", // fractional
+      R"({"pattern":"p","options":{"ball_limit":-1}})",   // negative
+      R"({"pattern":"p","options":{"ball_limit":3.7}})",  // fractional
+      // Only the enumeration baselines read it; it is not a wire option.
+      R"({"pattern":"p","options":{"max_isomorphisms":5}})",
       R"({"pattern":"p","options":{"use_simulation":1}})",     // wrong type
       R"({"pattern":"p","share_cache":"yes"})",     // wrong type
       R"({"pattern":12})",                          // wrong type
@@ -159,6 +161,29 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << line;
     }
   }
+}
+
+// The enumeration baselines are not served: their names decode like any
+// other unknown algo, to an InvalidArgument that names the algo.
+TEST(ProtocolTest, RetiredEnumerationAlgosAreUnknown) {
+  for (const std::string algo : {"enum", "penum"}) {
+    auto decoded =
+        DecodeRequest(R"({"pattern":"p","algo":")" + algo + R"("})");
+    ASSERT_FALSE(decoded.ok()) << algo;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("unknown algo '" + algo + "'"),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
+}
+
+// max_isomorphisms does not travel: an encoded request leaves it out.
+TEST(ProtocolTest, MaxIsomorphismsIsNotEncoded) {
+  ServiceRequest request;
+  request.pattern_text = "node a x\nfocus a\n";
+  request.options.max_isomorphisms = 1000;
+  EXPECT_EQ(EncodeRequest(request).find("max_isomorphisms"),
+            std::string::npos);
 }
 
 TEST(ProtocolTest, DeltaRequestRoundTripsThroughCodec) {
@@ -230,7 +255,7 @@ TEST(ProtocolTest, QueryResponseRoundTrips) {
   outcome.cache_hits = 4;
   outcome.cache_misses = 1;
   outcome.result_cache_hit = true;
-  outcome.algo = EngineAlgo::kEnum;
+  outcome.algo = EngineAlgo::kPQMatch;
   outcome.stats.search_extensions = 211;
   outcome.stats.isomorphisms_enumerated = 99;
   outcome.stats.balls_built = 7;
@@ -248,7 +273,7 @@ TEST(ProtocolTest, QueryResponseRoundTrips) {
   EXPECT_TRUE(decoded->result_cache_hit);
   // The effective matcher rides along so clients see what algo = auto
   // resolved to.
-  EXPECT_EQ(decoded->algo, "enum");
+  EXPECT_EQ(decoded->algo, "pqmatch");
   EXPECT_EQ(decoded->stats.search_extensions, 211u);
   EXPECT_EQ(decoded->stats.isomorphisms_enumerated, 99u);
   EXPECT_EQ(decoded->stats.balls_built, 7u);

@@ -3,7 +3,8 @@
 // ServiceClients. The headline contract: answers and MatchStats work
 // counters that come back over the wire are identical to direct
 // QueryEngine::RunBatch calls — under at least 4 concurrent client
-// connections — so the network layer is a pure transport. Around it:
+// connections — so the network layer is a pure transport; the answers
+// also equal the Enum baseline's, called directly. Around it:
 // malformed input gets structured errors without killing the
 // connection, the per-client admission limit rejects while the engine
 // is busy, the stats op answers while a long batch is mid-flight, and
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/enum_matcher.h"
 #include "core/pattern_parser.h"
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
@@ -39,7 +41,7 @@ Graph MakeGraph(uint64_t seed, size_t vertices = 60) {
 
 /// A mixed workload as wire requests: two pattern families, matchers
 /// rotating qmatch / QMatchn (qmatch with use_incremental_negation =
-/// false) / enum, pattern text produced by the parser's own serializer.
+/// false) / auto, pattern text produced by the parser's own serializer.
 std::vector<ServiceRequest> MakeWorkload(Graph& g, uint64_t seed) {
   PatternGenConfig small;
   small.num_nodes = 4;
@@ -60,7 +62,7 @@ std::vector<ServiceRequest> MakeWorkload(Graph& g, uint64_t seed) {
   };
   const Matcher matchers[] = {{EngineAlgo::kQMatch, true},
                               {EngineAlgo::kQMatch, false},
-                              {EngineAlgo::kEnum, true}};
+                              {EngineAlgo::kAuto, true}};
   std::vector<ServiceRequest> workload;
   for (size_t i = 0; i < patterns.size(); ++i) {
     ServiceRequest request;
@@ -68,7 +70,6 @@ std::vector<ServiceRequest> MakeWorkload(Graph& g, uint64_t seed) {
     request.algo = matchers[i % 3].algo;
     request.options.use_incremental_negation =
         matchers[i % 3].incremental_negation;
-    request.options.max_isomorphisms = 2'000'000;
     request.tag = "q" + std::to_string(i);
     workload.push_back(std::move(request));
   }
@@ -160,6 +161,16 @@ TEST(ServiceLoopbackTest, ConcurrentClientsMatchDirectEngineRuns) {
   auto expected = reference.RunBatch(specs);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   ASSERT_EQ(expected->size(), workload.size());
+  MatchOptions capped;
+  capped.max_isomorphisms = 2'000'000;
+  size_t enum_checked = 0;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    auto enumerated = EnumMatcher::Evaluate(specs[i].pattern, g, capped);
+    if (!enumerated.ok()) continue;  // cap tripped
+    EXPECT_EQ((*expected)[i].answers, *enumerated) << workload[i].tag;
+    ++enum_checked;
+  }
+  EXPECT_GT(enum_checked, 0u);
 
   QueryEngine engine(&g, EngineOptions{});
   QueryService server(&engine, ServiceOptions{});
@@ -618,8 +629,9 @@ TEST(ServiceLoopbackTest, QueuedDeltaKeepsReaderResponsive) {
 }
 
 // algo handling over the wire: "auto" resolves server-side (the
-// response reports the planner's concrete choice); an unknown algo name
-// is a structured InvalidArgument that leaves the connection usable.
+// response reports the engine's concrete choice); an unknown algo name
+// — the retired enumeration baselines included — is a structured
+// InvalidArgument that leaves the connection usable.
 TEST(ServiceLoopbackTest, AutoAlgoResolvesAndBogusAlgoIsStructured) {
   Graph g = MakeGraph(89);
   std::vector<ServiceRequest> workload = MakeWorkload(g, 89);
@@ -632,16 +644,20 @@ TEST(ServiceLoopbackTest, AutoAlgoResolvesAndBogusAlgoIsStructured) {
   // Unknown algo: rejected at decode with a structured error, not a
   // dropped connection.
   const std::string node_label = g.dict().Name(g.vertex_label(0));
-  ASSERT_TRUE(client
-                  ->SendLine(R"({"pattern":"node a )" + node_label +
-                             R"(\nfocus a\n","algo":"bogus"})")
-                  .ok());
-  auto rejected = client->ReadResponse();
-  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
-  EXPECT_FALSE(rejected->ok);
-  EXPECT_EQ(rejected->error_code, "InvalidArgument");
-  EXPECT_NE(rejected->error_message.find("unknown algo"), std::string::npos)
-      << rejected->error_message;
+  const char* unknown[] = {"bogus", "enum", "penum"};
+  for (const std::string algo : unknown) {
+    ASSERT_TRUE(client
+                    ->SendLine(R"({"pattern":"node a )" + node_label +
+                               R"(\nfocus a\n","algo":")" + algo + R"("})")
+                    .ok());
+    auto rejected = client->ReadResponse();
+    ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+    EXPECT_FALSE(rejected->ok) << algo;
+    EXPECT_EQ(rejected->error_code, "InvalidArgument") << algo;
+    EXPECT_NE(rejected->error_message.find("unknown algo '" + algo + "'"),
+              std::string::npos)
+        << rejected->error_message;
+  }
 
   // The connection survived: an auto query on it answers, reporting the
   // resolved matcher (never "auto" back).
@@ -660,7 +676,7 @@ TEST(ServiceLoopbackTest, AutoAlgoResolvesAndBogusAlgoIsStructured) {
   EXPECT_EQ(second->algo, first->algo);
   EXPECT_EQ(second->answers, first->answers);
 
-  EXPECT_EQ(server.stats().malformed, 1u);
+  EXPECT_EQ(server.stats().malformed, 3u);
   server.Stop();
 }
 

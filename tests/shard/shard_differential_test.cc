@@ -1,17 +1,18 @@
 // Shard differential harness: a ShardedEngine at shard counts {1, 2, 4}
 // must be ANSWER-identical to a single QueryEngine over the same graph
 // for every algo family (qmatch / QMatchn — qmatch with
-// use_incremental_negation = false — / enum / pqmatch / penum and the
-// auto planner), across randomized graph/pattern pairs, and must
-// STAY identical after randomized delta batches routed through the
-// coordinator (apply-to-shards ≡ apply-to-single). Work-counter
-// identity is asserted on the pristine partition against the
-// single-engine parallel families over the same DPar config — a shard
-// evaluating its fragment's owned foci is exactly one PQMatch/PEnum
-// worker, so the summed non-scheduler MatchStats must match to the
-// counter. (Post-delta the routed fragments legitimately diverge from a
-// fresh partition — stale replicas are kept — so only answers are
-// asserted there; invariants I1-I3 keep them exact.)
+// use_incremental_negation = false — / pqmatch / auto), across
+// randomized graph/pattern pairs, and must STAY identical after
+// randomized delta batches routed through the coordinator
+// (apply-to-shards ≡ apply-to-single). On the pristine graph the
+// answers must also equal the Enum and PEnum baselines', called
+// directly. Work-counter identity is asserted on the pristine partition
+// against single-engine PQMatch over the same DPar config — a shard
+// evaluating its fragment's owned foci is exactly one PQMatch worker,
+// so the summed non-scheduler MatchStats must match to the counter.
+// (Post-delta the routed fragments legitimately diverge from a fresh
+// partition — stale replicas are kept — so only answers are asserted
+// there; invariants I1-I3 keep them exact.)
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "core/enum_matcher.h"
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
 #include "graph/graph_delta.h"
+#include "parallel/dpar.h"
+#include "parallel/penum.h"
 #include "shard/sharded_engine.h"
 
 namespace qgp {
@@ -100,10 +104,10 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed, int d) {
     EngineAlgo algo;
     bool incremental_negation;
   };
-  const Matcher matchers[] = {
-      {EngineAlgo::kQMatch, true},  {EngineAlgo::kQMatch, false},
-      {EngineAlgo::kEnum, true},    {EngineAlgo::kPQMatch, true},
-      {EngineAlgo::kPEnum, true},   {EngineAlgo::kAuto, true}};
+  const Matcher matchers[] = {{EngineAlgo::kQMatch, true},
+                              {EngineAlgo::kQMatch, false},
+                              {EngineAlgo::kPQMatch, true},
+                              {EngineAlgo::kAuto, true}};
   EngineOptions probe_opts;
   probe_opts.num_threads = 2;
   QueryEngine probe(&g, probe_opts);
@@ -112,10 +116,9 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed, int d) {
     if (suite[i].Radius() > d) continue;
     QuerySpec spec;
     spec.pattern = std::move(suite[i]);
-    const Matcher& m = matchers[workload.size() % 6];
+    const Matcher& m = matchers[workload.size() % 4];
     spec.algo = m.algo;
     spec.options.use_incremental_negation = m.incremental_negation;
-    spec.options.max_isomorphisms = 2'000'000;
     spec.tag = "q" + std::to_string(i);
     if (!probe.Submit(spec).ok()) continue;
     workload.push_back(std::move(spec));
@@ -136,8 +139,10 @@ void ExpectSameWork(const MatchStats& a, const MatchStats& b,
 }
 
 // One (seed, shard count) sweep. *pairs counts evaluated graph/pattern
-// pairs so the top-level test can assert the >= 64 coverage floor.
-void RunSweep(uint64_t seed, size_t num_shards, size_t* pairs) {
+// pairs so the top-level test can assert the >= 64 coverage floor, and
+// *baseline_pairs the pairs also checked against Enum and PEnum.
+void RunSweep(uint64_t seed, size_t num_shards, size_t* pairs,
+              size_t* baseline_pairs) {
   const int d = 2;
   Graph base = MakeGraph(seed);
   std::vector<QuerySpec> workload = MakeWorkload(base, seed, d);
@@ -157,6 +162,14 @@ void RunSweep(uint64_t seed, size_t num_shards, size_t* pairs) {
   ref_opts.partition_d = d;
   QueryEngine reference(base, ref_opts);  // same content, single engine
 
+  DParConfig dpc;
+  dpc.num_fragments = num_shards;
+  dpc.d = d;
+  auto partition = DPar(base, dpc);
+  ASSERT_TRUE(partition.ok());
+  ParallelConfig capped;
+  capped.match.max_isomorphisms = 2'000'000;
+
   for (const QuerySpec& spec : workload) {
     const std::string context = "seed " + std::to_string(seed) + " shards " +
                                 std::to_string(num_shards) + " " + spec.tag;
@@ -171,21 +184,25 @@ void RunSweep(uint64_t seed, size_t num_shards, size_t* pairs) {
     EXPECT_FALSE(got->partial) << context;
     EXPECT_EQ(got->shards.size(), num_shards) << context;
 
-    // Work identity on the pristine partition: a sharded qmatch/enum IS
-    // the matching parallel family over the same DPar config, shard by
-    // shard, so the summed counters must agree exactly.
-    std::optional<EngineAlgo> parallel_twin;
-    if (spec.algo == EngineAlgo::kQMatch) parallel_twin = EngineAlgo::kPQMatch;
-    if (spec.algo == EngineAlgo::kEnum) parallel_twin = EngineAlgo::kPEnum;
-    if (parallel_twin.has_value()) {
+    // Work identity on the pristine partition: a sharded qmatch IS
+    // PQMatch over the same DPar config, shard by shard, so the summed
+    // counters must agree exactly.
+    if (spec.algo == EngineAlgo::kQMatch) {
       QuerySpec twin = spec;
-      twin.algo = parallel_twin;
+      twin.algo = EngineAlgo::kPQMatch;
       twin.share_cache = false;
       auto twin_run = reference.Submit(twin);
       ASSERT_TRUE(twin_run.ok()) << context;
       EXPECT_EQ(got->answers, twin_run->answers) << context;
       ExpectSameWork(got->stats, twin_run->stats, context);
     }
+
+    auto enumerated = EnumMatcher::Evaluate(spec.pattern, base, capped.match);
+    auto penum = PEnum::Evaluate(spec.pattern, *partition, capped);
+    if (!enumerated.ok() || !penum.ok()) continue;  // cap tripped
+    EXPECT_EQ(got->answers, *enumerated) << context << " vs Enum";
+    EXPECT_EQ(got->answers, penum->answers) << context << " vs PEnum";
+    ++*baseline_pairs;
   }
 
   // Delta phase: route the same batches through both sides. Answers
@@ -221,15 +238,17 @@ void RunSweep(uint64_t seed, size_t num_shards, size_t* pairs) {
 
 TEST(ShardDifferential, ShardCountsMatchSingleEngine) {
   size_t pairs = 0;
+  size_t baseline_pairs = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     for (size_t shards : {1u, 2u, 4u}) {
-      RunSweep(seed, shards, &pairs);
+      RunSweep(seed, shards, &pairs, &baseline_pairs);
     }
   }
-  // The coverage floor from the issue: >= 64 randomized graph/pattern
-  // pairs differentially checked (pre- and post-delta evaluations both
-  // count — each is a full sharded-vs-single comparison).
+  // The coverage floor: >= 64 randomized graph/pattern pairs
+  // differentially checked (pre- and post-delta evaluations both count —
+  // each is a full sharded-vs-single comparison).
   EXPECT_GE(pairs, 64u);
+  EXPECT_GT(baseline_pairs, 0u);
 }
 
 // Ownership never double-reports or drops: the per-shard owned counts

@@ -50,15 +50,13 @@ ServiceRequest RandomQueryRequest(std::mt19937* rng) {
                    "\nnode b nl" + std::to_string((*rng)() % 4) +
                    "\nedge a b el0 >=" + std::to_string(1 + (*rng)() % 5) +
                    "\nfocus a\n";
-  switch ((*rng)() % 7) {
+  switch ((*rng)() % 5) {
     // Two draws for qmatch: its QMatchn mode is the
     // use_incremental_negation draw below.
     case 0:
     case 1: r.algo = EngineAlgo::kQMatch; break;
-    case 2: r.algo = EngineAlgo::kEnum; break;
-    case 3: r.algo = EngineAlgo::kPQMatch; break;
-    case 4: r.algo = EngineAlgo::kPEnum; break;
-    case 5: r.algo = EngineAlgo::kAuto; break;
+    case 2: r.algo = EngineAlgo::kPQMatch; break;
+    case 3: r.algo = EngineAlgo::kAuto; break;
     default: break;  // unset: engine default
   }
   r.options.use_simulation = (*rng)() % 2 == 0;
@@ -67,7 +65,6 @@ ServiceRequest RandomQueryRequest(std::mt19937* rng) {
   r.options.early_stop_counting = (*rng)() % 2 == 0;
   r.options.use_incremental_negation = (*rng)() % 2 == 0;
   r.options.max_quantified_per_path = 1 + (*rng)() % 4;
-  r.options.max_isomorphisms = (*rng)() % 1000000;
   r.options.ball_limit = (*rng)() % 10000;
   r.options.scheduler_grain = (*rng)() % 64;
   r.share_cache = (*rng)() % 2 == 0;

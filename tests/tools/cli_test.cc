@@ -76,7 +76,7 @@ TEST(CliTest, MatchQuantifiedPattern) {
     f << "node xo person\nnode z person\nnode r product\n"
          "edge xo z follow =100%\nedge z r recom\nfocus xo\n";
   }
-  for (const char* algo : {"qmatch", "enum"}) {
+  for (const char* algo : {"qmatch", "pqmatch"}) {
     CliResult r = RunTool({"match", graph, pattern,
                        std::string("--algo=") + algo, "--stats"});
     EXPECT_EQ(r.code, 0) << algo << ": " << r.err;
@@ -87,11 +87,14 @@ TEST(CliTest, MatchQuantifiedPattern) {
   EXPECT_EQ(bad.code, 2);
   EXPECT_NE(bad.err.find("unknown --algo 'bogus'"), std::string::npos)
       << bad.err;
-  // The QMatchn baseline is a MatchOptions flag, not an algo.
-  CliResult naive = RunTool({"match", graph, pattern, "--algo=qmatchn"});
-  EXPECT_EQ(naive.code, 2);
-  EXPECT_NE(naive.err.find("unknown --algo 'qmatchn'"), std::string::npos)
-      << naive.err;
+  // The QMatchn baseline is a MatchOptions flag, not an algo, and the
+  // enumeration baselines are not served.
+  for (const std::string algo : {"qmatchn", "enum", "penum"}) {
+    CliResult r = RunTool({"match", graph, pattern, "--algo=" + algo});
+    EXPECT_EQ(r.code, 2) << algo;
+    EXPECT_NE(r.err.find("unknown --algo '" + algo + "'"), std::string::npos)
+        << r.err;
+  }
 }
 
 TEST(CliTest, MatchAlgoAutoSurfacesPlannerDecision) {
@@ -108,7 +111,7 @@ TEST(CliTest, MatchAlgoAutoSurfacesPlannerDecision) {
       RunTool({"match", graph, pattern, pattern, "--algo=auto", "--stats"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("matches: 1"), std::string::npos);
-  // The planner's decision is surfaced per query: the resolved matcher,
+  // The engine's choice is surfaced per query: the resolved matcher,
   // never "auto".
   EXPECT_NE(r.out.find(" [algo="), std::string::npos);
   EXPECT_EQ(r.out.find("[algo=auto"), std::string::npos);

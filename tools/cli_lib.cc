@@ -91,7 +91,7 @@ int Usage(std::ostream& err) {
          "  stats <graph>\n"
          "  convert <graph-in> <graph-out.bin>\n"
          "  match <graph> <pattern-file>... "
-         "[--algo=auto|qmatch|enum|pqmatch|penum]\n"
+         "[--algo=auto|qmatch|pqmatch]\n"
          "        [--stats] [--limit=N] [--threads=N] [--n=4] [--d=2]\n"
          "  generate <social|knowledge|synthetic> <out> [--size=N] "
          "[--seed=N] [--binary]\n"
@@ -149,7 +149,7 @@ int CmdConvert(const Args& args, std::ostream& out, std::ostream& err) {
 // the engine's candidate cache and worker pool (a multi-pattern
 // invocation is a batch in the server sense). --algo selects the
 // matcher, --threads the pool width, --n/--d the partition the
-// pqmatch/penum algorithms evaluate over.
+// pqmatch algorithm evaluates over.
 int CmdMatch(const Args& args, std::ostream& out, std::ostream& err) {
   if (args.positional.size() < 3) return Usage(err);
   auto graph = LoadGraph(args.positional[1]);
@@ -183,9 +183,6 @@ int CmdMatch(const Args& args, std::ostream& out, std::ostream& err) {
     spec.pattern = std::move(pattern).value();
     spec.algo = *algo;
     spec.tag = path;
-    if (*algo == EngineAlgo::kEnum || *algo == EngineAlgo::kPEnum) {
-      spec.options.max_isomorphisms = 10'000'000;
-    }
     specs.push_back(std::move(spec));
   }
 
@@ -214,7 +211,7 @@ int CmdMatch(const Args& args, std::ostream& out, std::ostream& err) {
     out << "matches: " << outcome->answers.size() << " (in "
         << outcome->wall_ms / 1000.0 << "s)";
     if (*algo == EngineAlgo::kAuto) {
-      // Surface the planner's decision: which matcher ran.
+      // Surface the engine's choice: which matcher ran.
       out << " [algo=" << EngineAlgoName(outcome->algo) << "]";
     }
     out << "\n";

@@ -15,7 +15,7 @@ namespace qgp::cli {
 ///   qgp stats <graph>
 ///   qgp convert <graph-in> <graph-out.bin>
 ///   qgp match <graph> <pattern-file>...
-///             [--algo=auto|qmatch|enum|pqmatch|penum]
+///             [--algo=auto|qmatch|pqmatch]
 ///             [--stats] [--limit=N] [--threads=N] [--n=4] [--d=2]
 ///
 /// `match` evaluates every pattern file through one QueryEngine

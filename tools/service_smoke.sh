@@ -2,7 +2,7 @@
 # Integration smoke test for the network query service: boots
 # `qgp_cli serve` on an ephemeral loopback port, drives it with the
 # `qgp_cli delta` client and a scripted python3 client (query /
-# malformed line / delta / stats ops), then stops it cleanly via the
+# malformed line / retired algo name / delta / stats ops), then stops it cleanly via the
 # shutdown op and checks the exit code.
 #
 #   tools/service_smoke.sh <path-to-qgp_cli> [workdir]
@@ -68,13 +68,24 @@ assert not r["ok"] and r["error"]["code"] == "InvalidArgument", r
 r = call(json.dumps({"op": "query", "pattern": pattern, "bogus_key": 1}))
 assert not r["ok"] and r["error"]["code"] == "InvalidArgument", r
 
+# The enumeration baselines are not served: "enum" is an unknown algo,
+# and the next query on the same connection still answers (auto
+# resolves to qmatch, so it replays the cached result).
+r = call(json.dumps({"op": "query", "pattern": pattern, "algo": "enum"}))
+assert not r["ok"] and r["error"]["code"] == "InvalidArgument", r
+assert "unknown algo 'enum'" in r["error"]["message"], r
+r = call(json.dumps({"op": "query", "pattern": pattern, "algo": "auto",
+                     "tag": "after-enum"}))
+assert r["ok"] and r["tag"] == "after-enum" and r["algo"] == "qmatch", r
+assert r["result_cache_hit"], r
+
 # Stats reflect the traffic so far (the CLI delta already ran).
 r = call(json.dumps({"op": "stats"}))
 assert r["ok"], r
-assert r["service"]["queries_ok"] == 2, r
-assert r["service"]["malformed"] == 2, r
+assert r["service"]["queries_ok"] == 3, r
+assert r["service"]["malformed"] == 3, r
 assert r["service"]["deltas_ok"] == 1, r
-assert r["engine"]["result_hits"] == 1, r
+assert r["engine"]["result_hits"] == 2, r
 
 # A delta over the wire: tombstone one current answer; the version
 # bumps, the cached result is invalidated, and the re-query no longer
