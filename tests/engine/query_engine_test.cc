@@ -204,7 +204,8 @@ TEST(QueryEngineTest, PartitionIsLazyAndRadiusChecked) {
 
 TEST(QueryEngineTest, WarmCacheHitsAndIdenticalAnswers) {
   Graph g = MakeGraph(11);
-  std::vector<Pattern> patterns = MakePatterns(g, 3, /*num_negated=*/0);
+  // One negated edge: the repeat serves Π(Q) and every Π(Q⁺ᵉ) warm.
+  std::vector<Pattern> patterns = MakePatterns(g, 3);
   ASSERT_FALSE(patterns.empty());
   QueryEngine engine(&g);
   QuerySpec spec;
@@ -217,18 +218,11 @@ TEST(QueryEngineTest, WarmCacheHitsAndIdenticalAnswers) {
   EXPECT_GT(warm->cache_hits, 0u) << "repeat query should hit";
   EXPECT_EQ(warm->cache_misses, 0u);
   EXPECT_EQ(cold->answers, warm->answers);
-
-  // The candidate counters are those of Π(Q)'s candidate-space build,
-  // warm or cold.
-  auto pi = spec.pattern.Pi();
-  ASSERT_TRUE(pi.ok());
-  MatchStats build;
-  ASSERT_TRUE(CandidateSpace::Build(pi->first, g, MatchOptions{}, &build).ok());
+  // The candidate counters read the finished sets, so a warm run reports
+  // the cold run's numbers.
   EXPECT_GT(cold->stats.candidates_initial, 0u);
-  for (const QueryOutcome* o : {&*cold, &*warm}) {
-    EXPECT_EQ(o->stats.candidates_initial, build.candidates_initial);
-    EXPECT_EQ(o->stats.candidates_pruned, build.candidates_pruned);
-  }
+  EXPECT_EQ(warm->stats.candidates_initial, cold->stats.candidates_initial);
+  EXPECT_EQ(warm->stats.candidates_pruned, cold->stats.candidates_pruned);
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries, 2u);
@@ -236,6 +230,26 @@ TEST(QueryEngineTest, WarmCacheHitsAndIdenticalAnswers) {
   EXPECT_EQ(stats.cache_misses, cold->cache_misses + warm->cache_misses);
   EXPECT_GT(stats.HitRatio(), 0.0);
   EXPECT_GE(stats.wall_ms, cold->wall_ms);
+
+  // On a positive pattern, QMatch builds Π(Q)'s candidate space only, so
+  // the counters are exactly that build's, warm or cold.
+  std::vector<Pattern> positive = MakePatterns(g, 1, /*num_negated=*/0);
+  ASSERT_FALSE(positive.empty());
+  spec.pattern = positive[0];
+  spec.algo = EngineAlgo::kQMatch;
+  auto pos_cold = engine.Submit(spec);
+  auto pos_warm = engine.Submit(spec);
+  ASSERT_TRUE(pos_cold.ok()) << pos_cold.status().ToString();
+  ASSERT_TRUE(pos_warm.ok()) << pos_warm.status().ToString();
+  auto pi = spec.pattern.Pi();
+  ASSERT_TRUE(pi.ok());
+  MatchStats build;
+  ASSERT_TRUE(CandidateSpace::Build(pi->first, g, MatchOptions{}, &build).ok());
+  EXPECT_GT(pos_cold->stats.candidates_initial, 0u);
+  for (const QueryOutcome* o : {&*pos_cold, &*pos_warm}) {
+    EXPECT_EQ(o->stats.candidates_initial, build.candidates_initial);
+    EXPECT_EQ(o->stats.candidates_pruned, build.candidates_pruned);
+  }
 }
 
 TEST(QueryEngineTest, CacheAdmissionOptOut) {
