@@ -2,7 +2,8 @@
 #define QGP_BENCH_COMMON_BENCH_COMMON_H_
 
 // Shared scaffolding for the figure-reproduction benches: scaled dataset
-// construction (Pokec / YAGO2 substitutes, DESIGN.md §3), §7-style
+// construction (Pokec / YAGO2 substitutes; docs/ARCHITECTURE.md,
+// "Experimental substitutions"), §7-style
 // pattern workloads, timing helpers and paper-style table printing.
 //
 // Every bench binary runs with no arguments; QGP_BENCH_SCALE =
@@ -131,7 +132,7 @@ inline PatternGenConfig PatternConfig(size_t nodes, size_t edges, double pa,
 /// additionally screened so the Enum baseline can finish them within
 /// that per-focus embedding budget — the paper's Enum ([35]) completes
 /// all its workloads, so the four-way comparisons only make sense on
-/// such patterns (EXPERIMENTS.md discusses the screening).
+/// such patterns (docs/ARCHITECTURE.md, "Experimental substitutions").
 std::vector<Pattern> MakeSuite(const Graph& g, size_t count,
                                const PatternGenConfig& config, uint64_t seed,
                                int max_radius = 0,

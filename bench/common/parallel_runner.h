@@ -6,7 +6,8 @@
 //   PQMatchs — PQMatch, single thread per worker
 //   PQMatchn — PQMatch without incremental negation, b threads
 //   PQMatch  — the full algorithm, b threads + IncQMatch
-// Parallel time is the simulated makespan (DESIGN.md §3).
+// Parallel time is the simulated makespan (docs/ARCHITECTURE.md,
+// "Experimental substitutions").
 
 #include <string>
 #include <vector>

@@ -2,9 +2,10 @@
 // substitute, varying n, for d = 2 and (incrementally extended) d = 3.
 // Reported time is the simulated parallel time: coordinator phases plus
 // the makespans of the per-fragment ball-extraction and materialization
-// phases (DESIGN.md §3). The n=8/d=2 point is additionally measured as
-// real wall time with partitioning fanned out over the work-stealing
-// pool, identity-checked against the serial partition.
+// phases (docs/ARCHITECTURE.md, "Experimental substitutions"). The
+// n=8/d=2 point is additionally measured as real wall time with
+// partitioning fanned out over the work-stealing pool, identity-checked
+// against the serial partition.
 #include "bench/common/bench_common.h"
 #include "parallel/dpar.h"
 

@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(simulated makespan mode: workers run sequentially and the"
               "\n parallel time is the slowest worker plus assembly; see"
-              "\n DESIGN.md)\n");
+              "\n docs/ARCHITECTURE.md)\n");
   return 0;
 }

@@ -55,13 +55,6 @@ class CancelToken {
                        const CancelToken* parent = nullptr)
       : parent_(parent), deadline_(deadline), has_deadline_(true) {}
 
-  /// Convenience: deadline `timeout_ms` from now.
-  static CancelToken AfterMillis(int64_t timeout_ms,
-                                 const CancelToken* parent = nullptr) {
-    return CancelToken(Clock::now() + std::chrono::milliseconds(timeout_ms),
-                       parent);
-  }
-
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 

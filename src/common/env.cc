@@ -12,14 +12,6 @@ std::string GetEnvString(const char* name, const std::string& fallback) {
   return v;
 }
 
-int64_t GetEnvInt64(const char* name, int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  int64_t out = 0;
-  if (!ParseInt64(v, &out)) return fallback;
-  return out;
-}
-
 BenchScale GetBenchScale() {
   std::string s = AsciiToLower(GetEnvString("QGP_BENCH_SCALE", "small"));
   if (s == "tiny") return BenchScale::kTiny;

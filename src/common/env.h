@@ -1,16 +1,12 @@
 #ifndef QGP_COMMON_ENV_H_
 #define QGP_COMMON_ENV_H_
 
-#include <cstdint>
 #include <string>
 
 namespace qgp {
 
 /// Reads an environment variable, or `fallback` when unset/empty.
 std::string GetEnvString(const char* name, const std::string& fallback);
-
-/// Reads an integer environment variable, or `fallback` when unset/invalid.
-int64_t GetEnvInt64(const char* name, int64_t fallback);
 
 /// Benchmark scale knob shared by all bench binaries.
 /// QGP_BENCH_SCALE=tiny|small|medium|large; defaults to "small".

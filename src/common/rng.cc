@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cmath>
-#include <unordered_set>
 
 namespace qgp {
 
@@ -21,11 +20,6 @@ uint64_t Rng::NextUint64(uint64_t bound) {
     uint64_t r = Next();
     if (r >= threshold) return r % bound;
   }
-}
-
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  return lo + static_cast<int64_t>(
-                  NextUint64(static_cast<uint64_t>(hi - lo) + 1));
 }
 
 double Rng::NextDouble() {
@@ -50,25 +44,5 @@ uint64_t Rng::NextZipf(uint64_t n, double s) {
   uint64_t rank = static_cast<uint64_t>(x) - 1;
   return rank >= n ? n - 1 : rank;
 }
-
-std::vector<uint64_t> Rng::SampleWithoutReplacement(uint64_t n, uint64_t k) {
-  std::vector<uint64_t> out;
-  if (n == 0) return out;
-  if (k >= n) {
-    out.resize(n);
-    for (uint64_t i = 0; i < n; ++i) out[i] = i;
-    Shuffle(out);
-    return out;
-  }
-  std::unordered_set<uint64_t> seen;
-  out.reserve(k);
-  while (out.size() < k) {
-    uint64_t v = NextUint64(n);
-    if (seen.insert(v).second) out.push_back(v);
-  }
-  return out;
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace qgp

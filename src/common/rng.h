@@ -22,9 +22,6 @@ class Rng {
   /// Uniform integer in [0, bound). Precondition: bound > 0.
   uint64_t NextUint64(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 
@@ -43,12 +40,6 @@ class Rng {
       std::swap(items[i - 1], items[j]);
     }
   }
-
-  /// Draws `k` distinct indices from [0, n). Returns fewer when k > n.
-  std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k);
-
-  /// Forks an independent stream (for per-thread determinism).
-  Rng Fork();
 
  private:
   uint64_t state_;

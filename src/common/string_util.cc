@@ -6,18 +6,6 @@
 
 namespace qgp {
 
-std::vector<std::string> SplitString(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  while (begin <= s.size()) {
-    size_t end = s.find(sep, begin);
-    if (end == std::string_view::npos) end = s.size();
-    if (end > begin) out.emplace_back(s.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
-}
-
 std::vector<std::string> SplitWhitespace(std::string_view s) {
   std::vector<std::string> out;
   size_t i = 0;
@@ -27,16 +15,6 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
     while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i])))
       ++i;
     if (i > begin) out.emplace_back(s.substr(begin, i - begin));
-  }
-  return out;
-}
-
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
   }
   return out;
 }

@@ -8,15 +8,8 @@
 
 namespace qgp {
 
-/// Splits `s` on `sep`, dropping empty pieces.
-std::vector<std::string> SplitString(std::string_view s, char sep);
-
 /// Splits `s` on any ASCII whitespace, dropping empty pieces.
 std::vector<std::string> SplitWhitespace(std::string_view s);
-
-/// Joins `parts` with `sep`.
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep);
 
 /// Strips leading/trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);

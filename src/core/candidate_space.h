@@ -30,7 +30,8 @@ struct CandidateRepairInfo {
 };
 
 /// Global candidate sets for one positive pattern against one graph,
-/// maintaining the distinction the §2.2 semantics forces (DESIGN.md §2):
+/// maintaining the distinction the §2.2 semantics forces
+/// (docs/ARCHITECTURE.md, "Semantics readings"):
 ///
 ///  * `stratified` sets Cπ(u): vertices that may participate in ANY
 ///    isomorphism of Qπ — label filter plus (optionally) dual simulation.

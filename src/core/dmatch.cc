@@ -4,6 +4,7 @@
 #include <cassert>
 #include <optional>
 
+#include "common/thread_pool.h"
 #include "core/generic_matcher.h"
 #include "graph/graph_algorithms.h"
 
@@ -363,10 +364,6 @@ Result<PositiveEvaluator> PositiveEvaluator::Create(
   return ev;
 }
 
-uint64_t PositiveEvaluator::FocusCostHint(VertexId vx) const {
-  return static_cast<uint64_t>(g_->OutDegree(vx)) + g_->InDegree(vx);
-}
-
 bool PositiveEvaluator::VerifyFocus(VertexId vx, const FocusCaches* warm,
                                     FocusCache* cache_out,
                                     MatchStats* stats) const {
@@ -434,47 +431,83 @@ size_t PositiveEvaluator::VerifyBatch(std::span<const VertexId> foci,
   return foci.size();
 }
 
-AnswerSet PositiveEvaluator::EvaluateAll(MatchStats* stats,
-                                         FocusCaches* caches) const {
-  return EvaluateSubset(FocusCandidates(), stats, caches);
-}
-
-AnswerSet PositiveEvaluator::EvaluateSubset(
-    std::span<const VertexId> focus_subset, MatchStats* stats,
-    FocusCaches* caches, const CancelToken* cancel,
-    const FocusCaches* warm) const {
-  AnswerSet answers;
-  char is_match[kBatchWidth];
-  std::vector<FocusCache> batch_caches(caches != nullptr ? kBatchWidth : 0);
-  for (size_t begin = 0; begin < focus_subset.size(); begin += kBatchWidth) {
-    const std::span<const VertexId> foci = focus_subset.subspan(
-        begin, std::min(kBatchWidth, focus_subset.size() - begin));
-    const size_t done = VerifyBatch(
-        foci, warm, {is_match, foci.size()},
-        std::span<FocusCache>(batch_caches).first(
-            caches != nullptr ? foci.size() : 0),
-        stats, cancel, begin);
-    for (size_t i = 0; i < done; ++i) {
-      if (!is_match[i]) continue;
-      answers.push_back(foci[i]);
-      if (caches != nullptr) {
-        caches->emplace(foci[i], std::move(batch_caches[i]));
+AnswerSet PositiveEvaluator::EvaluateSubset(std::span<const VertexId> foci,
+                                            const FocusCaches* warm,
+                                            FocusCaches* caches,
+                                            MatchStats* stats,
+                                            ThreadPool* pool) const {
+  // Verification is per-focus independent (the evaluator is const), so
+  // foci are verified across the pool as stealable chunks and merged
+  // deterministically: each chunk writes only its foci's slots, and the
+  // merge folds slots in input order. Without a pool, or on a 1-wide
+  // one, the same chunk body runs inline over every focus.
+  //
+  // Cancellation: VerifyBatch polls options_.cancel every 16th position,
+  // so a fired token does not wait out a batch; the foci left report
+  // "no match" and the caller unwinds with the token's status.
+  const size_t n = foci.size();
+  // Largest-ball-first schedule: order positions by undirected degree,
+  // the proxy for the size of the radius-hop ball, descending, ties by
+  // input position so the order is a pure function of the input. A hub
+  // focus starts at once instead of surfacing at the tail of a chunk.
+  std::vector<uint64_t> cost(n);
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    cost[i] = static_cast<uint64_t>(g_->OutDegree(foci[i])) +
+              g_->InDegree(foci[i]);
+    order[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (cost[a] != cost[b]) return cost[a] > cost[b];
+    return a < b;
+  });
+  size_t grain = options_.scheduler_grain;
+  if (grain == 0) {
+    const size_t width = pool != nullptr ? pool->width() : 1;
+    grain = std::max<size_t>(1, n / (width * 8));
+  }
+  std::vector<char> is_match(n, 0);
+  std::vector<FocusCache> cache_vec(caches != nullptr ? n : 0);
+  // Counters per position: a batch's counters land on its first position.
+  std::vector<MatchStats> stats_vec(stats != nullptr ? n : 0);
+  auto verify_range = [&](size_t begin, size_t end) {
+    VertexId batch[kBatchWidth];
+    char verdicts[kBatchWidth];
+    std::vector<FocusCache> batch_caches(caches != nullptr ? kBatchWidth : 0);
+    for (size_t first = begin; first < end; first += kBatchWidth) {
+      const size_t m = std::min(kBatchWidth, end - first);
+      for (size_t j = 0; j < m; ++j) batch[j] = foci[order[first + j]];
+      const size_t done = VerifyBatch(
+          {batch, m}, warm, {verdicts, m},
+          std::span<FocusCache>(batch_caches).first(caches != nullptr ? m : 0),
+          stats != nullptr ? &stats_vec[first] : nullptr, options_.cancel,
+          first);
+      for (size_t j = 0; j < done; ++j) {
+        const size_t i = order[first + j];
+        is_match[i] = verdicts[j];
+        if (verdicts[j] && caches != nullptr) {
+          cache_vec[i] = std::move(batch_caches[j]);
+        }
       }
+      if (done < m) return;  // cancelled
     }
-    if (done < foci.size()) break;  // cancelled
+  };
+  const ThreadPool::FanOut fan_out =
+      ThreadPool::ParallelForDynamic(pool, n, grain, verify_range);
+  AnswerSet answers;
+  for (size_t i = 0; i < n; ++i) {
+    if (stats != nullptr) stats->Add(stats_vec[i]);
+    if (is_match[i]) {
+      answers.push_back(foci[i]);
+      if (caches != nullptr) caches->emplace(foci[i], std::move(cache_vec[i]));
+    }
+  }
+  if (stats != nullptr) {
+    stats->scheduler_tasks += fan_out.chunks;
+    stats->scheduler_steals += fan_out.stolen;
   }
   Canonicalize(answers);
   return answers;
-}
-
-Result<AnswerSet> DMatchEvaluate(const Pattern& positive, const Graph& g,
-                                 const MatchOptions& options,
-                                 MatchStats* stats) {
-  QGP_ASSIGN_OR_RETURN(
-      PositiveEvaluator ev,
-      PositiveEvaluator::Create(positive, g, options, nullptr, 0, nullptr,
-                                nullptr, nullptr, stats));
-  return ev.EvaluateAll(stats, nullptr);
 }
 
 }  // namespace qgp

@@ -48,18 +48,18 @@ struct SpaceRepairHint {
 /// DMatch (§4.1): evaluates a POSITIVE QGP. The published algorithm
 /// interleaves quantifier counting with the Fig. 4 search; this
 /// implementation factors the same strategy into per-focus phases (see
-/// DESIGN.md §2): candidate sets read through the focus ball's
-/// membership words (views, never decoded per focus), each pattern node
-/// masked by the ball of its own hop distance from the focus,
-/// lazily-counted quantifier "goodness" with memoized pinned witness
-/// searches, upper-bound pruning of candidates, counting that stops once
-/// its verdict is settled (threshold met, or out of reach of the
-/// children not yet proven witness-free), and potential-score child
-/// ordering (Appendix B).
+/// "Semantics readings" in docs/ARCHITECTURE.md): candidate sets read
+/// through the focus ball's membership words (views, never decoded per
+/// focus), each pattern node masked by the ball of its own hop distance
+/// from the focus, lazily-counted quantifier "goodness" with memoized
+/// pinned witness searches, upper-bound pruning of candidates, counting
+/// that stops once its verdict is settled (threshold met, or out of
+/// reach of the children not yet proven witness-free), and
+/// potential-score child ordering (Appendix B).
 ///
-/// The evaluator is immutable after Create(); VerifyFocus is const and
-/// thread-safe, which is what mQMatch exploits for intra-fragment
-/// parallelism.
+/// The evaluator is immutable after Create(); verification is const and
+/// thread-safe, which EvaluateSubset exploits for mQMatch's
+/// intra-fragment parallelism.
 class PositiveEvaluator {
  public:
   /// Builds candidate sets for `positive` (which must be positive and
@@ -115,32 +115,26 @@ class PositiveEvaluator {
                      const CancelToken* cancel = nullptr,
                      size_t poll_base = 0) const;
 
-  /// Evaluates the full answer set; fills `caches` (optional) for every
-  /// answer vertex.
-  AnswerSet EvaluateAll(MatchStats* stats, FocusCaches* caches) const;
-
-  /// Evaluates membership for an explicit focus subset (sorted not
-  /// required), in VerifyBatch batches of consecutive foci. Used by
-  /// IncQMatch and by tests. `warm` (optional) is passed to every batch.
-  /// `cancel` (optional) is polled every 16th focus; a fired token
-  /// truncates the answer set, so callers must re-check it before
-  /// trusting the result.
-  AnswerSet EvaluateSubset(std::span<const VertexId> focus_subset,
-                           MatchStats* stats, FocusCaches* caches,
-                           const CancelToken* cancel = nullptr,
-                           const FocusCaches* warm = nullptr) const;
+  /// The focus map, Fig. 5's outer loop: verifies `foci` and returns
+  /// the members of P(xo, G) among them, canonical. DMatch runs it over
+  /// FocusCandidates(); IncQMatch over Π(Q)'s answers against Π(Q⁺ᵉ)
+  /// with `warm` holding their Π(Q) caches. `caches` (optional)
+  /// receives the FocusCache of every answer. Foci are verified
+  /// largest-degree-first in VerifyBatch chunks that `pool` (optional)
+  /// steals; per-position results are merged in input order, so
+  /// answers, caches and every counter but the scheduler telemetry are
+  /// identical at any pool width. A fired options().cancel truncates
+  /// the answer set, so callers must re-check it before trusting the
+  /// result.
+  AnswerSet EvaluateSubset(std::span<const VertexId> foci,
+                           const FocusCaches* warm, FocusCaches* caches,
+                           MatchStats* stats,
+                           ThreadPool* pool = nullptr) const;
 
   const Pattern& pattern() const { return pattern_; }
   const CandidateSpace& candidate_space() const { return cs_; }
   int radius() const { return radius_; }
   const MatchOptions& options() const { return options_; }
-
-  /// Cheap upper-bound proxy for how expensive verifying `vx` will be:
-  /// the undirected degree, which drives the size of the radius-hop
-  /// ball the verifier extracts. The work-stealing focus map sorts
-  /// candidates by this, largest first, so hub-centred balls start
-  /// early and the tail of cheap foci backfills the workers.
-  uint64_t FocusCostHint(VertexId vx) const;
 
  private:
   PositiveEvaluator() = default;
@@ -165,11 +159,6 @@ class PositiveEvaluator {
   DynamicBitset pattern_edge_labels_;
   size_t ball_limit_ = 0;
 };
-
-/// Convenience wrapper: evaluates a positive QGP end to end.
-Result<AnswerSet> DMatchEvaluate(const Pattern& positive, const Graph& g,
-                                 const MatchOptions& options,
-                                 MatchStats* stats);
 
 }  // namespace qgp
 

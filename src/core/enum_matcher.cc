@@ -52,11 +52,11 @@ Result<AnswerSet> EnumMatcher::EvaluatePositive(
   // across Enumerate calls.
   std::vector<std::vector<VertexId>> embeddings;
   GenericMatcher matcher(stratified, g, candidate_sets);
-  size_t polled = 0;
+  const CancelToken* cancel = options.cancel;
   for (VertexId vx : focus_list) {
-    // Every 16th focus (armed deadlines read the clock; cheap foci must
-    // not pay that per iteration). Overshoot bound: 16 foci.
-    if ((polled++ & 15) == 0) QGP_CHECK_CANCEL(options.cancel);
+    // Every focus, and every 1,024 embeddings inside one: a single focus
+    // can enumerate far past a deadline.
+    QGP_CHECK_CANCEL(cancel);
     if (stats != nullptr) ++stats->focus_candidates_checked;
     embeddings.clear();
     std::pair<PatternNodeId, VertexId> pin{xo, vx};
@@ -64,11 +64,15 @@ Result<AnswerSet> EnumMatcher::EvaluatePositive(
     sopts.pins = {&pin, 1};
     sopts.stats = stats;
     sopts.max_isomorphisms = options.max_isomorphisms;
+    bool cancelled = false;
     bool completed = matcher.Enumerate(
         sopts, [&](const std::vector<VertexId>& h) {
           embeddings.push_back(h);
-          return true;
+          cancelled = (embeddings.size() & 1023) == 0 && cancel != nullptr &&
+                      cancel->ShouldStop();
+          return !cancelled;
         });
+    if (cancelled) return cancel->ToStatus();
     if (!completed) {
       return Status::Internal(
           "Enum exceeded the isomorphism cap; raise "

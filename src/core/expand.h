@@ -16,8 +16,8 @@ namespace qgp {
 ///    focus (returns Unimplemented otherwise);
 ///  * NOT equivalent to the §2.2 semantics in general — the expansion
 ///    demands p node-disjoint witnesses, while §2.2 counts children that
-///    may share descendants (DESIGN.md deviation 2; a regression test
-///    exhibits a graph where the two differ).
+///    may share descendants (deviation 2 in docs/ARCHITECTURE.md; a
+///    regression test exhibits a graph where the two differ).
 Result<Pattern> ExpandNumericCopies(const Pattern& pattern);
 
 }  // namespace qgp

@@ -35,14 +35,6 @@ void Canonicalize(AnswerSet& answers) {
   answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
 }
 
-AnswerSet SetUnion(const AnswerSet& a, const AnswerSet& b) {
-  AnswerSet out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
 AnswerSet SetIntersection(const AnswerSet& a, const AnswerSet& b) {
   AnswerSet out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),

@@ -92,7 +92,6 @@ struct MatchStats {
 void Canonicalize(AnswerSet& answers);
 
 /// Set algebra on canonical AnswerSets.
-AnswerSet SetUnion(const AnswerSet& a, const AnswerSet& b);
 AnswerSet SetIntersection(const AnswerSet& a, const AnswerSet& b);
 AnswerSet SetDifference(const AnswerSet& a, const AnswerSet& b);
 

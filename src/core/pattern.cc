@@ -66,8 +66,9 @@ Result<std::pair<Pattern, SubPattern>> Pattern::Pi() const {
     return Status::InvalidArgument("pattern has no focus");
   }
   const size_t n = nodes_.size();
-  // Π(Q) construction (DESIGN.md §2 clarification). The paper's prose
-  // ("nodes connected to xo ... with non-negated edges") is read as:
+  // Π(Q) construction (docs/ARCHITECTURE.md, "Semantics readings"). The
+  // paper's prose ("nodes connected to xo ... with non-negated edges")
+  // is read as:
   //   1. delete every negated edge;
   //   2. for each negated edge, drop its focus-FAR endpoint (the one at
   //      greater undirected distance from xo in the deleted pattern —

@@ -93,10 +93,10 @@ class Pattern {
   /// by the existential σ(e) >= 1.
   Pattern Stratified() const;
 
-  /// Π(Q): the sub-pattern induced by nodes with a directed non-negated
-  /// path from or to the focus, with all negated edges removed (§2.2;
-  /// see DESIGN.md for the directed-path reading, which matches the
-  /// paper's Fig. 3 examples). Always contains the focus.
+  /// Π(Q): the focus's component over the non-negated edges once each
+  /// negated edge's focus-far endpoint is dropped (§2.2; the reading,
+  /// which matches the paper's Fig. 3 examples, is under "Semantics
+  /// readings" in docs/ARCHITECTURE.md). Always contains the focus.
   /// Returns the derived pattern plus node/edge mappings.
   Result<std::pair<Pattern, SubPattern>> Pi() const;
 

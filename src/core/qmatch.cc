@@ -11,95 +11,6 @@ namespace qgp {
 
 namespace {
 
-// Parallel map over focus candidates: verification is per-candidate
-// independent (PositiveEvaluator is const), so candidates are verified
-// across the pool as size-ordered (largest-ball-first) stealable chunks
-// and results merged deterministically — each chunk writes only its
-// candidates' slots, and the merge folds slots in original subset order,
-// so answers and all work counters are identical at any pool width (only
-// the scheduler telemetry varies with the schedule). Without a pool, or
-// on a 1-wide one, the same chunk body runs inline over the whole
-// subset. Consecutive runs of up to 64 foci are verified as one
-// VerifyBatch (one shared ball BFS); in a warm IncQMatch map each member
-// also seeds its failed-pair memo from its cache in `warm`.
-AnswerSet VerifyAcross(const PositiveEvaluator& ev,
-                       std::span<const VertexId> subset,
-                       const FocusCaches* warm, FocusCaches* caches,
-                       MatchStats* stats, ThreadPool* pool) {
-  // Cancellation: polled every 16th focus, between member verifications
-  // inside a batch too. A fired token makes the remaining foci report
-  // "no match" — the partial answer set never escapes, because every
-  // caller re-checks the token right after VerifyAcross returns and
-  // unwinds with its status instead.
-  const CancelToken* cancel = ev.options().cancel;
-  const size_t n = subset.size();
-  // Largest-ball-first schedule: order positions by the focus degree
-  // proxy, descending, ties by subset position so the order is a pure
-  // function of the input. Skewed workloads (one hub focus dwarfing the
-  // rest) start their expensive foci immediately instead of discovering
-  // them at the tail of a static chunk.
-  // Each position's hint is read once, not once per comparison.
-  std::vector<uint64_t> cost(n);
-  std::vector<uint32_t> order(n);
-  for (size_t i = 0; i < n; ++i) {
-    cost[i] = ev.FocusCostHint(subset[i]);
-    order[i] = static_cast<uint32_t>(i);
-  }
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (cost[a] != cost[b]) return cost[a] > cost[b];
-    return a < b;
-  });
-  size_t grain = ev.options().scheduler_grain;
-  if (grain == 0) {
-    const size_t width = pool != nullptr ? pool->width() : 1;
-    grain = std::max<size_t>(1, n / (width * 8));
-  }
-  std::vector<char> is_match(n, 0);
-  std::vector<FocusCache> cache_vec(caches != nullptr ? n : 0);
-  // Counters per position: a batch's counters land on its first position.
-  std::vector<MatchStats> stats_vec(stats != nullptr ? n : 0);
-  auto verify_range = [&](size_t begin, size_t end) {
-    constexpr size_t kWidth = PositiveEvaluator::kBatchWidth;
-    VertexId foci[kWidth];
-    char verdicts[kWidth];
-    std::vector<FocusCache> batch_caches(caches != nullptr ? kWidth : 0);
-    for (size_t first = begin; first < end; first += kWidth) {
-      const size_t m = std::min(kWidth, end - first);
-      for (size_t j = 0; j < m; ++j) foci[j] = subset[order[first + j]];
-      // VerifyBatch polls the token every 16th position, so a fired
-      // deadline does not wait out the batch.
-      const size_t done = ev.VerifyBatch(
-          {foci, m}, warm, {verdicts, m},
-          std::span<FocusCache>(batch_caches).first(caches != nullptr ? m : 0),
-          stats != nullptr ? &stats_vec[first] : nullptr, cancel, first);
-      for (size_t j = 0; j < done; ++j) {
-        const size_t i = order[first + j];
-        is_match[i] = verdicts[j];
-        if (verdicts[j] && caches != nullptr) {
-          cache_vec[i] = std::move(batch_caches[j]);
-        }
-      }
-      if (done < m) return;  // cancelled
-    }
-  };
-  const ThreadPool::FanOut fan_out =
-      ThreadPool::ParallelForDynamic(pool, n, grain, verify_range);
-  AnswerSet answers;
-  for (size_t i = 0; i < n; ++i) {
-    if (stats != nullptr) stats->Add(stats_vec[i]);
-    if (is_match[i]) {
-      answers.push_back(subset[i]);
-      if (caches != nullptr) caches->emplace(subset[i], std::move(cache_vec[i]));
-    }
-  }
-  if (stats != nullptr) {
-    stats->scheduler_tasks += fan_out.chunks;
-    stats->scheduler_steals += fan_out.stolen;
-  }
-  Canonicalize(answers);
-  return answers;
-}
-
 Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
                                std::span<const VertexId> focus_subset,
                                const MatchOptions& options, MatchStats* stats,
@@ -144,9 +55,8 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
     }
     return owned;
   };
-  AnswerSet answers = VerifyAcross(ev0, foci(ev0), nullptr,
-                                   want_caches ? &caches : nullptr, stats,
-                                   pool);
+  AnswerSet answers = ev0.EvaluateSubset(
+      foci(ev0), nullptr, want_caches ? &caches : nullptr, stats, pool);
   QGP_CHECK_CANCEL(options.cancel);  // a fired token truncated `answers`
 
   for (PatternEdgeId e : negated) {
@@ -163,14 +73,17 @@ Result<AnswerSet> EvaluateImpl(const Pattern& pattern, const Graph& g,
                                   /*repair=*/nullptr, stats));
     AnswerSet negative;
     if (options.use_incremental_negation) {
-      // IncQMatch: only cached answers are re-verified, each seeded with
-      // its Π(Q) failed pairs.
+      // IncQMatch (§4.2): only Π(Q)'s cached answers are re-verified (the
+      // difference never needs Π(Q⁺ᵉ) outside them), each seeded with its
+      // Π(Q) failed pairs. These transfer soundly, since a bigger pattern
+      // has fewer embeddings: only pairs touching ΔE are re-searched, the
+      // AFF-bounded work of Proposition 6.
       if (stats != nullptr) stats->inc_candidates_checked += answers.size();
-      negative = VerifyAcross(ev_e, answers, &caches, nullptr, stats, pool);
+      negative = ev_e.EvaluateSubset(answers, &caches, nullptr, stats, pool);
     } else {
       // QMatchn: full recomputation of Π(Q⁺ᵉ)(xo, G).
       negative =
-          VerifyAcross(ev_e, foci(ev_e), nullptr, nullptr, stats, pool);
+          ev_e.EvaluateSubset(foci(ev_e), nullptr, nullptr, stats, pool);
     }
     QGP_CHECK_CANCEL(options.cancel);  // `negative` may be truncated
     answers = SetDifference(answers, negative);
@@ -276,8 +189,8 @@ Result<AnswerSet> QMatch::EvaluateRepaired(
     if (stats != nullptr) {
       stats->inc_candidates_checked += ev.FocusCandidates().size();
     }
-    AnswerSet all = VerifyAcross(ev, ev.FocusCandidates(), nullptr, nullptr,
-                                 stats, pool);
+    AnswerSet all =
+        ev.EvaluateSubset(ev.FocusCandidates(), nullptr, nullptr, stats, pool);
     QGP_CHECK_CANCEL(options.cancel);  // a fired token truncated `all`
     return all;
   }
@@ -287,7 +200,8 @@ Result<AnswerSet> QMatch::EvaluateRepaired(
     if (region.Test(v)) subset.push_back(v);
   }
   if (stats != nullptr) stats->inc_candidates_checked += subset.size();
-  AnswerSet verified = VerifyAcross(ev, subset, nullptr, nullptr, stats, pool);
+  AnswerSet verified =
+      ev.EvaluateSubset(subset, nullptr, nullptr, stats, pool);
   QGP_CHECK_CANCEL(options.cancel);  // a fired token truncated `verified`
   AnswerSet answers;
   answers.reserve(previous_answers.size() + verified.size());

@@ -71,8 +71,8 @@ class QMatch {
   ///     touched vertex or a candidacy change can flip. Cached answers
   ///     outside that affected region are kept; inside it, good focus
   ///     candidates are re-verified from scratch — the same
-  ///     keep-or-reverify discipline IncQMatchEvaluate applies to
-  ///     cached answers under ΔE, except that warm failed pairs are
+  ///     keep-or-reverify discipline IncQMatch applies to cached
+  ///     answers under ΔE, except that warm failed pairs are
   ///     NOT transferred (the graph changed underneath them, so
   ///     unlike the same-graph ΔE case they are not sound to reuse).
   ///     Re-verified foci are counted in stats->inc_candidates_checked.

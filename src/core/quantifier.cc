@@ -81,8 +81,8 @@ std::optional<uint64_t> Quantifier::MinCountNeeded(uint64_t total) const {
         if (holds(m + 1)) return m + 1;
         return std::nullopt;
       }
-      // >= and >: the smallest m the test accepts, a ceiling (DESIGN.md
-      // deviation 1 corrects the paper's floor).
+      // >= and >: the smallest m the test accepts, a ceiling (deviation
+      // 1 in docs/ARCHITECTURE.md corrects the paper's floor).
       for (int step = 0; step < 2 && !holds(m); ++step) ++m;
       return m;
     }

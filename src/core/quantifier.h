@@ -90,7 +90,7 @@ class Quantifier {
   /// Eval(c, total) ⇔ c >= result, and `=` gives Eval(c, total) ⇔
   /// c == result. Used by the upper-bound pruning rules (§4.1 /
   /// Appendix B). Note §4.1's ⌊·⌋ is corrected to a ceiling for `>=` —
-  /// see DESIGN.md deviation 1.
+  /// see deviation 1 in docs/ARCHITECTURE.md.
   std::optional<uint64_t> MinCountNeeded(uint64_t total) const;
 
   /// For `>=`-style quantifiers, the count at which further counting can

@@ -398,11 +398,6 @@ Result<DeltaOutcome> QueryEngine::ApplyDelta(const GraphDelta& delta) {
 
 Result<DeltaOutcome> QueryEngine::ApplyDelta(const NamedGraphDelta& delta) {
   QGP_ASSIGN_OR_RETURN(std::unique_lock<std::timed_mutex> lock, AdmitDelta());
-  if (owned_graph_ == nullptr) {
-    return Status::InvalidArgument(
-        "ApplyDelta requires an owning engine (this engine borrows its "
-        "graph)");
-  }
   return ApplyDeltaAdmitted(
       ResolveDelta(delta, &owned_graph_->mutable_dict()));
 }
@@ -410,11 +405,6 @@ Result<DeltaOutcome> QueryEngine::ApplyDelta(const NamedGraphDelta& delta) {
 Result<DeltaOutcome> QueryEngine::ApplyDelta(
     const NamedGraphDelta& delta, std::span<const VertexId> own_after_apply) {
   QGP_ASSIGN_OR_RETURN(std::unique_lock<std::timed_mutex> lock, AdmitDelta());
-  if (owned_graph_ == nullptr) {
-    return Status::InvalidArgument(
-        "ApplyDelta requires an owning engine (this engine borrows its "
-        "graph)");
-  }
   if (!options_.focus_subset.has_value()) {
     return Status::InvalidArgument(
         "own_after_apply requires an engine with an engaged focus subset "
@@ -445,6 +435,11 @@ Result<DeltaOutcome> QueryEngine::ApplyDelta(
 }
 
 Result<std::unique_lock<std::timed_mutex>> QueryEngine::AdmitDelta() {
+  if (owned_graph_ == nullptr) {
+    return Status::InvalidArgument(
+        "ApplyDelta requires an owning engine (this engine borrows its "
+        "graph)");
+  }
   std::unique_lock<std::timed_mutex> lock(admission_mu_, std::defer_lock);
   if (!draining_.load(std::memory_order_acquire)) {
     // Normal operation: block exactly as before — every query sees
@@ -466,11 +461,6 @@ Result<std::unique_lock<std::timed_mutex>> QueryEngine::AdmitDelta() {
 
 Result<DeltaOutcome> QueryEngine::ApplyDeltaAdmitted(const GraphDelta& delta) {
   QGP_FAILPOINT("engine.apply_delta");
-  if (owned_graph_ == nullptr) {
-    return Status::InvalidArgument(
-        "ApplyDelta requires an owning engine (this engine borrows its "
-        "graph)");
-  }
   WallTimer timer;
   QGP_ASSIGN_OR_RETURN(GraphDeltaSummary summary,
                        owned_graph_->ApplyDelta(delta));

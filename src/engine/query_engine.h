@@ -431,9 +431,12 @@ class QueryEngine {
 
   Result<QueryOutcome> SubmitAdmitted(const QuerySpec& spec);
   Result<const Partition*> PartitionAdmitted();
-  /// Admission for deltas: a plain blocking lock normally; while
+  /// Admission for deltas: rejects a borrowing engine with
+  /// kInvalidArgument, then takes a plain blocking lock normally; while
   /// draining, a bounded try_lock_for that yields kUnavailable instead
-  /// of stalling the drain (EngineOptions::delta_drain_wait_ms).
+  /// of stalling the drain (EngineOptions::delta_drain_wait_ms). Every
+  /// ApplyDelta overload goes through it, so past it `owned_graph_` is
+  /// set.
   Result<std::unique_lock<std::timed_mutex>> AdmitDelta();
   Result<DeltaOutcome> ApplyDeltaAdmitted(const GraphDelta& delta);
   /// Merged summary of every delta in (from_version, current]; nullopt

@@ -8,10 +8,11 @@
 
 namespace qgp {
 
-/// YAGO2-substitute knowledge graph generator (DESIGN.md §3): a sparse,
-/// label-selective entity graph of scientists, universities, prizes and
-/// countries, supporting the paper's Q4/Q5/R7-style queries (professors,
-/// PhD degrees, advisor lineages, prize winners, citizenship).
+/// YAGO2-substitute knowledge graph generator (docs/ARCHITECTURE.md,
+/// "Experimental substitutions"): a sparse, label-selective entity
+/// graph of scientists, universities, prizes and countries, supporting
+/// the paper's Q4/Q5/R7-style queries (professors, PhD degrees, advisor
+/// lineages, prize winners, citizenship).
 ///
 /// Node labels: scientist, university, prize, prof_title, phd_degree and
 /// one label per country ("country0".."country<k-1>"; country0 plays the

@@ -8,7 +8,8 @@
 
 namespace qgp {
 
-/// Pokec-substitute social graph generator (DESIGN.md §3).
+/// Pokec-substitute social graph generator (docs/ARCHITECTURE.md,
+/// "Experimental substitutions").
 ///
 /// Node labels: person, product, album, club, hobby, city.
 /// Edge labels: follow, like, recom, bad_rating, in, lives_in, has_hobby,

@@ -1,7 +1,6 @@
 #include "graph/graph_algorithms.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/bitset.h"
 #include "graph/graph_builder.h"
@@ -182,75 +181,6 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
   for (VertexId v : s.level) s.frontier[v] = 0;
   for (VertexId v : s.reached) s.seen[v] = 0;
   s.touched.AppendSetBitsSorted(s.touched_words);
-}
-
-BallSize KHopBallSize(const Graph& g, VertexId src, int depth) {
-  std::vector<VertexId> ball = KHopBall(g, src, depth);
-  BallSize size;
-  size.num_vertices = ball.size();
-  DynamicBitset member(g.num_vertices());
-  for (VertexId v : ball) member.Set(v);
-  for (VertexId v : ball) {
-    for (const Neighbor& n : g.OutNeighbors(v)) {
-      if (member.Test(n.v)) ++size.num_edges;
-    }
-  }
-  return size;
-}
-
-std::vector<uint32_t> BfsDistances(const Graph& g, VertexId src,
-                                   bool undirected) {
-  std::vector<uint32_t> dist(g.num_vertices(), UINT32_MAX);
-  if (src >= g.num_vertices()) return dist;
-  dist[src] = 0;
-  std::deque<VertexId> queue{src};
-  while (!queue.empty()) {
-    VertexId v = queue.front();
-    queue.pop_front();
-    uint32_t d = dist[v] + 1;
-    for (const Neighbor& n : g.OutNeighbors(v)) {
-      if (dist[n.v] == UINT32_MAX) {
-        dist[n.v] = d;
-        queue.push_back(n.v);
-      }
-    }
-    if (undirected) {
-      for (const Neighbor& n : g.InNeighbors(v)) {
-        if (dist[n.v] == UINT32_MAX) {
-          dist[n.v] = d;
-          queue.push_back(n.v);
-        }
-      }
-    }
-  }
-  return dist;
-}
-
-Components ConnectedComponents(const Graph& g) {
-  Components result;
-  result.component_of.assign(g.num_vertices(), UINT32_MAX);
-  uint32_t next_id = 0;
-  std::vector<VertexId> stack;
-  for (VertexId root = 0; root < g.num_vertices(); ++root) {
-    if (result.component_of[root] != UINT32_MAX) continue;
-    result.component_of[root] = next_id;
-    stack.push_back(root);
-    while (!stack.empty()) {
-      VertexId v = stack.back();
-      stack.pop_back();
-      auto visit = [&](VertexId w) {
-        if (result.component_of[w] == UINT32_MAX) {
-          result.component_of[w] = next_id;
-          stack.push_back(w);
-        }
-      };
-      for (const Neighbor& n : g.OutNeighbors(v)) visit(n.v);
-      for (const Neighbor& n : g.InNeighbors(v)) visit(n.v);
-    }
-    ++next_id;
-  }
-  result.count = next_id;
-  return result;
 }
 
 Result<InducedSubgraph> ExtractInducedSubgraph(

@@ -118,28 +118,6 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
                        size_t max_size, MultiBallScratch* scratch,
                        bool keep_levels = false);
 
-/// |KHopBall| plus the number of edges among ball members — the paper's
-/// |Nd(v)| counts the induced subgraph size (nodes + edges).
-struct BallSize {
-  size_t num_vertices = 0;
-  size_t num_edges = 0;
-  size_t total() const { return num_vertices + num_edges; }
-};
-BallSize KHopBallSize(const Graph& g, VertexId src, int depth);
-
-/// BFS hop distance from `src` to every vertex (UINT32_MAX when
-/// unreachable), optionally treating edges as undirected.
-std::vector<uint32_t> BfsDistances(const Graph& g, VertexId src,
-                                   bool undirected);
-
-/// Undirected connected components; returns component id per vertex and
-/// the component count.
-struct Components {
-  std::vector<uint32_t> component_of;
-  size_t count = 0;
-};
-Components ConnectedComponents(const Graph& g);
-
 /// Subgraph of `g` induced by `vertices` (global ids, need not be sorted;
 /// duplicates ignored): keeps every edge of `g` whose endpoints are both
 /// selected. `local_to_global[i]` maps the new id i back to `g`.

@@ -10,11 +10,11 @@
 namespace qgp {
 
 /// Balanced base partition of V into n regions (the seed DPar extends;
-/// the paper uses METIS [23] here — DESIGN.md §3 documents the
-/// substitution). BFS region growing: fragments are grown one at a time
-/// from unassigned seeds up to a per-fragment cap of ceil(|V|/n), so
-/// regions are connected where the graph permits and exactly balanced in
-/// vertex count.
+/// the paper uses METIS [23] here; docs/ARCHITECTURE.md, "Experimental
+/// substitutions", documents the swap). BFS region growing: fragments
+/// are grown one at a time from unassigned seeds up to a per-fragment
+/// cap of ceil(|V|/n), so regions are connected where the graph permits
+/// and exactly balanced in vertex count.
 ///
 /// Returns the fragment id per vertex, each in [0, n).
 Result<std::vector<uint32_t>> BasePartition(const Graph& g, size_t n);

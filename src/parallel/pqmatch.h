@@ -13,7 +13,7 @@ namespace qgp {
 class ThreadPool;
 
 /// How the n logical workers of PQMatch/PEnum (one per fragment)
-/// execute (DESIGN.md §3).
+/// execute (docs/ARCHITECTURE.md, "Experimental substitutions").
 enum class ExecutionMode {
   /// Workers run sequentially on the caller; each fragment's work is
   /// timed and the reported parallel time is the makespan (max worker

@@ -10,7 +10,6 @@ AdmissionController::Admit AdmissionController::Enter(uint64_t client) {
   if (closed_) return Admit::kClosed;
   if (options_.max_inflight_per_client > 0 &&
       per_client_[client] >= options_.max_inflight_per_client) {
-    ++rejected_;
     return Admit::kRejected;
   }
   can_enter_.wait(lock, [&] {
@@ -22,12 +21,10 @@ AdmissionController::Admit AdmissionController::Enter(uint64_t client) {
   // have been admitted while this one was parked on the global bound.
   if (options_.max_inflight_per_client > 0 &&
       per_client_[client] >= options_.max_inflight_per_client) {
-    ++rejected_;
     return Admit::kRejected;
   }
   ++inflight_;
   ++per_client_[client];
-  ++admitted_;
   return Admit::kAdmitted;
 }
 
@@ -54,16 +51,6 @@ size_t AdmissionController::client_inflight(uint64_t client) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = per_client_.find(client);
   return it == per_client_.end() ? 0 : it->second;
-}
-
-uint64_t AdmissionController::total_admitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admitted_;
-}
-
-uint64_t AdmissionController::total_rejected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
 }
 
 }  // namespace qgp::service

@@ -57,9 +57,6 @@ class AdmissionController {
   size_t inflight() const;
   /// In-flight count of one client.
   size_t client_inflight(uint64_t client) const;
-  /// Lifetime counters.
-  uint64_t total_admitted() const;
-  uint64_t total_rejected() const;
 
  private:
   const Options options_;
@@ -67,8 +64,6 @@ class AdmissionController {
   std::condition_variable can_enter_;
   std::unordered_map<uint64_t, size_t> per_client_;
   size_t inflight_ = 0;
-  uint64_t admitted_ = 0;
-  uint64_t rejected_ = 0;
   bool closed_ = false;
 };
 

@@ -183,6 +183,25 @@ void QueryService::ReaderLoop(std::shared_ptr<Session> session) {
   session->reader_done.store(true);
 }
 
+bool QueryService::Admit(const std::shared_ptr<Session>& session,
+                         uint64_t seq, const ServiceRequest& request) {
+  Status refused;
+  switch (admission_.Enter(session->id)) {
+    case AdmissionController::Admit::kAdmitted:
+      return true;
+    case AdmissionController::Admit::kRejected:
+      ++rejected_;
+      refused = Status::Unavailable(
+          "per-client in-flight limit reached; back off and retry");
+      break;
+    case AdmissionController::Admit::kClosed:
+      refused = Status::Unavailable("service shutting down");
+      break;
+  }
+  Complete(session, seq, EncodeErrorResponse(request.op, refused, request.tag));
+  return false;
+}
+
 void QueryService::HandleLine(const std::shared_ptr<Session>& session,
                               uint64_t seq, std::string_view line) {
   ++requests_;
@@ -225,26 +244,7 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
       // reader. The delta occupies an admission slot, so mutators feel
       // the same backpressure queries do. Borrowed engines reject
       // deltas; the error passes through from the worker.
-      switch (admission_.Enter(session->id)) {
-        case AdmissionController::Admit::kAdmitted:
-          break;
-        case AdmissionController::Admit::kRejected:
-          ++rejected_;
-          Complete(session, seq,
-                   EncodeErrorResponse(
-                       request.op,
-                       Status::Unavailable("per-client in-flight limit "
-                                           "reached; back off and retry"),
-                       request.tag));
-          return;
-        case AdmissionController::Admit::kClosed:
-          Complete(session, seq,
-                   EncodeErrorResponse(
-                       request.op,
-                       Status::Unavailable("service shutting down"),
-                       request.tag));
-          return;
-      }
+      if (!Admit(session, seq, request)) return;
       {
         std::lock_guard<std::mutex> lock(queue_mu_);
         QueuedQuery item;
@@ -299,25 +299,7 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
                 &drain_token_)
           : std::make_shared<CancelToken>(&drain_token_);
 
-  switch (admission_.Enter(session->id)) {
-    case AdmissionController::Admit::kAdmitted:
-      break;
-    case AdmissionController::Admit::kRejected:
-      ++rejected_;
-      Complete(session, seq,
-               EncodeErrorResponse(
-                   request.op,
-                   Status::Unavailable("per-client in-flight limit reached; "
-                                       "back off and retry"),
-                   request.tag));
-      return;
-    case AdmissionController::Admit::kClosed:
-      Complete(session, seq,
-               EncodeErrorResponse(request.op,
-                                   Status::Unavailable("service shutting down"),
-                                   request.tag));
-      return;
-  }
+  if (!Admit(session, seq, request)) return;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     QueuedQuery item;

@@ -173,6 +173,11 @@ class QueryService {
   /// session's response order.
   void HandleLine(const std::shared_ptr<Session>& session, uint64_t seq,
                   std::string_view line);
+  /// Takes an admission slot for `request` from `session`. On a
+  /// rejection or a closed controller, answers slot `seq` with the
+  /// structured error and returns false.
+  bool Admit(const std::shared_ptr<Session>& session, uint64_t seq,
+             const ServiceRequest& request);
   /// Posts `line` as the response for slot `seq` and flushes the
   /// contiguous prefix of the reorder buffer to the socket.
   static void Complete(const std::shared_ptr<Session>& session, uint64_t seq,

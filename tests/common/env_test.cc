@@ -17,16 +17,6 @@ TEST(EnvTest, StringFallback) {
   ::unsetenv("QGP_TEST_VAR");
 }
 
-TEST(EnvTest, IntFallback) {
-  ::unsetenv("QGP_TEST_INT");
-  EXPECT_EQ(GetEnvInt64("QGP_TEST_INT", 5), 5);
-  ::setenv("QGP_TEST_INT", "42", 1);
-  EXPECT_EQ(GetEnvInt64("QGP_TEST_INT", 5), 42);
-  ::setenv("QGP_TEST_INT", "garbage", 1);
-  EXPECT_EQ(GetEnvInt64("QGP_TEST_INT", 5), 5);
-  ::unsetenv("QGP_TEST_INT");
-}
-
 TEST(EnvTest, BenchScaleParsing) {
   ::unsetenv("QGP_BENCH_SCALE");
   EXPECT_EQ(GetBenchScale(), BenchScale::kSmall);

@@ -5,28 +5,10 @@
 namespace qgp {
 namespace {
 
-TEST(SplitStringTest, Basic) {
-  EXPECT_EQ(SplitString("a,b,c", ','),
-            (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SplitStringTest, DropsEmptyPieces) {
-  EXPECT_EQ(SplitString(",a,,b,", ','),
-            (std::vector<std::string>{"a", "b"}));
-  EXPECT_TRUE(SplitString("", ',').empty());
-  EXPECT_TRUE(SplitString(",,,", ',').empty());
-}
-
 TEST(SplitWhitespaceTest, MixedWhitespace) {
   EXPECT_EQ(SplitWhitespace("  a\tb\n c  "),
             (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_TRUE(SplitWhitespace("   \t\n").empty());
-}
-
-TEST(JoinStringsTest, Basic) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-  EXPECT_EQ(JoinStrings({"solo"}, ","), "solo");
 }
 
 TEST(StripWhitespaceTest, Basic) {

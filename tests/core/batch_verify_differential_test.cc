@@ -6,11 +6,13 @@
 // telemetry. The reference is PositiveEvaluator::VerifyFocus, a batch of
 // one, whose ball BFS has a single source.
 //
-// Covered: batch boundaries (1, 63, 64, 65, 129 foci), foci outside
-// good(focus) mixed into a batch, a hub whose ball passes ball_limit
-// batched with ordinary foci, radius 1 to 3, negated patterns (Π(Q),
-// then Π(Q⁺ᵉ) seeded from Π(Q)'s caches), pool sizes 1/2/4/8, and
-// cancellation inside a batch.
+// Covered: the focus map (PositiveEvaluator::EvaluateSubset, the one
+// every served query runs) at pool widths 1/2/4 and without a pool, on
+// batch boundaries (1, 63, 64, 65, 129 foci), foci outside good(focus)
+// mixed into a batch, a hub whose ball passes ball_limit batched with
+// ordinary foci, radius 1 to 3; QMatch end to end on negated patterns
+// (Π(Q), then Π(Q⁺ᵉ) seeded from Π(Q)'s caches) at pool sizes 1/2/4/8;
+// and cancellation inside a batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,10 +122,23 @@ Outcome PerFocus(const PositiveEvaluator& ev,
 }
 
 Outcome Batched(const PositiveEvaluator& ev,
-                std::span<const VertexId> subset) {
+                std::span<const VertexId> subset, ThreadPool* pool) {
   Outcome o;
-  o.answers = ev.EvaluateSubset(subset, &o.stats, &o.caches);
+  o.answers = ev.EvaluateSubset(subset, nullptr, &o.caches, &o.stats, pool);
   return o;
+}
+
+// No pool, then pools 1, 2 and 4 wide.
+std::vector<std::unique_ptr<ThreadPool>> FocusMapPools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (size_t t : {1, 2, 4}) pools.push_back(std::make_unique<ThreadPool>(t));
+  return pools;
+}
+
+std::string PoolName(const ThreadPool* pool) {
+  return pool == nullptr ? std::string("serial")
+                         : std::to_string(pool->width()) + " wide";
 }
 
 // QMatch's negation pipeline, per focus: Π(Q) cold, then every Π(Q⁺ᵉ)
@@ -264,6 +279,7 @@ MatchOptions HubGuarded(const Pattern& q, const Graph& g,
 
 TEST(BatchVerifyDifferentialTest, BatchBoundariesAndMixedFoci) {
   Graph g = MakeGraph(5);
+  const std::vector<std::unique_ptr<ThreadPool>> pools = FocusMapPools();
   size_t hub_guarded = 0;
   for (const Case& c : PositiveCases()) {
     SCOPED_TRACE(c.name);
@@ -279,17 +295,23 @@ TEST(BatchVerifyDifferentialTest, BatchBoundariesAndMixedFoci) {
       ASSERT_GE(mixed.size(), k);
       const std::span<const VertexId> subset(mixed.data(), k);
       const Outcome ref = PerFocus(*ev, subset);
-      const Outcome got = Batched(*ev, subset);
+      for (const auto& pool : pools) {
+        SCOPED_TRACE(PoolName(pool.get()));
+        const Outcome got = Batched(*ev, subset, pool.get());
+        EXPECT_EQ(got.answers, ref.answers);
+        ExpectSameWork(got.stats, ref.stats);
+        ExpectSameCaches(got.caches, ref.caches);
+      }
+    }
+    // All good foci at once, as the cold focus map runs them.
+    const Outcome ref = PerFocus(*ev, ev->FocusCandidates());
+    for (const auto& pool : pools) {
+      SCOPED_TRACE(PoolName(pool.get()));
+      const Outcome got = Batched(*ev, ev->FocusCandidates(), pool.get());
       EXPECT_EQ(got.answers, ref.answers);
       ExpectSameWork(got.stats, ref.stats);
       ExpectSameCaches(got.caches, ref.caches);
     }
-    // All good foci at once, as the cold focus map runs them.
-    const Outcome ref = PerFocus(*ev, ev->FocusCandidates());
-    const Outcome got = Batched(*ev, ev->FocusCandidates());
-    EXPECT_EQ(got.answers, ref.answers);
-    ExpectSameWork(got.stats, ref.stats);
-    ExpectSameCaches(got.caches, ref.caches);
     EXPECT_GT(ref.stats.balls_built, 64u) << "need more than one batch";
     // Preconditions: the hub is a good focus whose ball trips the guard,
     // batched together with foci whose balls stay complete.
@@ -327,9 +349,7 @@ TEST(BatchVerifyDifferentialTest, QMatchFocusMapAtEveryPoolSize) {
       const Outcome ref = PerFocusQMatch(q, g, {}, options);
       if (!q.NegatedEdgeIds().empty()) negated_answers += ref.answers.size();
       for (const auto& pool : pools) {
-        SCOPED_TRACE(pool == nullptr
-                         ? std::string("serial")
-                         : std::to_string(pool->width()) + " wide");
+        SCOPED_TRACE(PoolName(pool.get()));
         MatchStats stats;
         auto got = QMatch::Evaluate(q, g, options, &stats, pool.get());
         ASSERT_TRUE(got.ok()) << got.status().ToString();

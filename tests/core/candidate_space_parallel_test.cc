@@ -170,8 +170,10 @@ TEST(CandidateSpaceParallelTest, QMatchAndDMatchAnswersMatchSerial) {
         auto ev_par = PositiveEvaluator::Create(
             pi.value().first, g, MatchOptions{}, nullptr, 0, &pool, &cache);
         ASSERT_TRUE(ev_par.ok());
-        EXPECT_EQ(ev_serial->EvaluateAll(nullptr, nullptr),
-                  ev_par->EvaluateAll(nullptr, nullptr))
+        EXPECT_EQ(ev_serial->EvaluateSubset(ev_serial->FocusCandidates(),
+                                            nullptr, nullptr, nullptr),
+                  ev_par->EvaluateSubset(ev_par->FocusCandidates(), nullptr,
+                                         nullptr, nullptr))
             << "DMatch diverged under parallel Build";
       }
       ++compared;

@@ -1,7 +1,8 @@
-// Direct coverage of DMatch (§4.1): PositiveEvaluator and the
-// DMatchEvaluate wrapper, previously exercised only indirectly through
-// qmatch_test.cc. Ground truth comes from the paper's Fig. 2 examples and
-// from the enumeration baseline, which shares none of DMatch's pruning.
+// Direct coverage of DMatch (§4.1): PositiveEvaluator, its focus map
+// (EvaluateSubset) and QMatch on positive patterns, where QMatch is
+// DMatch over Π(Q) = Q. Ground truth comes from the paper's Fig. 2
+// examples and from the enumeration baseline, which shares none of
+// DMatch's pruning.
 #include "core/dmatch.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "core/enum_matcher.h"
 #include "core/pattern_parser.h"
+#include "core/qmatch.h"
 #include "gen/pattern_gen.h"
 #include "gen/social_gen.h"
 #include "graph/graph_builder.h"
@@ -32,7 +34,7 @@ TEST(DMatchDirectTest, Q2OnG1MatchesExample3) {
   Graph g = BuildG1(&ids);
   Pattern q2 = BuildQ2(g.mutable_dict());
   MatchStats stats;
-  auto res = DMatchEvaluate(q2, g, MatchOptions{}, &stats);
+  auto res = QMatch::Evaluate(q2, g, MatchOptions{}, &stats);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(*res, (AnswerSet{ids.x1, ids.x2}));
   EXPECT_GT(stats.focus_candidates_checked, 0u);
@@ -45,7 +47,7 @@ TEST(DMatchDirectTest, PiOfQ3OnG1MatchesExample6) {
   auto pi = q3.Pi();
   ASSERT_TRUE(pi.ok()) << pi.status().ToString();
   MatchStats stats;
-  auto res = DMatchEvaluate(pi->first, g, MatchOptions{}, &stats);
+  auto res = QMatch::Evaluate(pi->first, g, MatchOptions{}, &stats);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(*res, (AnswerSet{ids.x2, ids.x3}));
 }
@@ -57,7 +59,7 @@ TEST(DMatchDirectTest, PiOfQ4OnG2CountsAdvisees) {
   Pattern q4 = BuildQ4(g.mutable_dict(), /*p=*/2);
   auto pi = q4.Pi();
   ASSERT_TRUE(pi.ok());
-  auto res = DMatchEvaluate(pi->first, g, MatchOptions{}, nullptr);
+  auto res = QMatch::Evaluate(pi->first, g, MatchOptions{}, nullptr);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(*res, (AnswerSet{ids.x4, ids.x5, ids.x6}));
   // At p = 3 only x6 advises three UK professors... x6's third advisee v9
@@ -65,7 +67,7 @@ TEST(DMatchDirectTest, PiOfQ4OnG2CountsAdvisees) {
   Pattern q4p3 = BuildQ4(g.mutable_dict(), /*p=*/3);
   auto pi3 = q4p3.Pi();
   ASSERT_TRUE(pi3.ok());
-  auto res3 = DMatchEvaluate(pi3->first, g, MatchOptions{}, nullptr);
+  auto res3 = QMatch::Evaluate(pi3->first, g, MatchOptions{}, nullptr);
   ASSERT_TRUE(res3.ok());
   EXPECT_TRUE(res3->empty());
 }
@@ -76,7 +78,8 @@ TEST(DMatchDirectTest, VerifyFocusAgreesWithEvaluateAll) {
   Pattern q2 = BuildQ2(g.mutable_dict());
   auto ev = PositiveEvaluator::Create(q2, g, MatchOptions{});
   ASSERT_TRUE(ev.ok()) << ev.status().ToString();
-  AnswerSet all = ev->EvaluateAll(nullptr, nullptr);
+  AnswerSet all =
+      ev->EvaluateSubset(ev->FocusCandidates(), nullptr, nullptr, nullptr);
   for (VertexId vx : ev->FocusCandidates()) {
     bool member = std::binary_search(all.begin(), all.end(), vx);
     MatchStats stats;
@@ -93,11 +96,13 @@ TEST(DMatchDirectTest, EvaluateSubsetRestrictsTheDomain) {
   ASSERT_TRUE(ev.ok());
   // Q2(xo, G1) = {x1, x2}; restricting to {x2, x3} must yield {x2}.
   std::vector<VertexId> subset = {ids.x2, ids.x3};
-  AnswerSet res = ev->EvaluateSubset(subset, nullptr, nullptr);
+  AnswerSet res = ev->EvaluateSubset(subset, nullptr, nullptr, nullptr);
   EXPECT_EQ(res, (AnswerSet{ids.x2}));
-  // Empty subset, empty answer.
-  AnswerSet empty = ev->EvaluateSubset({}, nullptr, nullptr);
+  // Empty subset, empty answer, no work.
+  MatchStats stats;
+  AnswerSet empty = ev->EvaluateSubset({}, nullptr, nullptr, &stats);
   EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(stats.focus_candidates_checked, 0u);
 }
 
 TEST(DMatchDirectTest, EvaluateAllFillsCaches) {
@@ -107,7 +112,8 @@ TEST(DMatchDirectTest, EvaluateAllFillsCaches) {
   auto ev = PositiveEvaluator::Create(q2, g, MatchOptions{});
   ASSERT_TRUE(ev.ok());
   std::unordered_map<VertexId, FocusCache> caches;
-  AnswerSet all = ev->EvaluateAll(nullptr, &caches);
+  AnswerSet all =
+      ev->EvaluateSubset(ev->FocusCandidates(), nullptr, &caches, nullptr);
   EXPECT_EQ(caches.size(), all.size());
   for (VertexId vx : all) EXPECT_TRUE(caches.contains(vx));
 }
@@ -115,8 +121,8 @@ TEST(DMatchDirectTest, EvaluateAllFillsCaches) {
 TEST(DMatchDirectTest, RejectsNegatedPatterns) {
   Graph g = BuildG1(nullptr);
   Pattern q3 = BuildQ3(g.mutable_dict(), 2);  // has a =0 edge
-  auto res = DMatchEvaluate(q3, g, MatchOptions{}, nullptr);
-  EXPECT_FALSE(res.ok());
+  auto ev = PositiveEvaluator::Create(q3, g, MatchOptions{});
+  EXPECT_FALSE(ev.ok());
 }
 
 MatchOptions Ablated(bool simulation, bool pruning, bool ordering,
@@ -155,7 +161,7 @@ TEST(DMatchDirectTest, OptionTogglesPreserveAnswersOnGeneratedWorkload) {
           Ablated(true, false, true, true), Ablated(true, true, false, true),
           Ablated(true, true, true, false),
           Ablated(false, false, false, false)}) {
-      auto res = DMatchEvaluate(pos, g, o, nullptr);
+      auto res = QMatch::Evaluate(pos, g, o, nullptr);
       ASSERT_TRUE(res.ok()) << res.status().ToString();
       EXPECT_EQ(*res, *baseline);
       ++compared;
@@ -172,7 +178,7 @@ TEST(DMatchDirectTest, TinyBallLimitFallsBackCorrectly) {
   Pattern q2 = BuildQ2(g.mutable_dict());
   MatchOptions capped;
   capped.ball_limit = 1;
-  auto res = DMatchEvaluate(q2, g, capped, nullptr);
+  auto res = QMatch::Evaluate(q2, g, capped, nullptr);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(*res, (AnswerSet{ids.x1, ids.x2}));
 }
@@ -264,7 +270,7 @@ TEST(DMatchDirectTest, CountingStopsOnceTheVerdictIsSettled) {
       MatchOptions o;
       o.early_stop_counting = cut;
       MatchStats stats;
-      auto res = DMatchEvaluate(q, star.g, o, &stats);
+      auto res = QMatch::Evaluate(q, star.g, o, &stats);
       ASSERT_TRUE(res.ok()) << c.name << ": " << res.status().ToString();
       EXPECT_EQ(*res, c.member ? AnswerSet{star.x} : AnswerSet{})
           << c.name << " cut=" << cut;
@@ -287,7 +293,7 @@ TEST(DMatchDirectTest, CountingSkipsSearchesWhenTheBoundIsShort) {
     o.use_quantifier_pruning = false;
     o.early_stop_counting = cut;
     MatchStats stats;
-    auto res = DMatchEvaluate(q, star.g, o, &stats);
+    auto res = QMatch::Evaluate(q, star.g, o, &stats);
     ASSERT_TRUE(res.ok()) << res.status().ToString();
     EXPECT_TRUE(res->empty());
     EXPECT_EQ(stats.witness_searches, cut ? 0u : 10u) << "cut=" << cut;
@@ -315,7 +321,7 @@ TEST(DMatchDirectTest, PlanOrderComparesFullBallSizes) {
       g.mutable_dict());
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   MatchStats stats;
-  auto res = DMatchEvaluate(*q, g, MatchOptions{}, &stats);
+  auto res = QMatch::Evaluate(*q, g, MatchOptions{}, &stats);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   auto oracle = EnumMatcher::Evaluate(*q, g, MatchOptions{}, nullptr);
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();

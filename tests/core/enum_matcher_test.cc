@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
+#include "graph/graph_builder.h"
 #include "testing/paper_graphs.h"
 
 namespace qgp {
@@ -112,6 +115,37 @@ TEST(EnumMatcherTest, RejectsNegativePatternInPositiveApi) {
   Graph g = testing::BuildG1(nullptr);
   Pattern q3 = testing::BuildQ3(g.mutable_dict(), 2);
   EXPECT_FALSE(EnumMatcher::EvaluatePositive(q3, g, {}, nullptr).ok());
+}
+
+// One focus whose enumeration runs far past its deadline: x has 40
+// children and the pattern pins four distinct ones, 40·39·38·37 ≈ 2.2M
+// embeddings. The deadline must stop the run inside the focus, with
+// the token's status, long before the isomorphism cap.
+TEST(EnumMatcherTest, DeadlineStopsASingleFocusEnumeration) {
+  GraphBuilder b;
+  const VertexId x = b.AddVertex("p");
+  for (int i = 0; i < 40; ++i) (void)b.AddEdge(x, b.AddVertex("c"), "f");
+  Graph g = std::move(b).Build().value();
+  LabelDict& dict = g.mutable_dict();
+  Pattern q;
+  const PatternNodeId xo = q.AddNode(dict.Intern("p"), "xo");
+  for (int i = 0; i < 4; ++i) {
+    (void)q.AddEdge(xo, q.AddNode(dict.Intern("c"), "y" + std::to_string(i)),
+                    dict.Intern("f"));
+  }
+  (void)q.set_focus(xo);
+
+  CancelToken token(CancelToken::Clock::now() + std::chrono::milliseconds(10));
+  MatchOptions options;
+  options.cancel = &token;
+  options.max_isomorphisms = 2'000'000;
+  MatchStats stats;
+  auto res = EnumMatcher::Evaluate(q, g, options, &stats);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kDeadlineExceeded)
+      << res.status().ToString();
+  EXPECT_EQ(stats.focus_candidates_checked, 1u);
+  EXPECT_LT(stats.isomorphisms_enumerated, options.max_isomorphisms);
 }
 
 }  // namespace

@@ -64,9 +64,9 @@ TEST(ExpandTest, RejectsNonTreeAndNonGe) {
 }
 
 TEST(ExpandTest, DemonstratesLemma3Discrepancy) {
-  // DESIGN.md deviation 2: two z-children share their single w-child.
-  // §2.2 counts both z's (answer: root matches); the copy-expansion
-  // demands node-disjoint w-witnesses and rejects the root.
+  // Deviation 2 (docs/ARCHITECTURE.md): two z-children share their single
+  // w-child. §2.2 counts both z's (answer: root matches); the
+  // copy-expansion demands node-disjoint w-witnesses and rejects the root.
   GraphBuilder b;
   VertexId root = b.AddVertex("r");
   VertexId z1 = b.AddVertex("z");

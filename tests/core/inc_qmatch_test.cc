@@ -3,11 +3,11 @@
 // actually skipped — re-verification of the cached answers only, in
 // batches that build one ball per checked focus (balls_built),
 // failed-witness-pair transfer (witness_searches), and the empty-cache
-// fallback (correct answers with zero warm state). The end-to-end agreement of QMatch vs QMatchn
-// lives in qmatch_test.cc / differential_test.cc; this file exercises
-// IncQMatchEvaluate against a hand-built Π(Q) run.
-
-#include "core/inc_qmatch.h"
+// fallback (correct answers with zero warm state). The end-to-end
+// agreement of QMatch vs QMatchn lives in qmatch_test.cc /
+// differential_test.cc; this file runs IncQMatch's step, the focus map
+// over Π(Q)'s answers with their warm caches, against a hand-built Π(Q)
+// run.
 
 #include <gtest/gtest.h>
 
@@ -51,7 +51,8 @@ class IncSetup {
     EXPECT_TRUE(ev_e.ok());
     ev_e_.emplace(std::move(ev_e).value());
 
-    a0 = ev0_->EvaluateAll(&base_stats, &caches);
+    a0 = ev0_->EvaluateSubset(ev0_->FocusCandidates(), nullptr, &caches,
+                              &base_stats);
   }
 
   const PositiveEvaluator& ev0() const { return *ev0_; }
@@ -74,8 +75,10 @@ TEST(IncQMatchTest, CachedBallsReusedWhenRadiusDoesNotGrow) {
   for (VertexId vx : s.a0) ASSERT_TRUE(s.caches.count(vx));
 
   MatchStats warm, cold;
-  AnswerSet with_cache = IncQMatchEvaluate(s.ev_e(), s.a0, s.caches, &warm);
-  AnswerSet without_cache = IncQMatchEvaluate(s.ev_e(), s.a0, {}, &cold);
+  AnswerSet with_cache =
+      s.ev_e().EvaluateSubset(s.a0, &s.caches, nullptr, &warm);
+  AnswerSet without_cache =
+      s.ev_e().EvaluateSubset(s.a0, nullptr, nullptr, &cold);
   EXPECT_EQ(with_cache, without_cache);
 
   // Warm or cold, the answers go through the batched verifier: one ball
@@ -129,7 +132,8 @@ TEST(IncQMatchTest, FailedWitnessPairsTransfer) {
 
   std::unordered_map<VertexId, FocusCache> caches;
   MatchStats first;
-  AnswerSet a0 = ev->EvaluateAll(&first, &caches);
+  AnswerSet a0 =
+      ev->EvaluateSubset(ev->FocusCandidates(), nullptr, &caches, &first);
   ASSERT_EQ(a0, (AnswerSet{a}));
 
   // The Π(Q) run proved (a, c3) witness-free and recorded it.
@@ -142,8 +146,8 @@ TEST(IncQMatchTest, FailedWitnessPairsTransfer) {
   ASSERT_GT(transferred_pairs, 0u);
 
   MatchStats warm, cold;
-  AnswerSet with_cache = IncQMatchEvaluate(*ev, a0, caches, &warm);
-  AnswerSet without_cache = IncQMatchEvaluate(*ev, a0, {}, &cold);
+  AnswerSet with_cache = ev->EvaluateSubset(a0, &caches, nullptr, &warm);
+  AnswerSet without_cache = ev->EvaluateSubset(a0, nullptr, nullptr, &cold);
   EXPECT_EQ(with_cache, without_cache);
   EXPECT_EQ(with_cache, a0);
   EXPECT_LT(warm.witness_searches, cold.witness_searches);
@@ -151,18 +155,27 @@ TEST(IncQMatchTest, FailedWitnessPairsTransfer) {
 
 TEST(IncQMatchTest, EmptyCacheFallbackIsExact) {
   IncSetup s;
-  MatchStats stats;
-  AnswerSet incremental = IncQMatchEvaluate(s.ev_e(), s.a0, {}, &stats);
+  AnswerSet incremental = s.ev_e().EvaluateSubset(s.a0, nullptr, nullptr,
+                                                  nullptr);
   // No warm state: still restricted to the cached answers and still
   // exact inside them.
-  AnswerSet direct = s.ev_e().EvaluateAll(nullptr, nullptr);
+  AnswerSet direct = s.ev_e().EvaluateSubset(s.ev_e().FocusCandidates(),
+                                             nullptr, nullptr, nullptr);
   EXPECT_EQ(incremental, SetIntersection(direct, s.a0));
+
+  // QMatch re-verifies exactly the cached answers: Q3 has one negated
+  // edge, so inc_candidates_checked is |Π(Q)(xo, G)|.
+  Graph g = testing::BuildG1(nullptr);
+  Pattern q3 = testing::BuildQ3(g.mutable_dict(), 2);
+  MatchStats stats;
+  ASSERT_TRUE(QMatch::Evaluate(q3, g, MatchOptions{}, &stats).ok());
   EXPECT_EQ(stats.inc_candidates_checked, s.a0.size());
 
   // Degenerate inputs: no cached answers means nothing to verify.
   MatchStats empty_stats;
-  EXPECT_TRUE(IncQMatchEvaluate(s.ev_e(), {}, {}, &empty_stats).empty());
-  EXPECT_EQ(empty_stats.inc_candidates_checked, 0u);
+  EXPECT_TRUE(
+      s.ev_e().EvaluateSubset({}, nullptr, nullptr, &empty_stats).empty());
+  EXPECT_EQ(empty_stats.focus_candidates_checked, 0u);
 }
 
 }  // namespace

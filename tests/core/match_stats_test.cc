@@ -70,8 +70,8 @@ TEST(MatchStatsTest, MonotonicInFocusSubset) {
     std::span<const VertexId> half(all.data(), all.size() / 2);
     MatchStats stats_half;
     MatchStats stats_all;
-    ev->EvaluateSubset(half, &stats_half, nullptr);
-    ev->EvaluateSubset(all, &stats_all, nullptr);
+    ev->EvaluateSubset(half, nullptr, nullptr, &stats_half);
+    ev->EvaluateSubset(all, nullptr, nullptr, &stats_all);
     EXPECT_LE(stats_half.focus_candidates_checked,
               stats_all.focus_candidates_checked);
     EXPECT_LE(stats_half.balls_built, stats_all.balls_built);

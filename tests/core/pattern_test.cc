@@ -82,7 +82,7 @@ TEST(PatternTest, PiOnPositivePatternIsIdentity) {
 
 TEST(PatternTest, PiDropsNodesBehindNegatedEdges) {
   // Q3 shape: z2 and its outgoing edge disappear even though z2 reaches
-  // the shared product node (the directed-path reading; DESIGN.md §2).
+  // the shared product node (docs/ARCHITECTURE.md, "Semantics readings").
   LabelDict dict;
   Pattern q3 = testing::BuildQ3(dict, 2);
   auto pi = q3.Pi();

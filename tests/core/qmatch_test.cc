@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/dmatch.h"
-#include "core/inc_qmatch.h"
 #include "core/naive_matcher.h"
 #include "graph/graph_builder.h"
 #include "testing/paper_graphs.h"
@@ -161,7 +160,8 @@ TEST(IncQMatchTest, MatchesDirectEvaluation) {
                                        q3.num_edges());
   ASSERT_TRUE(ev0.ok());
   std::unordered_map<VertexId, FocusCache> caches;
-  AnswerSet a0 = ev0->EvaluateAll(nullptr, &caches);
+  AnswerSet a0 =
+      ev0->EvaluateSubset(ev0->FocusCandidates(), nullptr, &caches, nullptr);
   EXPECT_EQ(a0, (AnswerSet{ids.x2, ids.x3}));
 
   PatternEdgeId neg = q3.NegatedEdgeIds()[0];
@@ -174,8 +174,9 @@ TEST(IncQMatchTest, MatchesDirectEvaluation) {
       &pi_pos.value().second.edge_to_original, q3.num_edges());
   ASSERT_TRUE(ev_e.ok());
 
-  AnswerSet incremental = IncQMatchEvaluate(*ev_e, a0, caches, nullptr);
-  AnswerSet direct = ev_e->EvaluateAll(nullptr, nullptr);
+  AnswerSet incremental = ev_e->EvaluateSubset(a0, &caches, nullptr, nullptr);
+  AnswerSet direct =
+      ev_e->EvaluateSubset(ev_e->FocusCandidates(), nullptr, nullptr, nullptr);
   // Incremental is restricted to a0; direct may exceed it, but inside a0
   // they must agree.
   EXPECT_EQ(incremental, SetIntersection(direct, a0));

@@ -56,8 +56,8 @@ TEST(QuantifierTest, Negation) {
 }
 
 TEST(QuantifierTest, RatioGeCeilingNotFloor) {
-  // DESIGN.md deviation 1: >=80% of 3 children requires 3 matches, not
-  // the paper's floor(3*0.8) = 2 (2/3 = 66.7% < 80%).
+  // Deviation 1 (docs/ARCHITECTURE.md): >=80% of 3 children requires 3
+  // matches, not the paper's floor(3*0.8) = 2 (2/3 = 66.7% < 80%).
   Quantifier q = Quantifier::Ratio(QuantOp::kGe, 80.0);
   EXPECT_EQ(q.MinCountNeeded(3), 3u);
   EXPECT_FALSE(q.Eval(2, 3));

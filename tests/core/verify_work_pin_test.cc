@@ -23,7 +23,6 @@
 
 #include "core/dmatch.h"
 #include "core/enum_matcher.h"
-#include "core/inc_qmatch.h"
 #include "core/qmatch.h"
 #include "gen/pattern_gen.h"
 #include "gen/social_gen.h"
@@ -194,7 +193,8 @@ TEST_F(VerifyWorkPinTest, Enum) {
 
 TEST_F(VerifyWorkPinTest, WarmIncQMatch) {
   // Π(Q) runs cold and caches every answer's failed pairs; IncQMatch
-  // then re-verifies those answers against each Π(Q⁺ᵉ), seeded from them.
+  // then re-verifies those answers against each Π(Q⁺ᵉ), seeded from them,
+  // and counts them in inc_candidates_checked as QMatch's loop does.
   MatchOptions options;
   RouteWork work;
   size_t warm_runs = 0;
@@ -207,7 +207,8 @@ TEST_F(VerifyWorkPinTest, WarmIncQMatch) {
         q.num_edges());
     ASSERT_TRUE(ev0.ok());
     std::unordered_map<VertexId, FocusCache> caches;
-    const AnswerSet cold = ev0->EvaluateAll(&work.stats, &caches);
+    const AnswerSet cold = ev0->EvaluateSubset(ev0->FocusCandidates(),
+                                               nullptr, &caches, &work.stats);
     work.MixAnswers(i, cold);
     for (PatternEdgeId neg : q.NegatedEdgeIds()) {
       auto positified = q.Positify(neg);
@@ -218,7 +219,9 @@ TEST_F(VerifyWorkPinTest, WarmIncQMatch) {
           pi_pos->first, *graph_, options,
           &pi_pos->second.edge_to_original, q.num_edges());
       ASSERT_TRUE(ev_e.ok());
-      work.MixAnswers(i, IncQMatchEvaluate(*ev_e, cold, caches, &work.stats));
+      work.stats.inc_candidates_checked += cold.size();
+      work.MixAnswers(
+          i, ev_e->EvaluateSubset(cold, &caches, nullptr, &work.stats));
       warm_runs += cold.empty() ? 0 : 1;
     }
   }

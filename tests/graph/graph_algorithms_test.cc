@@ -35,42 +35,6 @@ TEST(KHopBallTest, OutOfRangeSource) {
   EXPECT_TRUE(KHopBall(g, 99, 2).empty());
 }
 
-TEST(KHopBallSizeTest, CountsNodesAndInducedEdges) {
-  Graph g = BuildPathGraph();
-  BallSize s = KHopBallSize(g, 2, 1);
-  EXPECT_EQ(s.num_vertices, 3u);
-  EXPECT_EQ(s.num_edges, 2u);  // (1,2) and (2,3)
-  EXPECT_EQ(s.total(), 5u);
-}
-
-TEST(BfsDistancesTest, DirectedVsUndirected) {
-  Graph g = BuildPathGraph();
-  auto directed = BfsDistances(g, 2, /*undirected=*/false);
-  EXPECT_EQ(directed[2], 0u);
-  EXPECT_EQ(directed[3], 1u);
-  EXPECT_EQ(directed[4], 2u);
-  EXPECT_EQ(directed[1], UINT32_MAX);  // cannot go backward
-  auto undirected = BfsDistances(g, 2, /*undirected=*/true);
-  EXPECT_EQ(undirected[0], 2u);
-  EXPECT_EQ(undirected[4], 2u);
-  EXPECT_EQ(undirected[5], UINT32_MAX);
-}
-
-TEST(ConnectedComponentsTest, TwoComponents) {
-  Graph g = BuildPathGraph();
-  Components c = ConnectedComponents(g);
-  EXPECT_EQ(c.count, 2u);
-  EXPECT_EQ(c.component_of[0], c.component_of[4]);
-  EXPECT_NE(c.component_of[0], c.component_of[5]);
-}
-
-TEST(ConnectedComponentsTest, EmptyGraph) {
-  GraphBuilder b;
-  Graph g = std::move(b).Build().value();
-  Components c = ConnectedComponents(g);
-  EXPECT_EQ(c.count, 0u);
-}
-
 TEST(InducedSubgraphTest, KeepsInternalEdgesOnly) {
   GraphBuilder b;
   VertexId a = b.AddVertex("p");
