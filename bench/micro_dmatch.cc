@@ -50,8 +50,7 @@ double TimePerCall(Fn&& fn, size_t* iters_out) {
 // batch's balls must equal the per-focus ones.
 void BallCase(const char* name, const Graph& g, int radius,
               std::span<const VertexId> foci, BenchReporter& reporter) {
-  DynamicBitset all_labels(g.dict().size());
-  for (Label l = 0; l < g.dict().size(); ++l) all_labels.Set(l);
+  const BallFilter all_labels = BallFilter::Uniform(radius);
   const size_t limit = g.num_vertices();
   MultiBallScratch single;
   MultiBallScratch multi;

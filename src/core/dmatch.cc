@@ -94,16 +94,17 @@ class FocusVerifier {
     }
     ResizeAndClear(s_.good_memo, q_.num_edges());
     // (2) Local stratified candidate sets Lπ(u) = Cπ(u) ∩ ball_k(vx),
-    // k = hop_[u]: an embedding pinned at vx maps u within k hops of vx,
-    // over pattern-labeled edges (§5.1). Each is a view over Cπ(u)'s
-    // bitset masked by the words of the k-hop ball (unmasked when the
-    // ball is incomplete); nothing is decoded. The view's size, the
-    // weight the search's plan order compares, is counted over the full
-    // ball for every node: counted by level, the nodes next to the focus
-    // always look smallest, and the greedy order puts off the nodes that
-    // close cycles (one cyclic pattern ran 6.4M search extensions instead
-    // of 9K that way). The focus view stays Cπ(xo) ∩ ball; every search
-    // pins the focus to vx.
+    // k = hop_[u]: an embedding pinned at vx maps u within k hops of vx
+    // (§5.1), over the edges the ball filter lets each hop walk (see
+    // StepEdgeFilter). Each is a view over Cπ(u)'s bitset masked by the
+    // words of the k-hop ball (unmasked when the ball is incomplete);
+    // nothing is decoded. The view's size, the weight the search's plan
+    // order compares, is counted over the full ball for every node:
+    // counted by level, the nodes next to the focus always look smallest,
+    // and the greedy order puts off the nodes that close cycles (one
+    // cyclic pattern ran 6.4M search extensions instead of 9K that way).
+    // The focus view stays Cπ(xo) ∩ ball; every search pins the focus to
+    // vx.
     //
     // The answer search reads its own views: good(u) ∩ the same mask,
     // through good(u)'s words. A vertex outside good(u) fails IsGood at
@@ -302,6 +303,41 @@ class FocusVerifier {
   std::vector<VertexId> witness_buf_;  // pinned-pair search result
 };
 
+// The ball filter of a pattern whose nodes lie hop[u] undirected hops
+// from the focus. Only step edges count: pattern edges whose endpoints
+// lie at distances j and j + 1. Call the nearer endpoint n. At every hop
+// i <= j, the edge's label is allowed out of a vertex if n is the edge's
+// source and into it otherwise, and label(n) may expand. An embedding
+// reaches a node at distance k along a shortest pattern path, whose
+// step i leaves a node at distance exactly i; a vertex first reached at
+// an earlier level j expands with the larger sets of hop j. So every
+// embedding image of a node at distance k is within k hops of the focus
+// in the filtered ball. An edge between two nodes at the same distance
+// lies on no shortest path and allows nothing.
+BallFilter StepEdgeFilter(const Pattern& q, const std::vector<int>& hop,
+                          int radius, size_t num_labels) {
+  BallFilter filter;
+  filter.out.assign(radius, DynamicBitset(num_labels));
+  filter.in.assign(radius, DynamicBitset(num_labels));
+  filter.node.assign(radius, DynamicBitset(num_labels));
+  auto allow = [](DynamicBitset& set, Label l) {
+    if (l < set.size()) set.Set(l);
+  };
+  for (PatternEdgeId e = 0; e < q.num_edges(); ++e) {
+    const PatternEdge& edge = q.edge(e);
+    const int src = hop[edge.src];
+    const int dst = hop[edge.dst];
+    if (src != dst + 1 && dst != src + 1) continue;
+    const bool from_src = src < dst;
+    const PatternNodeId near = from_src ? edge.src : edge.dst;
+    for (int i = 0; i <= std::min(src, dst); ++i) {
+      allow(from_src ? filter.out[i] : filter.in[i], edge.label);
+      allow(filter.node[i], q.node(near).label);
+    }
+  }
+  return filter;
+}
+
 }  // namespace
 
 Result<PositiveEvaluator> PositiveEvaluator::Create(
@@ -320,7 +356,7 @@ Result<PositiveEvaluator> PositiveEvaluator::Create(
   ev.g_ = &g;
   ev.options_ = options;
   ev.hop_ = ev.pattern_.FocusDistances();
-  ev.radius_ = ev.pattern_.Radius();
+  for (int d : ev.hop_) ev.radius_ = std::max(ev.radius_, d);
   if (edge_to_original != nullptr) {
     ev.edge_to_original_ = *edge_to_original;
   } else {
@@ -341,11 +377,8 @@ Result<PositiveEvaluator> PositiveEvaluator::Create(
     }
     ev.scored_nodes_[u] = ev.quantified_out_[u].empty() ? 0 : 1;
   }
-  ev.pattern_edge_labels_.Resize(g.dict().size());
-  for (PatternEdgeId e = 0; e < ev.pattern_.num_edges(); ++e) {
-    Label l = ev.pattern_.edge(e).label;
-    if (l < ev.pattern_edge_labels_.size()) ev.pattern_edge_labels_.Set(l);
-  }
+  ev.ball_filter_ =
+      StepEdgeFilter(ev.pattern_, ev.hop_, ev.radius_, g.dict().size());
   ev.ball_limit_ = options.ball_limit != 0
                        ? options.ball_limit
                        : std::max<size_t>(4096, g.num_vertices() / 8);
@@ -403,8 +436,8 @@ size_t PositiveEvaluator::VerifyBatch(std::span<const VertexId> foci,
       for (size_t j = i; j < foci.size(); ++j) {
         if (cs_.InGood(focus, foci[j])) sources[k++] = foci[j];
       }
-      KHopBallsFiltered(*g_, {sources, k}, radius_, pattern_edge_labels_,
-                        ball_limit_, &scratch.batch, /*keep_levels=*/true);
+      KHopBallsFiltered(*g_, {sources, k}, radius_, ball_filter_, ball_limit_,
+                        &scratch.batch, /*keep_levels=*/true);
       extracted = true;
     }
     const size_t b = member++;

@@ -134,6 +134,8 @@ class PositiveEvaluator {
   const Pattern& pattern() const { return pattern_; }
   const CandidateSpace& candidate_space() const { return cs_; }
   int radius() const { return radius_; }
+  /// The per-hop filter of every verification ball (radius() hops).
+  const BallFilter& ball_filter() const { return ball_filter_; }
   const MatchOptions& options() const { return options_; }
 
  private:
@@ -155,8 +157,8 @@ class PositiveEvaluator {
   /// Undirected hop distance of each pattern node from the focus: an
   /// embedding pinned at vx maps node u within hop_[u] hops of vx.
   std::vector<int> hop_;
-  /// Edge labels the pattern uses (ball traversal filter).
-  DynamicBitset pattern_edge_labels_;
+  /// Per-hop ball traversal filter, from the pattern's step edges.
+  BallFilter ball_filter_;
   size_t ball_limit_ = 0;
 };
 

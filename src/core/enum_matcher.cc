@@ -1,6 +1,7 @@
 #include "core/enum_matcher.h"
 
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -45,12 +46,26 @@ Result<AnswerSet> EnumMatcher::EvaluatePositive(
     focus_list = owned_focus_list;
   }
 
+  // The answer test reads an embedding only at the sources of the
+  // quantified edges.
+  std::vector<PatternEdgeId> quantified;
+  for (PatternEdgeId e = 0; e < positive.num_edges(); ++e) {
+    if (!positive.edge(e).quantifier.IsExistential()) quantified.push_back(e);
+  }
+
   AnswerSet answers;
   // Per focus candidate: enumerate every embedding, then check counters —
-  // the "enumerate first, verify afterwards" discipline of Enum. One
-  // matcher serves every focus candidate; its working buffers are reused
-  // across Enumerate calls.
-  std::vector<std::vector<VertexId>> embeddings;
+  // the "enumerate first, verify afterwards" discipline of Enum. The
+  // check of an embedding h0 reads h0[src(e)] and Me(vx, h0[src(e)], Q)
+  // for each quantified edge e, so enumeration records Me per quantified
+  // edge and the distinct tuples of those source images, not the
+  // embeddings: a focus's memory no longer grows with its embedding
+  // count. One matcher serves every focus candidate; its working buffers
+  // are reused across Enumerate calls.
+  std::vector<std::unordered_map<VertexId, std::unordered_set<VertexId>>> me(
+      quantified.size());
+  std::set<std::vector<VertexId>> tuples;
+  std::vector<VertexId> tuple(quantified.size());
   GenericMatcher matcher(stratified, g, candidate_sets);
   const CancelToken* cancel = options.cancel;
   for (VertexId vx : focus_list) {
@@ -58,7 +73,9 @@ Result<AnswerSet> EnumMatcher::EvaluatePositive(
     // can enumerate far past a deadline.
     QGP_CHECK_CANCEL(cancel);
     if (stats != nullptr) ++stats->focus_candidates_checked;
-    embeddings.clear();
+    for (auto& sets : me) sets.clear();
+    tuples.clear();
+    uint64_t found = 0;
     std::pair<PatternNodeId, VertexId> pin{xo, vx};
     GenericMatcher::SearchOptions sopts;
     sopts.pins = {&pin, 1};
@@ -67,8 +84,13 @@ Result<AnswerSet> EnumMatcher::EvaluatePositive(
     bool cancelled = false;
     bool completed = matcher.Enumerate(
         sopts, [&](const std::vector<VertexId>& h) {
-          embeddings.push_back(h);
-          cancelled = (embeddings.size() & 1023) == 0 && cancel != nullptr &&
+          for (size_t i = 0; i < quantified.size(); ++i) {
+            const PatternEdge& pe = positive.edge(quantified[i]);
+            me[i][h[pe.src]].insert(h[pe.dst]);
+            tuple[i] = h[pe.src];
+          }
+          tuples.insert(tuple);
+          cancelled = (++found & 1023) == 0 && cancel != nullptr &&
                       cancel->ShouldStop();
           return !cancelled;
         });
@@ -78,25 +100,12 @@ Result<AnswerSet> EnumMatcher::EvaluatePositive(
           "Enum exceeded the isomorphism cap; raise "
           "MatchOptions::max_isomorphisms");
     }
-    if (embeddings.empty()) continue;
-
-    // Me(vx, v, Q) materialized per quantified edge.
-    std::vector<std::unordered_map<VertexId, std::unordered_set<VertexId>>>
-        me(positive.num_edges());
-    for (PatternEdgeId e = 0; e < positive.num_edges(); ++e) {
-      if (positive.edge(e).quantifier.IsExistential()) continue;
-      const PatternEdge& pe = positive.edge(e);
-      for (const std::vector<VertexId>& h : embeddings) {
-        me[e][h[pe.src]].insert(h[pe.dst]);
-      }
-    }
-    for (const std::vector<VertexId>& h0 : embeddings) {
+    for (const std::vector<VertexId>& t : tuples) {
       bool good = true;
-      for (PatternEdgeId e = 0; e < positive.num_edges() && good; ++e) {
-        const PatternEdge& pe = positive.edge(e);
-        if (pe.quantifier.IsExistential()) continue;
-        uint64_t matched = me[e][h0[pe.src]].size();
-        uint64_t total = g.OutDegreeWithLabel(h0[pe.src], pe.label);
+      for (size_t i = 0; i < quantified.size() && good; ++i) {
+        const PatternEdge& pe = positive.edge(quantified[i]);
+        uint64_t matched = me[i][t[i]].size();
+        uint64_t total = g.OutDegreeWithLabel(t[i], pe.label);
         if (!pe.quantifier.Eval(matched, total)) good = false;
       }
       if (good) {

@@ -44,10 +44,39 @@ std::vector<VertexId> KHopBall(const Graph& g,
   return ball;
 }
 
+BallFilter BallFilter::Uniform(int depth, const DynamicBitset& edge_labels) {
+  const size_t hops = static_cast<size_t>(std::max(depth, 0));
+  BallFilter filter;
+  filter.out.assign(hops, edge_labels);
+  filter.in.assign(hops, edge_labels);
+  filter.node.assign(hops, DynamicBitset());
+  return filter;
+}
+
+namespace {
+
+// One set of a BallFilter hop, read through locals in the scan loop (a
+// store into the reach masks could otherwise alias the set's size).
+struct LabelPass {
+  const uint64_t* words = nullptr;
+  size_t size = 0;
+
+  LabelPass(const std::vector<DynamicBitset>& sets, int hop) {
+    if (static_cast<size_t>(hop) < sets.size()) {
+      words = sets[hop].words().data();
+      size = sets[hop].size();
+    }
+  }
+  bool operator()(Label l) const {
+    return l >= size || ((words[l >> 6] >> (l & 63)) & 1ULL) != 0;
+  }
+};
+
+}  // namespace
+
 void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
-                       int depth, const DynamicBitset& edge_labels,
-                       size_t max_size, MultiBallScratch* scratch,
-                       bool keep_levels) {
+                       int depth, const BallFilter& filter, size_t max_size,
+                       MultiBallScratch* scratch, bool keep_levels) {
   MultiBallScratch& s = *scratch;
   const size_t n = g.num_vertices();
   const size_t k = std::min(sources.size(), kMaxBallSources);
@@ -126,15 +155,16 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
     counting = true;
   };
   for (int hop = 0; hop < depth && !s.level.empty() && alive != 0; ++hop) {
+    const LabelPass out_pass(filter.out, hop);
+    const LabelPass in_pass(filter.in, hop);
+    const LabelPass node_pass(filter.node, hop);
     for (VertexId v : s.level) {
       const uint64_t m = s.frontier[v];
       s.frontier[v] = 0;
-      if ((m & alive) == 0) continue;
-      auto expand = [&](std::span<const Neighbor> nbrs) {
+      if ((m & alive) == 0 || !node_pass(g.vertex_label(v))) continue;
+      auto expand = [&](std::span<const Neighbor> nbrs, const LabelPass& pass) {
         for (const Neighbor& nb : nbrs) {
-          if (nb.label < edge_labels.size() && !edge_labels.Test(nb.label)) {
-            continue;
-          }
+          if (!pass(nb.label)) continue;
           const VertexId w = nb.v;
           uint64_t fresh = m & alive & ~s.seen[w];
           if (fresh == 0) continue;
@@ -160,8 +190,8 @@ void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
           }
         }
       };
-      expand(g.OutNeighbors(v));
-      expand(g.InNeighbors(v));
+      expand(g.OutNeighbors(v), out_pass);
+      expand(g.InNeighbors(v), in_pass);
     }
     s.level.swap(s.next_level);
     s.next_level.clear();

@@ -95,14 +95,28 @@ struct MultiBallScratch {
   }
 };
 
+/// Per-hop filter of a ball BFS. At hop i (0 <= i < depth) a frontier
+/// vertex whose label is not in node[i] is not expanded; one that is
+/// scans its out-edges with out[i] and its in-edges with in[i]. A label
+/// past a set's end passes, so an empty set passes every label, and a hop
+/// past the vectors' end passes everything.
+struct BallFilter {
+  std::vector<DynamicBitset> out;   // edge labels allowed on out-edges
+  std::vector<DynamicBitset> in;    // edge labels allowed on in-edges
+  std::vector<DynamicBitset> node;  // vertex labels allowed to expand
+
+  /// `edge_labels` on both directions at each of `depth` hops, every
+  /// vertex expanded (the default passes every label).
+  static BallFilter Uniform(int depth,
+                            const DynamicBitset& edge_labels = {});
+};
+
 /// The balls of up to kMaxBallSources sources at once: the vertices
-/// within `depth` undirected hops of each source, over edges whose label
-/// is set in `edge_labels` (an embedding can only walk pattern edge
-/// labels; labels past the filter's end are traversed). One
-/// level-synchronous traversal carries a 64-bit mask of the sources that
-/// reached each vertex, so a vertex shared by many balls has its
-/// adjacency scanned once per level instead of once per source
-/// (multi-source BFS, Then et al., PVLDB 2014).
+/// within `depth` undirected hops of each source, over the edges
+/// `filter` lets each hop walk. One level-synchronous traversal carries
+/// a 64-bit mask of the sources that reached each vertex, so a vertex
+/// shared by many balls has its adjacency scanned once per level instead
+/// of once per source (multi-source BFS, Then et al., PVLDB 2014).
 ///
 /// Afterwards bit i of `scratch->complete` is clear iff source i's ball
 /// grew past `max_size` vertices (hub explosion guard): that source
@@ -114,9 +128,8 @@ struct MultiBallScratch {
 /// L <= depth. Sources may repeat; out-of-range sources get an empty,
 /// complete ball.
 void KHopBallsFiltered(const Graph& g, std::span<const VertexId> sources,
-                       int depth, const DynamicBitset& edge_labels,
-                       size_t max_size, MultiBallScratch* scratch,
-                       bool keep_levels = false);
+                       int depth, const BallFilter& filter, size_t max_size,
+                       MultiBallScratch* scratch, bool keep_levels = false);
 
 /// Subgraph of `g` induced by `vertices` (global ids, need not be sorted;
 /// duplicates ignored): keeps every edge of `g` whose endpoints are both

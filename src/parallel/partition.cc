@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "common/bitset.h"
-
 namespace qgp {
 
 double Partition::Skew() const {
@@ -56,7 +54,7 @@ Status Partition::Validate(const Graph& g) const {
   std::vector<uint64_t> mask(n, 0);
   std::vector<VertexId> members;  // vertices with a nonzero mask, ascending
   MultiBallScratch scratch;
-  const DynamicBitset all_labels;
+  const BallFilter all_labels = BallFilter::Uniform(d);
   for (const Fragment& f : fragments) {
     for (const auto& [global, l] : f.sub.global_to_local) {
       if (global < n) local[global] = l;

@@ -162,7 +162,7 @@ TEST_F(VerifyWorkPinTest, QMatchRecomputedNegation) {
   MatchOptions options;
   options.use_incremental_negation = false;
   ExpectPinned("qmatch naive", RunQMatch(options),
-               {12049431453365282577ULL, 2775, 2378, 8469, 13882, 6252, 1731,
+               {12049431453365282577ULL, 2775, 2378, 8463, 13882, 6252, 1731,
                 0, 1731});
 }
 

@@ -5,7 +5,9 @@
 // label filters narrower than the label space, and one scratch arena
 // reused across graphs of different sizes. The per-level balls the
 // verifier masks pattern nodes with must equal the BFS at every depth,
-// on a scratch reused across calls whose depth rises and falls.
+// on a scratch reused across calls whose depth rises and falls, and so
+// must the balls of per-hop filters that narrow edge labels by direction
+// and the vertices allowed to expand.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,9 +22,15 @@
 namespace qgp {
 namespace {
 
-Graph RandomGraph(std::mt19937& rng, size_t n, size_t m) {
+// `vertex_labels` (1 to 3) vertex labels; with one, every vertex is "n"
+// and no random draw is spent on labels.
+Graph RandomGraph(std::mt19937& rng, size_t n, size_t m,
+                  size_t vertex_labels = 1) {
   GraphBuilder builder;
-  for (size_t i = 0; i < n; ++i) builder.AddVertex("n");
+  const char* names[] = {"n", "p", "q"};
+  for (size_t i = 0; i < n; ++i) {
+    builder.AddVertex(names[vertex_labels > 1 ? rng() % vertex_labels : 0]);
+  }
   const char* labels[] = {"a", "b", "c", "d"};
   for (size_t e = 0; e < m; ++e) {
     const VertexId u = static_cast<VertexId>(rng() % n);
@@ -52,11 +60,32 @@ DynamicBitset RandomFilter(std::mt19937& rng, const Graph& g) {
   return filter;
 }
 
+// Random per-hop filter: every set drawn like RandomFilter, and now and
+// then fewer hops than `depth` (the hops past the end pass everything).
+BallFilter RandomBallFilter(std::mt19937& rng, const Graph& g, int depth) {
+  const int hops = rng() % 4 == 0 ? static_cast<int>(rng() % (depth + 1))
+                                  : depth;
+  BallFilter filter;
+  for (int i = 0; i < hops; ++i) {
+    filter.out.push_back(RandomFilter(rng, g));
+    filter.in.push_back(RandomFilter(rng, g));
+    filter.node.push_back(RandomFilter(rng, g));
+  }
+  return filter;
+}
+
+// Whether label `l` passes hop `hop`'s set of `sets`, per BallFilter's
+// contract.
+bool Passes(const std::vector<DynamicBitset>& sets, int hop, Label l) {
+  if (static_cast<size_t>(hop) >= sets.size()) return true;
+  return l >= sets[hop].size() || sets[hop].Test(l);
+}
+
 // The reference: a filtered breadth-first search from `src` alone,
 // sorted. *complete is false iff the hub guard trips: a vertex beyond the
 // source joins a ball that already holds `max_size`.
 std::vector<VertexId> ReferenceBall(const Graph& g, VertexId src, int depth,
-                                    const DynamicBitset& filter,
+                                    const BallFilter& filter,
                                     size_t max_size, bool* complete) {
   *complete = true;
   if (src >= g.num_vertices()) return {};
@@ -67,9 +96,10 @@ std::vector<VertexId> ReferenceBall(const Graph& g, VertexId src, int depth,
   for (int hop = 0; hop < depth; ++hop) {
     std::vector<VertexId> next;
     for (VertexId v : frontier) {
-      for (auto nbrs : {g.OutNeighbors(v), g.InNeighbors(v)}) {
-        for (const Neighbor& nb : nbrs) {
-          if (nb.label < filter.size() && !filter.Test(nb.label)) continue;
+      if (!Passes(filter.node, hop, g.vertex_label(v))) continue;
+      for (bool out : {true, false}) {
+        for (const Neighbor& nb : out ? g.OutNeighbors(v) : g.InNeighbors(v)) {
+          if (!Passes(out ? filter.out : filter.in, hop, nb.label)) continue;
           if (seen[nb.v] != 0) continue;
           seen[nb.v] = 1;
           ball.push_back(nb.v);
@@ -136,8 +166,9 @@ TEST(KHopBatchPropertyTest, EverySourceMatchesTheSingleSourceBall) {
     std::mt19937 rng(static_cast<uint32_t>(seed * 7919 + 3));
     const size_t n = 1 + rng() % 220;
     const Graph g = RandomGraph(rng, n, rng() % (4 * n + 1));
-    const DynamicBitset filter = RandomFilter(rng, g);
+    const DynamicBitset labels = RandomFilter(rng, g);
     const int depth = static_cast<int>(rng() % 5);
+    const BallFilter filter = BallFilter::Uniform(depth, labels);
     const size_t max_size =
         rng() % 2 == 0 ? rng() % (n + 1) : g.num_vertices() + 1;
     const std::vector<VertexId> sources = RandomSources(rng, g);
@@ -177,10 +208,11 @@ TEST(KHopBatchPropertyTest, EveryLevelMatchesTheReferenceBall) {
     // Mostly growing universes, with a small graph now and then.
     const size_t n = seed % 5 == 4 ? 1 + rng() % 40 : 8 + seed * 6;
     const Graph g = RandomGraph(rng, n, rng() % (3 * n + 1));
-    const DynamicBitset filter = RandomFilter(rng, g);
+    const DynamicBitset labels = RandomFilter(rng, g);
     const size_t max_size =
         rng() % 3 == 0 ? rng() % (n + 1) : g.num_vertices() + 1;
     for (int depth : {3, 1, 2, 3}) {
+      const BallFilter filter = BallFilter::Uniform(depth, labels);
       const std::vector<VertexId> sources = RandomSources(rng, g);
       KHopBallsFiltered(g, sources, depth, filter, max_size, &scratch,
                         /*keep_levels=*/true);
@@ -202,6 +234,53 @@ TEST(KHopBatchPropertyTest, EveryLevelMatchesTheReferenceBall) {
   EXPECT_GT(levels_checked, 2000u);
 }
 
+// Per-hop filters: random out, in and node sets at each hop, sometimes
+// fewer hops than the depth. Every complete source's ball and each of
+// its levels equal a per-level breadth-first search from that source
+// alone, and the hub-guard verdicts agree.
+TEST(KHopBatchPropertyTest, PerHopFiltersMatchTheReferenceBall) {
+  MultiBallScratch scratch;
+  size_t levels_checked = 0;
+  size_t narrowed = 0;  // balls smaller than the unfiltered ball
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    std::mt19937 rng(static_cast<uint32_t>(seed * 15485863 + 7));
+    const size_t n = 1 + rng() % 160;
+    const Graph g = RandomGraph(rng, n, rng() % (3 * n + 1), 3);
+    const int depth = static_cast<int>(rng() % 5);
+    const BallFilter filter = RandomBallFilter(rng, g, depth);
+    const size_t max_size =
+        rng() % 3 == 0 ? rng() % (n + 1) : g.num_vertices() + 1;
+    const std::vector<VertexId> sources = RandomSources(rng, g);
+    KHopBallsFiltered(g, sources, depth, filter, max_size, &scratch,
+                      /*keep_levels=*/true);
+    for (size_t i = 0; i < sources.size(); ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " source " +
+                   std::to_string(i) + " depth " + std::to_string(depth));
+      bool complete = false;
+      const std::vector<VertexId> expect = ReferenceBall(
+          g, sources[i], depth, filter, max_size, &complete);
+      ASSERT_EQ(((scratch.complete >> i) & 1ULL) != 0, complete);
+      if (!complete) continue;
+      ASSERT_EQ(Decode(scratch, i), expect);
+      bool unused = false;
+      if (expect.size() <
+          ReferenceBall(g, sources[i], depth, BallFilter(), SIZE_MAX, &unused)
+              .size()) {
+        ++narrowed;
+      }
+      for (int level = 1; level <= depth; ++level) {
+        SCOPED_TRACE("level " + std::to_string(level));
+        ASSERT_EQ(DecodeWords(scratch.LevelWords(i, level)),
+                  ReferenceBall(g, sources[i], level, filter, SIZE_MAX,
+                                &unused));
+        ++levels_checked;
+      }
+    }
+  }
+  EXPECT_GT(levels_checked, 1000u);
+  EXPECT_GT(narrowed, 200u);
+}
+
 TEST(KHopBatchPropertyTest, DepthZeroIsTheSourceAlone) {
   std::mt19937 rng(11);
   const Graph g = RandomGraph(rng, 50, 200);
@@ -209,7 +288,7 @@ TEST(KHopBatchPropertyTest, DepthZeroIsTheSourceAlone) {
   for (size_t l = 0; l < all.size(); ++l) all.Set(l);
   const std::vector<VertexId> sources = {3, 3, 49, 0, 77};
   MultiBallScratch scratch;
-  KHopBallsFiltered(g, sources, 0, all, 0, &scratch);
+  KHopBallsFiltered(g, sources, 0, BallFilter::Uniform(0, all), 0, &scratch);
   EXPECT_EQ(scratch.complete, (1ULL << sources.size()) - 1);
   EXPECT_EQ(Decode(scratch, 0), (std::vector<VertexId>{3}));
   EXPECT_EQ(Decode(scratch, 1), (std::vector<VertexId>{3}));
@@ -234,13 +313,14 @@ TEST(KHopBatchPropertyTest, HubGuardFlagsOnlyTheHub) {
   std::vector<VertexId> sources;
   for (VertexId v = 0; v <= kSpokes + 2; ++v) sources.push_back(v);
   MultiBallScratch scratch;
-  KHopBallsFiltered(g, sources, 1, all, 10, &scratch);
+  const BallFilter filter = BallFilter::Uniform(1, all);
+  KHopBallsFiltered(g, sources, 1, filter, 10, &scratch);
   EXPECT_EQ(scratch.complete & 1ULL, 0u) << "hub must be flagged";
   for (size_t i = 1; i < sources.size(); ++i) {
     ASSERT_NE((scratch.complete >> i) & 1ULL, 0u) << "source " << i;
     bool complete = false;
     EXPECT_EQ(Decode(scratch, i),
-              ReferenceBall(g, sources[i], 1, all, 10, &complete));
+              ReferenceBall(g, sources[i], 1, filter, 10, &complete));
     EXPECT_TRUE(complete);
   }
 }

@@ -45,7 +45,9 @@ std::vector<VertexId> KHopBallFiltered(const Graph& g, VertexId src,
                                        const DynamicBitset& edge_labels,
                                        size_t max_size, bool* complete) {
   MultiBallScratch scratch;
-  KHopBallsFiltered(g, {&src, 1}, depth, edge_labels, max_size, &scratch);
+  KHopBallsFiltered(g, {&src, 1}, depth,
+                    BallFilter::Uniform(depth, edge_labels), max_size,
+                    &scratch);
   *complete = (scratch.complete & 1ULL) != 0;
   std::vector<VertexId> ball;
   scratch.AppendBallSorted(0, ball);
