@@ -103,17 +103,13 @@ void PrintJsonNumber(std::FILE* f, double v) {
 }
 
 void PrintStats(std::FILE* f, const MatchStats& s) {
-  std::fprintf(
-      f,
-      "{\"isomorphisms_enumerated\":%" PRIu64 ",\"witness_searches\":%" PRIu64
-      ",\"search_extensions\":%" PRIu64 ",\"candidates_initial\":%" PRIu64
-      ",\"candidates_pruned\":%" PRIu64 ",\"focus_candidates_checked\":%" PRIu64
-      ",\"inc_candidates_checked\":%" PRIu64 ",\"balls_built\":%" PRIu64
-      ",\"scheduler_tasks\":%" PRIu64 ",\"scheduler_steals\":%" PRIu64 "}",
-      s.isomorphisms_enumerated, s.witness_searches, s.search_extensions,
-      s.candidates_initial, s.candidates_pruned, s.focus_candidates_checked,
-      s.inc_candidates_checked, s.balls_built, s.scheduler_tasks,
-      s.scheduler_steals);
+  const char* separator = "{";
+  for (const auto& field : MatchStats::Fields()) {
+    std::fprintf(f, "%s\"%s\":%" PRIu64, separator, field.name,
+                 s.*field.member);
+    separator = ",";
+  }
+  std::fprintf(f, "}");
 }
 
 }  // namespace

@@ -6,27 +6,16 @@
 namespace qgp {
 
 void MatchStats::Add(const MatchStats& other) {
-  isomorphisms_enumerated += other.isomorphisms_enumerated;
-  witness_searches += other.witness_searches;
-  search_extensions += other.search_extensions;
-  candidates_initial += other.candidates_initial;
-  candidates_pruned += other.candidates_pruned;
-  focus_candidates_checked += other.focus_candidates_checked;
-  inc_candidates_checked += other.inc_candidates_checked;
-  balls_built += other.balls_built;
-  scheduler_tasks += other.scheduler_tasks;
-  scheduler_steals += other.scheduler_steals;
+  for (const auto& field : Fields()) this->*field.member += other.*field.member;
 }
 
 std::string MatchStats::ToString() const {
   std::ostringstream out;
-  out << "isos=" << isomorphisms_enumerated
-      << " witness=" << witness_searches << " ext=" << search_extensions
-      << " cand0=" << candidates_initial << " pruned=" << candidates_pruned
-      << " focus=" << focus_candidates_checked
-      << " inc=" << inc_candidates_checked << " balls=" << balls_built
-      << " sched_tasks=" << scheduler_tasks
-      << " sched_steals=" << scheduler_steals;
+  const char* separator = "";
+  for (const auto& field : Fields()) {
+    out << separator << field.name << '=' << this->*field.member;
+    separator = " ";
+  }
   return out.str();
 }
 

@@ -6,11 +6,13 @@
 /// knobs, and the MatchStats work counters whose cross-implementation
 /// identity the differential suites assert.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/field_list.h"
 #include "graph/types.h"
 
 namespace qgp {
@@ -82,11 +84,33 @@ struct MatchStats {
   uint64_t scheduler_tasks = 0;
   uint64_t scheduler_steals = 0;
 
+  /// The counter list (common/field_list.h) in bench-row order, the
+  /// scheduler counters flagged as schedule telemetry.
+  static constexpr auto Fields() {
+    using F = Field<MatchStats>;
+    return std::array{
+        F{"isomorphisms_enumerated", &MatchStats::isomorphisms_enumerated},
+        F{"witness_searches", &MatchStats::witness_searches},
+        F{"search_extensions", &MatchStats::search_extensions},
+        F{"candidates_initial", &MatchStats::candidates_initial},
+        F{"candidates_pruned", &MatchStats::candidates_pruned},
+        F{"focus_candidates_checked", &MatchStats::focus_candidates_checked},
+        F{"inc_candidates_checked", &MatchStats::inc_candidates_checked},
+        F{"balls_built", &MatchStats::balls_built},
+        F{"scheduler_tasks", &MatchStats::scheduler_tasks, true},
+        F{"scheduler_steals", &MatchStats::scheduler_steals, true},
+    };
+  }
+
   /// Accumulates `other` into this (for cross-fragment aggregation).
   void Add(const MatchStats& other);
 
+  /// "name=value" per counter, space-separated.
   std::string ToString() const;
 };
+
+static_assert(sizeof(MatchStats) == FieldBytes(MatchStats::Fields()),
+              "every MatchStats member needs an entry in Fields()");
 
 /// Sorts and deduplicates in place, yielding a canonical AnswerSet.
 void Canonicalize(AnswerSet& answers);

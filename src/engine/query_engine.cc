@@ -171,10 +171,10 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
                                   : 0;
   // Resolve the matcher FIRST: everything downstream — result-cache key,
   // repair key, dispatch — speaks the effective algorithm, never the
-  // submitted one. An unset spec algo falls back to the engine default.
+  // submitted one. An unset spec algo runs as qmatch.
   const CandidateCache::Stats cache_before = cache_.stats();
   const EngineAlgo effective =
-      ResolveAlgo(spec.algo.value_or(options_.default_algo), spec.pattern,
+      ResolveAlgo(spec.algo.value_or(EngineAlgo::kQMatch), spec.pattern,
                   graph_->num_vertices(), options_);
   outcome.algo = effective;
   MatchOptions effective_options = spec.options;
@@ -450,9 +450,7 @@ Result<std::unique_lock<std::timed_mutex>> QueryEngine::AdmitDelta() {
   // Draining: the in-flight query is about to be cancelled, but a delta
   // must not park forever behind it (a delta is non-cancellable once
   // admitted). Bounded wait, then tell the caller to retry later.
-  const auto wait = std::chrono::milliseconds(
-      options_.delta_drain_wait_ms > 0 ? options_.delta_drain_wait_ms : 0);
-  if (!lock.try_lock_for(wait)) {
+  if (!lock.try_lock_for(std::chrono::milliseconds(100))) {
     return Status::Unavailable(
         "engine is draining; delta admission timed out");
   }

@@ -20,6 +20,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -65,11 +66,8 @@ std::optional<EngineAlgo> ParseEngineAlgo(std::string_view name);
 struct QuerySpec {
   /// The quantified pattern to evaluate (over the engine's graph).
   Pattern pattern;
-  /// Matcher selection. Unset falls back to EngineOptions::default_algo
-  /// (itself kQMatch unless configured), so a bare spec behaves exactly
-  /// as before. kAuto — set here or as the engine default — lets the
-  /// engine choose; the resolved algorithm comes back in
-  /// QueryOutcome::algo.
+  /// Matcher selection; unset runs as kQMatch. kAuto lets the engine
+  /// choose; the resolved algorithm comes back in QueryOutcome::algo.
   std::optional<EngineAlgo> algo;
   /// Per-query matcher knobs (pruning toggles, scheduler grain).
   MatchOptions options;
@@ -185,12 +183,6 @@ struct EngineOptions {
   /// workloads that assert stats identity should leave this off (the
   /// default).
   bool enable_delta_repair = false;
-  /// While the engine is draining (SetDraining(true), service shutdown),
-  /// an ApplyDelta parked behind an in-flight evaluation waits at most
-  /// this long for admission before giving up with kUnavailable. A delta
-  /// is non-cancellable once admitted — this bound keeps the *wait*
-  /// from stalling a drain, not the apply.
-  int64_t delta_drain_wait_ms = 100;
   /// Focus restriction for shard-mode engines (src/shard/): when
   /// engaged, every query evaluates only foci in this set — the owned
   /// vertices of one DPar fragment — exactly like a single
@@ -207,10 +199,6 @@ struct EngineOptions {
   /// subset only changes through ApplyDelta, whose version sweep drops
   /// every stored entry anyway.
   std::optional<std::vector<VertexId>> focus_subset;
-  /// What a QuerySpec that leaves its algo unset runs as. Set this to
-  /// EngineAlgo::kAuto to let the engine choose for every such query
-  /// without touching the specs.
-  EngineAlgo default_algo = EngineAlgo::kQMatch;
   /// algo = auto runs a positive pattern as kPQMatch on a graph of at
   /// least this many vertices, when partition_fragments > 1 and the
   /// pattern's radius fits partition_d; everything else runs as kQMatch.
@@ -263,7 +251,34 @@ struct EngineStats {
     const uint64_t total = result_hits + result_misses;
     return total == 0 ? 0.0 : static_cast<double>(result_hits) / total;
   }
+  /// The field list (common/field_list.h): counters, the two sums of
+  /// milliseconds and the nested MatchStats.
+  static constexpr auto Fields() {
+    using S = EngineStats;
+    using F = Field<S>;
+    return std::tuple{
+        F{"queries", &S::queries},
+        F{"failed", &S::failed},
+        F{"timeouts", &S::timeouts},
+        F{"cancellations", &S::cancellations},
+        Field<S, MatchStats>{"match", &S::match},
+        Field<S, double>{"wall_ms", &S::wall_ms},
+        F{"cache_hits", &S::cache_hits},
+        F{"cache_misses", &S::cache_misses},
+        F{"cache_evicted", &S::cache_evicted},
+        F{"result_hits", &S::result_hits},
+        F{"result_misses", &S::result_misses},
+        F{"deltas", &S::deltas},
+        Field<S, double>{"delta_wall_ms", &S::delta_wall_ms},
+        F{"results_invalidated", &S::results_invalidated},
+        F{"repair_hits", &S::repair_hits},
+        F{"repair_fallbacks", &S::repair_fallbacks},
+    };
+  }
 };
+
+static_assert(sizeof(EngineStats) == FieldBytes(EngineStats::Fields()),
+              "every EngineStats member needs an entry in Fields()");
 
 /// A long-lived evaluation engine for one graph.
 ///
@@ -378,7 +393,7 @@ class QueryEngine {
 
   /// Drain flag, set by a shutting-down service before it cancels its
   /// in-flight work. While draining, ApplyDelta stops waiting forever
-  /// for admission (see EngineOptions::delta_drain_wait_ms); Submit is
+  /// for admission (it gives up after 100 ms); Submit is
   /// unaffected — the service already sheds new queries itself, and the
   /// last in-flight ones must still be answerable. Clearing the flag
   /// restores normal behavior (engines are reusable across drains).
@@ -434,7 +449,7 @@ class QueryEngine {
   /// Admission for deltas: rejects a borrowing engine with
   /// kInvalidArgument, then takes a plain blocking lock normally; while
   /// draining, a bounded try_lock_for that yields kUnavailable instead
-  /// of stalling the drain (EngineOptions::delta_drain_wait_ms). Every
+  /// of stalling the drain. Every
   /// ApplyDelta overload goes through it, so past it `owned_graph_` is
   /// set.
   Result<std::unique_lock<std::timed_mutex>> AdmitDelta();

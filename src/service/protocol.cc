@@ -1,6 +1,10 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 namespace qgp::service {
@@ -21,22 +25,62 @@ const char* OpName(ServiceRequest::Op op) {
   return "unknown";
 }
 
-/// A JSON number is accepted as an unsigned counter only when it is a
-/// non-negative integer (no silent truncation of "3.7" or "-1").
-Result<uint64_t> AsUint(const JsonValue& v, const std::string& field) {
-  if (!v.is_number() || v.as_number() < 0 ||
-      v.as_number() != std::floor(v.as_number())) {
-    return Status::InvalidArgument("field '" + field +
-                                   "' must be a non-negative integer");
+/// Converts one JSON value to a field of type T: a bool, a number of
+/// milliseconds (double), a nested MatchStats, or an integer. An integer
+/// must be whole, non-negative, within T's range and at most 2^53, past
+/// which doubles skip integers; nothing is truncated, so "3.7", "-1" and
+/// 2^32 as a vertex id are all rejected.
+template <typename T>
+Result<T> As(const JsonValue& v, const std::string& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) {
+      return Status::InvalidArgument("field '" + field + "' must be a boolean");
+    }
+    return v.as_bool();
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!v.is_number()) {
+      return Status::InvalidArgument("field '" + field + "' must be a number");
+    }
+    return v.as_number();
+  } else if constexpr (std::is_same_v<T, MatchStats>) {
+    return StatsFromJson<MatchStats>(v);
+  } else {
+    constexpr double kMax = std::min(
+        9007199254740992.0, static_cast<double>(std::numeric_limits<T>::max()));
+    if (!v.is_number() || !(v.as_number() >= 0) || v.as_number() > kMax ||
+        v.as_number() != std::floor(v.as_number())) {
+      return Status::InvalidArgument(
+          "field '" + field + "' must be an integer in [0, " +
+          std::to_string(static_cast<uint64_t>(kMax)) + "]");
+    }
+    return static_cast<T>(v.as_number());
   }
-  return static_cast<uint64_t>(v.as_number());
 }
 
-Result<bool> AsBool(const JsonValue& v, const std::string& field) {
-  if (!v.is_bool()) {
-    return Status::InvalidArgument("field '" + field + "' must be a boolean");
+/// Reads a required field of `object` (see As).
+template <typename T = uint64_t>
+Result<T> Read(const JsonValue& object, const std::string& field) {
+  const JsonValue* v = object.Find(field);
+  if (v == nullptr) {
+    return Status::InvalidArgument("missing field '" + field + "'");
   }
-  return v.as_bool();
+  return As<T>(*v, field);
+}
+
+/// The MatchOptions knobs that travel. max_isomorphisms does not: no
+/// served matcher reads it.
+constexpr auto WireOptions() {
+  using O = MatchOptions;
+  return std::tuple{
+      Field<O, bool>{"use_simulation", &O::use_simulation},
+      Field<O, bool>{"use_quantifier_pruning", &O::use_quantifier_pruning},
+      Field<O, bool>{"use_potential_ordering", &O::use_potential_ordering},
+      Field<O, bool>{"early_stop_counting", &O::early_stop_counting},
+      Field<O, bool>{"use_incremental_negation", &O::use_incremental_negation},
+      Field<O, int>{"max_quantified_per_path", &O::max_quantified_per_path},
+      Field<O, size_t>{"ball_limit", &O::ball_limit},
+      Field<O, size_t>{"scheduler_grain", &O::scheduler_grain},
+  };
 }
 
 Result<MatchOptions> DecodeOptions(const JsonValue& value) {
@@ -45,70 +89,29 @@ Result<MatchOptions> DecodeOptions(const JsonValue& value) {
   }
   MatchOptions o;
   for (const auto& [key, v] : value.as_object()) {
-    if (key == "use_simulation") {
-      QGP_ASSIGN_OR_RETURN(o.use_simulation, AsBool(v, key));
-    } else if (key == "use_quantifier_pruning") {
-      QGP_ASSIGN_OR_RETURN(o.use_quantifier_pruning, AsBool(v, key));
-    } else if (key == "use_potential_ordering") {
-      QGP_ASSIGN_OR_RETURN(o.use_potential_ordering, AsBool(v, key));
-    } else if (key == "early_stop_counting") {
-      QGP_ASSIGN_OR_RETURN(o.early_stop_counting, AsBool(v, key));
-    } else if (key == "use_incremental_negation") {
-      QGP_ASSIGN_OR_RETURN(o.use_incremental_negation, AsBool(v, key));
-    } else if (key == "max_quantified_per_path") {
-      QGP_ASSIGN_OR_RETURN(uint64_t n, AsUint(v, key));
-      o.max_quantified_per_path = static_cast<int>(n);
-    } else if (key == "ball_limit") {
-      QGP_ASSIGN_OR_RETURN(uint64_t n, AsUint(v, key));
-      o.ball_limit = static_cast<size_t>(n);
-    } else if (key == "scheduler_grain") {
-      QGP_ASSIGN_OR_RETURN(uint64_t n, AsUint(v, key));
-      o.scheduler_grain = static_cast<size_t>(n);
-    } else {
-      return Status::InvalidArgument("unknown option '" + key + "'");
-    }
+    Status status = Status::InvalidArgument("unknown option '" + key + "'");
+    ForEachField(WireOptions(), [&](const auto& field) {
+      if (key != field.name) return;
+      auto decoded = As<typename std::decay_t<decltype(field)>::Type>(v, key);
+      status = decoded.status();
+      if (decoded.ok()) o.*field.member = *decoded;
+    });
+    QGP_RETURN_IF_ERROR(status);
   }
   return o;
 }
 
 JsonValue EncodeOptions(const MatchOptions& o) {
-  JsonValue::Object out;
-  MatchOptions defaults;
   // Only non-default knobs travel — requests stay short and a decoded
   // request compares equal to the original field by field.
-  if (o.use_simulation != defaults.use_simulation) {
-    out["use_simulation"] = o.use_simulation;
-  }
-  if (o.use_quantifier_pruning != defaults.use_quantifier_pruning) {
-    out["use_quantifier_pruning"] = o.use_quantifier_pruning;
-  }
-  if (o.use_potential_ordering != defaults.use_potential_ordering) {
-    out["use_potential_ordering"] = o.use_potential_ordering;
-  }
-  if (o.early_stop_counting != defaults.early_stop_counting) {
-    out["early_stop_counting"] = o.early_stop_counting;
-  }
-  if (o.use_incremental_negation != defaults.use_incremental_negation) {
-    out["use_incremental_negation"] = o.use_incremental_negation;
-  }
-  if (o.max_quantified_per_path != defaults.max_quantified_per_path) {
-    out["max_quantified_per_path"] = int64_t{o.max_quantified_per_path};
-  }
-  if (o.ball_limit != defaults.ball_limit) {
-    out["ball_limit"] = uint64_t{o.ball_limit};
-  }
-  if (o.scheduler_grain != defaults.scheduler_grain) {
-    out["scheduler_grain"] = uint64_t{o.scheduler_grain};
-  }
+  const MatchOptions defaults;
+  JsonValue::Object out;
+  ForEachField(WireOptions(), [&](const auto& field) {
+    if (o.*field.member != defaults.*field.member) {
+      out[field.name] = o.*field.member;
+    }
+  });
   return JsonValue(std::move(out));
-}
-
-Result<uint64_t> ReadUint(const JsonValue& object, const std::string& field) {
-  const JsonValue* v = object.Find(field);
-  if (v == nullptr) {
-    return Status::InvalidArgument("missing field '" + field + "'");
-  }
-  return AsUint(*v, field);
 }
 
 Result<std::vector<std::string>> DecodeLabelArray(const JsonValue& v,
@@ -136,10 +139,17 @@ Result<std::vector<VertexId>> DecodeVertexArray(const JsonValue& v,
   std::vector<VertexId> out;
   out.reserve(v.as_array().size());
   for (const JsonValue& item : v.as_array()) {
-    QGP_ASSIGN_OR_RETURN(uint64_t id, AsUint(item, field + "[]"));
-    out.push_back(static_cast<VertexId>(id));
+    QGP_ASSIGN_OR_RETURN(VertexId id, As<VertexId>(item, field + "[]"));
+    out.push_back(id);
   }
   return out;
+}
+
+JsonValue EncodeVertexArray(const std::vector<VertexId>& ids) {
+  JsonValue::Array out;
+  out.reserve(ids.size());
+  for (VertexId v : ids) out.emplace_back(uint64_t{v});
+  return JsonValue(std::move(out));
 }
 
 /// One wire edge is {"src":u,"dst":v,"label":"..."} — all three keys
@@ -160,12 +170,10 @@ Result<std::vector<NamedGraphDelta::NamedEdge>> DecodeEdgeArray(
     bool have_src = false, have_dst = false, have_label = false;
     for (const auto& [key, value] : item.as_object()) {
       if (key == "src") {
-        QGP_ASSIGN_OR_RETURN(uint64_t id, AsUint(value, field + ".src"));
-        edge.src = static_cast<VertexId>(id);
+        QGP_ASSIGN_OR_RETURN(edge.src, As<VertexId>(value, field + ".src"));
         have_src = true;
       } else if (key == "dst") {
-        QGP_ASSIGN_OR_RETURN(uint64_t id, AsUint(value, field + ".dst"));
-        edge.dst = static_cast<VertexId>(id);
+        QGP_ASSIGN_OR_RETURN(edge.dst, As<VertexId>(value, field + ".dst"));
         have_dst = true;
       } else if (key == "label") {
         if (!value.is_string()) {
@@ -246,10 +254,9 @@ Result<ServiceRequest> DecodeRequest(std::string_view line) {
     } else if (key == "options") {
       QGP_ASSIGN_OR_RETURN(request.options, DecodeOptions(v));
     } else if (key == "share_cache") {
-      QGP_ASSIGN_OR_RETURN(request.share_cache, AsBool(v, key));
+      QGP_ASSIGN_OR_RETURN(request.share_cache, As<bool>(v, key));
     } else if (key == "timeout_ms") {
-      QGP_ASSIGN_OR_RETURN(uint64_t ms, AsUint(v, key));
-      request.timeout_ms = static_cast<int64_t>(ms);
+      QGP_ASSIGN_OR_RETURN(request.timeout_ms, As<int64_t>(v, key));
     } else if (key == "add_vertices") {
       QGP_ASSIGN_OR_RETURN(request.delta.add_vertices,
                            DecodeLabelArray(v, key));
@@ -326,12 +333,7 @@ std::string EncodeRequest(const ServiceRequest& request) {
       out["add_vertices"] = std::move(labels);
     }
     if (!request.delta.remove_vertices.empty()) {
-      JsonValue::Array ids;
-      ids.reserve(request.delta.remove_vertices.size());
-      for (VertexId v : request.delta.remove_vertices) {
-        ids.emplace_back(uint64_t{v});
-      }
-      out["remove_vertices"] = std::move(ids);
+      out["remove_vertices"] = EncodeVertexArray(request.delta.remove_vertices);
     }
     if (!request.delta.add_edges.empty()) {
       out["add_edges"] = EncodeEdgeArray(request.delta.add_edges);
@@ -339,96 +341,63 @@ std::string EncodeRequest(const ServiceRequest& request) {
     if (!request.delta.remove_edges.empty()) {
       out["remove_edges"] = EncodeEdgeArray(request.delta.remove_edges);
     }
-    if (!request.own.empty()) {
-      JsonValue::Array ids;
-      ids.reserve(request.own.size());
-      for (VertexId v : request.own) {
-        ids.emplace_back(uint64_t{v});
-      }
-      out["own"] = std::move(ids);
-    }
+    if (!request.own.empty()) out["own"] = EncodeVertexArray(request.own);
   }
   return JsonValue(std::move(out)).Dump();
 }
 
-JsonValue MatchStatsToJson(const MatchStats& s) {
+template <typename S>
+JsonValue StatsToJson(const S& stats) {
   JsonValue::Object out;
-  out["isomorphisms_enumerated"] = s.isomorphisms_enumerated;
-  out["witness_searches"] = s.witness_searches;
-  out["search_extensions"] = s.search_extensions;
-  out["candidates_initial"] = s.candidates_initial;
-  out["candidates_pruned"] = s.candidates_pruned;
-  out["focus_candidates_checked"] = s.focus_candidates_checked;
-  out["inc_candidates_checked"] = s.inc_candidates_checked;
-  out["balls_built"] = s.balls_built;
-  out["scheduler_tasks"] = s.scheduler_tasks;
-  out["scheduler_steals"] = s.scheduler_steals;
+  ForEachField(S::Fields(), [&](const auto& field) {
+    using T = typename std::decay_t<decltype(field)>::Type;
+    if constexpr (std::is_same_v<T, MatchStats>) {
+      out[field.name] = StatsToJson(stats.*field.member);
+    } else {
+      out[field.name] = stats.*field.member;
+    }
+  });
   return JsonValue(std::move(out));
 }
 
-Result<MatchStats> MatchStatsFromJson(const JsonValue& value) {
+template <typename S>
+Result<S> StatsFromJson(const JsonValue& value) {
   if (!value.is_object()) {
-    return Status::InvalidArgument("'stats' must be an object");
+    return Status::InvalidArgument("stats must be an object");
   }
-  MatchStats s;
-  QGP_ASSIGN_OR_RETURN(s.isomorphisms_enumerated,
-                       ReadUint(value, "isomorphisms_enumerated"));
-  QGP_ASSIGN_OR_RETURN(s.witness_searches, ReadUint(value, "witness_searches"));
-  QGP_ASSIGN_OR_RETURN(s.search_extensions,
-                       ReadUint(value, "search_extensions"));
-  QGP_ASSIGN_OR_RETURN(s.candidates_initial,
-                       ReadUint(value, "candidates_initial"));
-  QGP_ASSIGN_OR_RETURN(s.candidates_pruned,
-                       ReadUint(value, "candidates_pruned"));
-  QGP_ASSIGN_OR_RETURN(s.focus_candidates_checked,
-                       ReadUint(value, "focus_candidates_checked"));
-  QGP_ASSIGN_OR_RETURN(s.inc_candidates_checked,
-                       ReadUint(value, "inc_candidates_checked"));
-  QGP_ASSIGN_OR_RETURN(s.balls_built, ReadUint(value, "balls_built"));
-  QGP_ASSIGN_OR_RETURN(s.scheduler_tasks, ReadUint(value, "scheduler_tasks"));
-  QGP_ASSIGN_OR_RETURN(s.scheduler_steals,
-                       ReadUint(value, "scheduler_steals"));
-  return s;
+  S stats;
+  Status status;
+  ForEachField(S::Fields(), [&](const auto& field) {
+    if (!status.ok()) return;
+    auto decoded = Read<typename std::decay_t<decltype(field)>::Type>(
+        value, field.name);
+    status = decoded.status();
+    if (decoded.ok()) stats.*field.member = *decoded;
+  });
+  if (!status.ok()) return status;
+  return stats;
 }
 
-JsonValue EngineStatsToJson(const EngineStats& s) {
-  JsonValue::Object out;
-  out["queries"] = s.queries;
-  out["failed"] = s.failed;
-  out["timeouts"] = s.timeouts;
-  out["cancellations"] = s.cancellations;
-  out["wall_ms"] = s.wall_ms;
-  out["cache_hits"] = s.cache_hits;
-  out["cache_misses"] = s.cache_misses;
-  out["cache_evicted"] = s.cache_evicted;
-  out["cache_hit_ratio"] = s.HitRatio();
-  out["result_hits"] = s.result_hits;
-  out["result_misses"] = s.result_misses;
-  out["deltas"] = s.deltas;
-  out["delta_wall_ms"] = s.delta_wall_ms;
-  out["results_invalidated"] = s.results_invalidated;
-  out["repair_hits"] = s.repair_hits;
-  out["repair_fallbacks"] = s.repair_fallbacks;
-  out["match"] = MatchStatsToJson(s.match);
-  return JsonValue(std::move(out));
-}
+template JsonValue StatsToJson(const MatchStats&);
+template JsonValue StatsToJson(const EngineStats&);
+template JsonValue StatsToJson(const ServiceStats&);
+template Result<MatchStats> StatsFromJson(const JsonValue&);
+template Result<EngineStats> StatsFromJson(const JsonValue&);
+template Result<ServiceStats> StatsFromJson(const JsonValue&);
 
 std::string EncodeQueryResponse(const QueryOutcome& outcome) {
   JsonValue::Object out;
   out["ok"] = true;
   out["op"] = "query";
   out["tag"] = outcome.tag;
-  JsonValue::Array answers;
-  answers.reserve(outcome.answers.size());
-  for (VertexId v : outcome.answers) answers.emplace_back(uint64_t{v});
-  out["answers"] = std::move(answers);
+  out["answers"] = EncodeVertexArray(outcome.answers);
   out["wall_ms"] = outcome.wall_ms;
   out["cache_hits"] = outcome.cache_hits;
   out["cache_misses"] = outcome.cache_misses;
   out["result_cache_hit"] = outcome.result_cache_hit;
   out["delta_repaired"] = outcome.delta_repaired;
   out["algo"] = EngineAlgoName(outcome.algo);
-  out["stats"] = MatchStatsToJson(outcome.stats);
+  out["stats"] = StatsToJson(outcome.stats);
   return JsonValue(std::move(out)).Dump();
 }
 
@@ -465,23 +434,14 @@ std::string EncodeErrorResponse(ServiceRequest::Op op, const Status& error,
 
 std::string EncodeStatsResponse(const EngineStats& engine,
                                 const ServiceStats& service) {
-  JsonValue::Object svc;
-  svc["connections"] = service.connections;
-  svc["requests"] = service.requests;
-  svc["queries_ok"] = service.queries_ok;
-  svc["queries_failed"] = service.queries_failed;
-  svc["rejected"] = service.rejected;
-  svc["malformed"] = service.malformed;
-  svc["stats_requests"] = service.stats_requests;
-  svc["deltas_ok"] = service.deltas_ok;
-  svc["deltas_failed"] = service.deltas_failed;
-  svc["shed"] = service.shed;
+  JsonValue engine_json = StatsToJson(engine);
+  engine_json.as_object()["cache_hit_ratio"] = engine.HitRatio();
   JsonValue::Object out;
   out["ok"] = true;
   out["op"] = "stats";
   out["tag"] = "";
-  out["engine"] = EngineStatsToJson(engine);
-  out["service"] = std::move(svc);
+  out["engine"] = std::move(engine_json);
+  out["service"] = StatsToJson(service);
   return JsonValue(std::move(out)).Dump();
 }
 
@@ -526,25 +486,18 @@ Result<ServiceResponse> DecodeResponse(std::string_view line) {
     }
   } else if (response.op == "query") {
     const JsonValue* answers = doc.Find("answers");
-    if (answers == nullptr || !answers->is_array()) {
+    if (answers == nullptr) {
       return Status::InvalidArgument("query response needs 'answers'");
     }
-    response.answers.reserve(answers->as_array().size());
-    for (const JsonValue& v : answers->as_array()) {
-      QGP_ASSIGN_OR_RETURN(uint64_t id, AsUint(v, "answers[]"));
-      response.answers.push_back(static_cast<VertexId>(id));
-    }
-    const JsonValue* stats = doc.Find("stats");
-    if (stats == nullptr) {
-      return Status::InvalidArgument("query response needs 'stats'");
-    }
-    QGP_ASSIGN_OR_RETURN(response.stats, MatchStatsFromJson(*stats));
+    QGP_ASSIGN_OR_RETURN(response.answers,
+                         DecodeVertexArray(*answers, "answers"));
+    QGP_ASSIGN_OR_RETURN(response.stats, Read<MatchStats>(doc, "stats"));
     if (const JsonValue* wall = doc.Find("wall_ms");
         wall != nullptr && wall->is_number()) {
       response.wall_ms = wall->as_number();
     }
-    QGP_ASSIGN_OR_RETURN(response.cache_hits, ReadUint(doc, "cache_hits"));
-    QGP_ASSIGN_OR_RETURN(response.cache_misses, ReadUint(doc, "cache_misses"));
+    QGP_ASSIGN_OR_RETURN(response.cache_hits, Read(doc, "cache_hits"));
+    QGP_ASSIGN_OR_RETURN(response.cache_misses, Read(doc, "cache_misses"));
     if (const JsonValue* hit = doc.Find("result_cache_hit");
         hit != nullptr && hit->is_bool()) {
       response.result_cache_hit = hit->as_bool();
@@ -558,8 +511,7 @@ Result<ServiceResponse> DecodeResponse(std::string_view line) {
       response.algo = algo->as_string();
     }
   } else if (response.op == "delta") {
-    QGP_ASSIGN_OR_RETURN(response.graph_version,
-                         ReadUint(doc, "graph_version"));
+    QGP_ASSIGN_OR_RETURN(response.graph_version, Read(doc, "graph_version"));
   }
   response.body = std::move(doc);
   return response;

@@ -14,7 +14,7 @@
 ///    "timeout_ms":250,"tag":"req-17"}
 ///                                  — "algo" is "qmatch", "pqmatch" or
 ///                                    "auto" (the engine picks);
-///                                    omitted = the engine's default.
+///                                    omitted = "qmatch".
 ///                                    "timeout_ms" (query only; omitted
 ///                                    or 0 = none) is an end-to-end
 ///                                    deadline measured from the moment
@@ -59,6 +59,7 @@
 /// with a larger budget is safe. "Cancelled" means the server cancelled
 /// the evaluation itself (graceful drain at shutdown).
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -78,8 +79,7 @@ struct ServiceRequest {
   /// PatternParser DSL text (kQuery only).
   std::string pattern_text;
   /// Matcher selection: any EngineAlgoName, including "auto" (the
-  /// engine picks). Omitted on the wire = unset here = the engine's
-  /// configured default.
+  /// engine picks). Omitted on the wire = unset here = qmatch.
   std::optional<EngineAlgo> algo;
   /// Every knob but max_isomorphisms travels: no served matcher reads
   /// it, so the codec neither decodes nor encodes it.
@@ -120,7 +120,27 @@ struct ServiceStats {
   /// or the server began draining (Cancelled). Disjoint from
   /// queries_failed, which counts evaluations the engine started.
   uint64_t shed = 0;
+  /// The counter list (common/field_list.h).
+  static constexpr auto Fields() {
+    using S = ServiceStats;
+    using F = Field<S>;
+    return std::array{
+        F{"connections", &S::connections},
+        F{"requests", &S::requests},
+        F{"queries_ok", &S::queries_ok},
+        F{"queries_failed", &S::queries_failed},
+        F{"rejected", &S::rejected},
+        F{"malformed", &S::malformed},
+        F{"stats_requests", &S::stats_requests},
+        F{"deltas_ok", &S::deltas_ok},
+        F{"deltas_failed", &S::deltas_failed},
+        F{"shed", &S::shed},
+    };
+  }
 };
+
+static_assert(sizeof(ServiceStats) == FieldBytes(ServiceStats::Fields()),
+              "every ServiceStats member needs an entry in Fields()");
 
 /// One decoded server response (client side). Query-payload fields are
 /// meaningful when ok && op == "query"; error fields when !ok; `body`
@@ -170,13 +190,14 @@ std::string EncodeShutdownResponse();
 /// Parses one response line (client side).
 Result<ServiceResponse> DecodeResponse(std::string_view line);
 
-/// MatchStats <-> JSON object, field by field (scheduler telemetry
-/// included — the differential tests decide what to compare).
-JsonValue MatchStatsToJson(const MatchStats& stats);
-Result<MatchStats> MatchStatsFromJson(const JsonValue& value);
-
-/// EngineStats -> JSON object (the stats endpoint payload).
-JsonValue EngineStatsToJson(const EngineStats& stats);
+/// A stats struct (MatchStats, EngineStats, ServiceStats) <-> JSON
+/// object, one key per entry of its Fields() list. Decoding is strict:
+/// every listed key must be present and typed (a counter: an integer in
+/// [0, 2^53]); unlisted keys, such as "cache_hit_ratio", are ignored.
+template <typename S>
+JsonValue StatsToJson(const S& stats);
+template <typename S>
+Result<S> StatsFromJson(const JsonValue& value);
 
 }  // namespace qgp::service
 

@@ -108,7 +108,7 @@ void QueryService::AcceptLoop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    ++connections_;
+    Count(&ServiceStats::connections);
     auto session = std::make_shared<Session>();
     session->fd = fd;
     session->id = next_session_id_.fetch_add(1);
@@ -166,8 +166,8 @@ void QueryService::ReaderLoop(std::shared_ptr<Session> session) {
         // Hostile input guard: answer the line-in-progress with a
         // structured error now and skip its tail once the terminator
         // finally arrives.
-        ++malformed_;
-        ++requests_;
+        Count(&ServiceStats::malformed);
+        Count(&ServiceStats::requests);
         Complete(session, next_seq++,
                  EncodeErrorResponse(
                      ServiceRequest::Op::kQuery,
@@ -190,7 +190,7 @@ bool QueryService::Admit(const std::shared_ptr<Session>& session,
     case AdmissionController::Admit::kAdmitted:
       return true;
     case AdmissionController::Admit::kRejected:
-      ++rejected_;
+      Count(&ServiceStats::rejected);
       refused = Status::Unavailable(
           "per-client in-flight limit reached; back off and retry");
       break;
@@ -204,10 +204,10 @@ bool QueryService::Admit(const std::shared_ptr<Session>& session,
 
 void QueryService::HandleLine(const std::shared_ptr<Session>& session,
                               uint64_t seq, std::string_view line) {
-  ++requests_;
+  Count(&ServiceStats::requests);
   Result<ServiceRequest> decoded = DecodeRequest(line);
   if (!decoded.ok()) {
-    ++malformed_;
+    Count(&ServiceStats::malformed);
     Complete(session, seq,
              EncodeErrorResponse(ServiceRequest::Op::kQuery, decoded.status(),
                                  ""));
@@ -219,7 +219,7 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
       // Answered inline on the reader thread: never queued, and the
       // engine's telemetry lock is independent of its admission lock,
       // so this cannot stall behind a running query.
-      ++stats_requests_;
+      Count(&ServiceStats::stats_requests);
       Complete(session, seq, EncodeStatsResponse(engine_->stats(), stats()));
       return;
     case ServiceRequest::Op::kShutdown:
@@ -271,7 +271,7 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
     if (!pattern.ok()) {
       // Unparseable pattern text is a malformed request, not an engine
       // failure: queries_failed counts evaluations the engine rejected.
-      ++malformed_;
+      Count(&ServiceStats::malformed);
       Complete(session, seq,
                EncodeErrorResponse(request.op, pattern.status(), request.tag));
       return;
@@ -331,10 +331,10 @@ void QueryService::DispatchLoop() {
     std::string line;
     if (!seam.ok()) {
       if (next.is_delta) {
-        ++deltas_failed_;
+        Count(&ServiceStats::deltas_failed);
         line = EncodeErrorResponse(ServiceRequest::Op::kDelta, seam, next.tag);
       } else {
-        ++queries_failed_;
+        Count(&ServiceStats::queries_failed);
         line = EncodeErrorResponse(ServiceRequest::Op::kQuery, seam,
                                    next.spec.tag);
       }
@@ -345,7 +345,7 @@ void QueryService::DispatchLoop() {
       // so a backlog of expired requests cannot occupy the evaluation
       // pipeline. ShouldStopExact reads the clock unconditionally; the
       // strided fast path is for evaluation-hot-path polls only.
-      ++shed_;
+      Count(&ServiceStats::shed);
       line = EncodeErrorResponse(ServiceRequest::Op::kQuery,
                                  next.cancel->ToStatus(), next.spec.tag);
     } else if (next.is_delta) {
@@ -353,7 +353,7 @@ void QueryService::DispatchLoop() {
           next.own.empty() ? engine_->ApplyDelta(next.delta)
                            : engine_->ApplyDelta(next.delta, next.own);
       if (outcome.ok()) {
-        ++deltas_ok_;
+        Count(&ServiceStats::deltas_ok);
         {
           // Re-snapshot the dict: labels the delta interned become
           // usable in subsequent pattern text on every connection.
@@ -362,7 +362,7 @@ void QueryService::DispatchLoop() {
         }
         line = EncodeDeltaResponse(*outcome, next.tag);
       } else {
-        ++deltas_failed_;
+        Count(&ServiceStats::deltas_failed);
         line = EncodeErrorResponse(ServiceRequest::Op::kDelta,
                                    outcome.status(), next.tag);
       }
@@ -372,10 +372,10 @@ void QueryService::DispatchLoop() {
       next.spec.options.cancel = next.cancel.get();
       Result<QueryOutcome> outcome = engine_->Submit(next.spec);
       if (outcome.ok()) {
-        ++queries_ok_;
+        Count(&ServiceStats::queries_ok);
         line = EncodeQueryResponse(*outcome);
       } else {
-        ++queries_failed_;
+        Count(&ServiceStats::queries_failed);
         line = EncodeErrorResponse(ServiceRequest::Op::kQuery,
                                    outcome.status(), next.spec.tag);
       }
@@ -497,16 +497,9 @@ void QueryService::Stop() {
 
 ServiceStats QueryService::stats() const {
   ServiceStats s;
-  s.connections = connections_.load();
-  s.requests = requests_.load();
-  s.queries_ok = queries_ok_.load();
-  s.queries_failed = queries_failed_.load();
-  s.rejected = rejected_.load();
-  s.malformed = malformed_.load();
-  s.stats_requests = stats_requests_.load();
-  s.deltas_ok = deltas_ok_.load();
-  s.deltas_failed = deltas_failed_.load();
-  s.shed = shed_.load();
+  for (const auto& field : ServiceStats::Fields()) {
+    s.*field.member = std::atomic_ref<uint64_t>(counters_.*field.member).load();
+  }
   return s;
 }
 

@@ -226,16 +226,13 @@ class QueryService {
   bool stop_requested_ = false;
   bool stopped_ = false;
 
-  std::atomic<uint64_t> connections_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> queries_ok_{0};
-  std::atomic<uint64_t> queries_failed_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> malformed_{0};
-  std::atomic<uint64_t> stats_requests_{0};
-  std::atomic<uint64_t> deltas_ok_{0};
-  std::atomic<uint64_t> deltas_failed_{0};
-  std::atomic<uint64_t> shed_{0};
+  /// Bumps one counter of `counters_` atomically.
+  void Count(uint64_t ServiceStats::*counter) {
+    ++std::atomic_ref<uint64_t>(counters_.*counter);
+  }
+  /// Every access goes through std::atomic_ref (Count, stats()); mutable
+  /// because stats() const reads it that way too.
+  mutable ServiceStats counters_;
 };
 
 }  // namespace qgp::service

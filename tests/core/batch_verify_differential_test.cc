@@ -29,6 +29,7 @@
 #include "core/pattern_parser.h"
 #include "core/qmatch.h"
 #include "graph/graph_builder.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -185,17 +186,6 @@ Outcome PerFocusQMatch(const Pattern& q, const Graph& g,
   return o;
 }
 
-void ExpectSameWork(const MatchStats& a, const MatchStats& b) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated);
-  EXPECT_EQ(a.witness_searches, b.witness_searches);
-  EXPECT_EQ(a.search_extensions, b.search_extensions);
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial);
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned);
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked);
-  EXPECT_EQ(a.inc_candidates_checked, b.inc_candidates_checked);
-  EXPECT_EQ(a.balls_built, b.balls_built);
-}
-
 void ExpectSameCaches(const std::unordered_map<VertexId, FocusCache>& a,
                       const std::unordered_map<VertexId, FocusCache>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -299,7 +289,7 @@ TEST(BatchVerifyDifferentialTest, BatchBoundariesAndMixedFoci) {
         SCOPED_TRACE(PoolName(pool.get()));
         const Outcome got = Batched(*ev, subset, pool.get());
         EXPECT_EQ(got.answers, ref.answers);
-        ExpectSameWork(got.stats, ref.stats);
+        testing::ExpectSameWork(got.stats, ref.stats);
         ExpectSameCaches(got.caches, ref.caches);
       }
     }
@@ -309,7 +299,7 @@ TEST(BatchVerifyDifferentialTest, BatchBoundariesAndMixedFoci) {
       SCOPED_TRACE(PoolName(pool.get()));
       const Outcome got = Batched(*ev, ev->FocusCandidates(), pool.get());
       EXPECT_EQ(got.answers, ref.answers);
-      ExpectSameWork(got.stats, ref.stats);
+      testing::ExpectSameWork(got.stats, ref.stats);
       ExpectSameCaches(got.caches, ref.caches);
     }
     EXPECT_GT(ref.stats.balls_built, 64u) << "need more than one batch";
@@ -354,7 +344,7 @@ TEST(BatchVerifyDifferentialTest, QMatchFocusMapAtEveryPoolSize) {
         auto got = QMatch::Evaluate(q, g, options, &stats, pool.get());
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(got.value(), ref.answers);
-        ExpectSameWork(stats, ref.stats);
+        testing::ExpectSameWork(stats, ref.stats);
       }
     }
   }
@@ -386,7 +376,7 @@ TEST(BatchVerifyDifferentialTest, FiredTokenStopsMidBatchAtThePollStride) {
     ASSERT_EQ(done, stop);
     // The members verified before the poll are exact.
     const Outcome ref = PerFocus(*ev, batch.first(stop));
-    ExpectSameWork(stats, ref.stats);
+    testing::ExpectSameWork(stats, ref.stats);
     for (size_t i = 0; i < stop; ++i) {
       EXPECT_EQ(verdicts[i] != 0,
                 std::binary_search(ref.answers.begin(), ref.answers.end(),

@@ -8,6 +8,7 @@
 #include "core/qmatch.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -84,7 +85,7 @@ TEST(MatchStatsTest, MonotonicInFocusSubset) {
 }
 
 // Per-focus verification is independent work; threading must change
-// neither the answers nor any counter, including inc_candidates_checked
+// neither the answers nor any work counter, including inc_candidates_checked
 // on negated patterns (the IncQMatch path).
 TEST(MatchStatsTest, ThreadPoolMatchesSequential) {
   Graph g = TestGraph();
@@ -100,17 +101,7 @@ TEST(MatchStatsTest, ThreadPoolMatchesSequential) {
       ASSERT_TRUE(seq.ok()) << seq.status().ToString();
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_EQ(seq.value(), par.value());
-      EXPECT_EQ(seq_stats.isomorphisms_enumerated,
-                par_stats.isomorphisms_enumerated);
-      EXPECT_EQ(seq_stats.witness_searches, par_stats.witness_searches);
-      EXPECT_EQ(seq_stats.search_extensions, par_stats.search_extensions);
-      EXPECT_EQ(seq_stats.candidates_initial, par_stats.candidates_initial);
-      EXPECT_EQ(seq_stats.candidates_pruned, par_stats.candidates_pruned);
-      EXPECT_EQ(seq_stats.focus_candidates_checked,
-                par_stats.focus_candidates_checked);
-      EXPECT_EQ(seq_stats.inc_candidates_checked,
-                par_stats.inc_candidates_checked);
-      EXPECT_EQ(seq_stats.balls_built, par_stats.balls_built);
+      testing::ExpectSameWork(seq_stats, par_stats);
     }
   }
 }

@@ -23,6 +23,7 @@
 #include "gen/synthetic_gen.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_delta.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -128,20 +129,6 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
   return workload;
 }
 
-// Work-counter identity: everything but the scheduler telemetry (which
-// describes the schedule, not the work — see match_types.h).
-void ExpectSameWork(const MatchStats& a, const MatchStats& b,
-                    const std::string& context) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << context;
-  EXPECT_EQ(a.witness_searches, b.witness_searches) << context;
-  EXPECT_EQ(a.search_extensions, b.search_extensions) << context;
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial) << context;
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << context;
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << context;
-  EXPECT_EQ(a.inc_candidates_checked, b.inc_candidates_checked) << context;
-  EXPECT_EQ(a.balls_built, b.balls_built) << context;
-}
-
 // Drops workload entries the engine cannot evaluate on this graph at
 // all (pattern radius exceeding partition d): both
 // sides of the differential would fail identically, but the harness
@@ -203,7 +190,7 @@ void RunSweep(uint64_t seed, size_t threads, size_t* batches_run,
                                   std::to_string(threads) + " batch " +
                                   std::to_string(batch) + " " + spec.tag;
       EXPECT_EQ(got->answers, want->answers) << context;
-      ExpectSameWork(got->stats, want->stats, context);
+      testing::ExpectSameWork(got->stats, want->stats, context);
       // The graph sequence is the same at every width, so one width
       // suffices for the single-threaded baseline.
       if (threads != 1) continue;
@@ -424,7 +411,7 @@ TEST(EngineDeltaDifferential, AutoPlansMatchRebuildAfterDeltas) {
         EXPECT_EQ(got->algo, want->algo) << context;
         EXPECT_NE(got->algo, EngineAlgo::kAuto) << context;
         EXPECT_EQ(got->answers, want->answers) << context;
-        ExpectSameWork(got->stats, want->stats, context);
+        testing::ExpectSameWork(got->stats, want->stats, context);
       }
     }
   }

@@ -20,6 +20,7 @@
 #include "engine/query_engine.h"
 #include "gen/pattern_gen.h"
 #include "gen/synthetic_gen.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -73,21 +74,6 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed) {
     workload.push_back(std::move(spec));
   }
   return workload;
-}
-
-// Work-counter identity: every MatchStats field except the scheduler
-// telemetry, which deliberately describes the schedule rather than the
-// work (see match_types.h).
-void ExpectSameWork(const MatchStats& a, const MatchStats& b,
-                    const std::string& context) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << context;
-  EXPECT_EQ(a.witness_searches, b.witness_searches) << context;
-  EXPECT_EQ(a.search_extensions, b.search_extensions) << context;
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial) << context;
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << context;
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << context;
-  EXPECT_EQ(a.inc_candidates_checked, b.inc_candidates_checked) << context;
-  EXPECT_EQ(a.balls_built, b.balls_built) << context;
 }
 
 // Standalone reference per spec: the per-query QMatch API (auto
@@ -146,13 +132,13 @@ TEST(EngineDifferentialTest, BatchesMatchStandaloneAtAllThreadCounts) {
               << context << " vs Enum";
           ++enum_compared;
         }
-        ExpectSameWork((*outcomes)[i].stats, ref.stats[i], context);
+        testing::ExpectSameWork((*outcomes)[i].stats, ref.stats[i], context);
         ++compared;
       }
       // Cumulative engine stats are the sum of the per-query ones.
       MatchStats sum;
       for (const QueryOutcome& o : *outcomes) sum.Add(o.stats);
-      ExpectSameWork(engine.stats().match, sum,
+      testing::ExpectSameWork(engine.stats().match, sum,
                      "cumulative, seed " + std::to_string(seed));
     }
   }
@@ -178,7 +164,7 @@ TEST(EngineDifferentialTest, EvictionBetweenEntriesChangesNothing) {
                                     " threads " + std::to_string(threads) +
                                     " " + ref.workload[i].tag;
         EXPECT_EQ(outcome->answers, ref.answers[i]) << context;
-        ExpectSameWork(outcome->stats, ref.stats[i], context);
+        testing::ExpectSameWork(outcome->stats, ref.stats[i], context);
         engine.EvictUnused();  // between every pair of entries
         ++compared;
       }
@@ -201,7 +187,7 @@ TEST(EngineDifferentialTest, HardPressurePolicyChangesNothing) {
     ASSERT_TRUE(outcomes.ok());
     for (size_t i = 0; i < outcomes->size(); ++i) {
       EXPECT_EQ((*outcomes)[i].answers, ref.answers[i]);
-      ExpectSameWork((*outcomes)[i].stats, ref.stats[i],
+      testing::ExpectSameWork((*outcomes)[i].stats, ref.stats[i],
                      "pressure seed " + std::to_string(seed));
     }
   }
@@ -229,7 +215,7 @@ TEST(EngineDifferentialTest, ResultCacheRepeatsMatchStandalone) {
                                     ref.workload[i].tag;
         EXPECT_EQ((*outcomes)[i].result_cache_hit, pass > 0) << context;
         EXPECT_EQ((*outcomes)[i].answers, ref.answers[i]) << context;
-        ExpectSameWork((*outcomes)[i].stats, ref.stats[i], context);
+        testing::ExpectSameWork((*outcomes)[i].stats, ref.stats[i], context);
       }
     }
     const EngineStats stats = engine.stats();
@@ -271,7 +257,7 @@ TEST(EngineDifferentialTest, ConcurrentSubmitsMatchStandalone) {
       const std::string context =
           "client " + std::to_string(c) + " " + ref.workload[i].tag;
       EXPECT_EQ(got[c][i], ref.answers[i]) << context;
-      ExpectSameWork(got_stats[c][i], ref.stats[i], context);
+      testing::ExpectSameWork(got_stats[c][i], ref.stats[i], context);
     }
   }
   EXPECT_EQ(engine.stats().queries, kClients * ref.workload.size());

@@ -16,6 +16,7 @@
 #include "core/pattern_parser.h"
 #include "engine/query_engine.h"
 #include "testing/self_sizing.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -35,17 +36,6 @@ QuerySpec SlowSpec(EngineAlgo algo = EngineAlgo::kQMatch) {
                      .value();
   spec.algo = algo;
   return spec;
-}
-
-void ExpectSameWork(const MatchStats& a, const MatchStats& b,
-                    const std::string& context) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << context;
-  EXPECT_EQ(a.witness_searches, b.witness_searches) << context;
-  EXPECT_EQ(a.search_extensions, b.search_extensions) << context;
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial) << context;
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << context;
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << context;
-  EXPECT_EQ(a.balls_built, b.balls_built) << context;
 }
 
 // The core differential: engine A runs the query cleanly; engine B
@@ -86,7 +76,7 @@ TEST(EngineTimeoutTest, TimedOutQueryPerturbsNothing) {
   auto clean = engine.Submit(SlowSpec());
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   EXPECT_EQ(clean->answers, expected->answers);
-  ExpectSameWork(clean->stats, expected->stats, "clean-after-timeout");
+  testing::ExpectSameWork(clean->stats, expected->stats, "clean-after-timeout");
   EXPECT_EQ(clean->cache_hits, expected->cache_hits);
   EXPECT_EQ(clean->cache_misses, expected->cache_misses);
   EXPECT_FALSE(clean->result_cache_hit);
@@ -131,14 +121,12 @@ TEST(EngineTimeoutTest, ExternalCancelTokenUnwinds) {
 }
 
 // While the engine drains, ApplyDelta stops waiting forever behind an
-// in-flight evaluation: it bounded-waits delta_drain_wait_ms and gives
+// in-flight evaluation: it bounded-waits 100 ms and gives
 // up with kUnavailable. Once the evaluation is cancelled and draining
 // clears, the same delta applies normally.
 TEST(EngineTimeoutTest, ApplyDeltaBoundedWaitWhileDraining) {
   SlowCase& slow = Slow();
-  EngineOptions options;
-  options.delta_drain_wait_ms = 50;
-  QueryEngine engine(Graph(slow.graph), options);  // owning: deltas legal
+  QueryEngine engine(Graph(slow.graph));  // owning: deltas legal
 
   engine.SetDraining(true);
   CancelToken token;

@@ -17,6 +17,7 @@
 #include "gen/synthetic_gen.h"
 #include "graph/graph_builder.h"
 #include "parallel/penum.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -59,20 +60,6 @@ Pattern UserPattern(const Quantifier& quant) {
   (void)q.AddEdge(user, page, 2, quant);  // "visits"
   (void)q.set_focus(user);
   return q;
-}
-
-// Work-counter identity: everything but the scheduler telemetry (which
-// describes the schedule, not the work — see match_types.h).
-void ExpectSameWork(const MatchStats& a, const MatchStats& b,
-                    const std::string& context) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << context;
-  EXPECT_EQ(a.witness_searches, b.witness_searches) << context;
-  EXPECT_EQ(a.search_extensions, b.search_extensions) << context;
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial) << context;
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << context;
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << context;
-  EXPECT_EQ(a.inc_candidates_checked, b.inc_candidates_checked) << context;
-  EXPECT_EQ(a.balls_built, b.balls_built) << context;
 }
 
 // ---------------------------------------------------------------------
@@ -119,7 +106,7 @@ TEST(PlannerDifferential, AutoMatchesManualChoiceAtAllThreadCounts) {
               "seed " + std::to_string(seed) + " t" + std::to_string(threads) +
               " " + spec.tag + " (" + EngineAlgoName(planned->algo) + ")";
           EXPECT_EQ(planned->answers, manual->answers) << context;
-          ExpectSameWork(planned->stats, manual->stats, context);
+          testing::ExpectSameWork(planned->stats, manual->stats, context);
           ++compared;
         }
       }
@@ -318,29 +305,7 @@ TEST(PlannerResultCache, ReplaysCarryTheEffectiveAlgo) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->result_cache_hit);
   EXPECT_EQ(second->algo, first->algo);
-  ExpectSameWork(second->stats, first->stats, "replay");
-}
-
-// ---------------------------------------------------------------------
-// Engine default
-
-TEST(PlannerDefaults, DefaultAlgoAutoAppliesToBareSpecs) {
-  Graph g = MakeTinyFocusGraph();
-  EngineOptions opts;
-  opts.default_algo = EngineAlgo::kAuto;
-  QueryEngine engine(&g, opts);
-  QuerySpec spec;  // algo deliberately unset
-  spec.pattern = UserPattern(Quantifier::Numeric(QuantOp::kGe, 1));
-  auto outcome = engine.Submit(spec);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->algo, EngineAlgo::kQMatch);
-
-  // An explicit spec algo still overrides the engine default.
-  spec.algo = EngineAlgo::kPQMatch;
-  auto manual = engine.Submit(spec);
-  ASSERT_TRUE(manual.ok());
-  EXPECT_EQ(manual->algo, EngineAlgo::kPQMatch);
-  EXPECT_EQ(manual->answers, outcome->answers);
+  testing::ExpectSameWork(second->stats, first->stats, "replay");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "parallel/penum.h"
 #include "parallel/pqmatch.h"
 #include "testing/thread_count.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -330,8 +331,7 @@ TEST(QueryEngineTest, ResultCacheServesRepeatsIdentically) {
     EXPECT_TRUE(repeat->result_cache_hit);
     EXPECT_EQ(repeat->answers, first->answers);
     // A hit replays the original run's work counters exactly.
-    EXPECT_EQ(repeat->stats.search_extensions, first->stats.search_extensions);
-    EXPECT_EQ(repeat->stats.balls_built, first->stats.balls_built);
+    testing::ExpectSameWork(repeat->stats, first->stats);
     // Same pattern under different options is a different key.
     spec.options.use_quantifier_pruning = false;
     auto other_options = engine.Submit(spec);
@@ -378,25 +378,14 @@ TEST(QueryEngineTest, ResultCacheKeepsNegationModesApart) {
     ASSERT_TRUE(standalone.ok());
     EXPECT_EQ(naive->answers, standalone.value());
     EXPECT_EQ(naive->answers, incremental->answers);
-    EXPECT_EQ(naive->stats.search_extensions,
-              standalone_stats.search_extensions);
-    EXPECT_EQ(naive->stats.witness_searches,
-              standalone_stats.witness_searches);
-    EXPECT_EQ(naive->stats.focus_candidates_checked,
-              standalone_stats.focus_candidates_checked);
-    EXPECT_EQ(naive->stats.inc_candidates_checked,
-              standalone_stats.inc_candidates_checked);
-    EXPECT_EQ(naive->stats.balls_built, standalone_stats.balls_built);
+    testing::ExpectSameWork(naive->stats, standalone_stats);
 
     spec.options.use_incremental_negation = true;
     auto again = engine.Submit(spec);
     ASSERT_TRUE(again.ok()) << again.status().ToString();
     EXPECT_TRUE(again->result_cache_hit);
     EXPECT_EQ(again->answers, incremental->answers);
-    EXPECT_EQ(again->stats.search_extensions,
-              incremental->stats.search_extensions);
-    EXPECT_EQ(again->stats.inc_candidates_checked,
-              incremental->stats.inc_candidates_checked);
+    testing::ExpectSameWork(again->stats, incremental->stats);
     ++checked;
   }
   EXPECT_GT(checked, 0u) << "no negated pattern in the suite";

@@ -20,6 +20,7 @@
 #include "parallel/dpar.h"
 #include "parallel/penum.h"
 #include "parallel/pqmatch.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -51,19 +52,6 @@ std::vector<Pattern> SkewedPatterns(const Graph& g, uint64_t seed) {
   pc.count = 1 + seed % 2;
   pc.num_negated = seed % 2;
   return GeneratePatternSuite(g, 3, pc, seed * 131 + 7);
-}
-
-// Every counter that describes WORK (not the schedule) must match.
-void ExpectWorkStatsEqual(const MatchStats& a, const MatchStats& b,
-                          const std::string& what) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << what;
-  EXPECT_EQ(a.witness_searches, b.witness_searches) << what;
-  EXPECT_EQ(a.search_extensions, b.search_extensions) << what;
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial) << what;
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << what;
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << what;
-  EXPECT_EQ(a.inc_candidates_checked, b.inc_candidates_checked) << what;
-  EXPECT_EQ(a.balls_built, b.balls_built) << what;
 }
 
 void ExpectPartitionsIdentical(const Partition& a, const Partition& b) {
@@ -110,7 +98,7 @@ TEST(SchedulerDeterminismTest, QMatchAnswersAndStatsMatchSerial) {
           const std::string what = "threads=" + std::to_string(threads) +
                                    " grain=" + std::to_string(grain);
           EXPECT_EQ(serial.value(), par.value()) << what;
-          ExpectWorkStatsEqual(serial_stats, par_stats, what);
+          testing::ExpectSameWork(serial_stats, par_stats, what);
         }
       }
       ++compared;
@@ -202,7 +190,7 @@ TEST(SchedulerDeterminismTest, StealableFragmentScheduleMatchesSimulated) {
                               : PQMatch::Evaluate(q, *part, thr);
           ASSERT_TRUE(b.ok()) << what << ": " << b.status().ToString();
           EXPECT_EQ(b->answers, a->answers) << what;
-          ExpectWorkStatsEqual(a->stats, b->stats, what);
+          testing::ExpectSameWork(a->stats, b->stats, what);
         }
       }
       ++compared;

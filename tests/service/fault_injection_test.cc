@@ -22,11 +22,13 @@
 #include "service/client.h"
 #include "service/query_service.h"
 #include "testing/self_sizing.h"
+#include "testing/work_stats.h"
 
 namespace qgp::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using testing::ExpectSameWork;
 
 double MsSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -51,19 +53,6 @@ ServiceRequest SlowRequest(const std::string& tag) {
   request.algo = EngineAlgo::kQMatch;
   request.tag = tag;
   return request;
-}
-
-/// Work-counter identity modulo scheduler telemetry — the same
-/// comparison the loopback differential suite uses.
-void ExpectSameWork(const MatchStats& a, const MatchStats& b,
-                    const std::string& context) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << context;
-  EXPECT_EQ(a.witness_searches, b.witness_searches) << context;
-  EXPECT_EQ(a.search_extensions, b.search_extensions) << context;
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial) << context;
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << context;
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << context;
-  EXPECT_EQ(a.balls_built, b.balls_built) << context;
 }
 
 /// Every test disarms on exit so a failed assertion cannot leak an

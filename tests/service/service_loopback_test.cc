@@ -25,6 +25,7 @@
 #include "service/client.h"
 #include "service/query_service.h"
 #include "testing/self_sizing.h"
+#include "testing/work_stats.h"
 
 namespace qgp::service {
 namespace {
@@ -135,20 +136,6 @@ void AwaitBatchStarted(const QueryEngine& engine,
   }
 }
 
-/// Work-counter identity modulo scheduler telemetry — the same
-/// comparison the engine differential suite uses.
-void ExpectSameWork(const MatchStats& a, const MatchStats& b,
-                    const std::string& context) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << context;
-  EXPECT_EQ(a.witness_searches, b.witness_searches) << context;
-  EXPECT_EQ(a.search_extensions, b.search_extensions) << context;
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial) << context;
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << context;
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << context;
-  EXPECT_EQ(a.inc_candidates_checked, b.inc_candidates_checked) << context;
-  EXPECT_EQ(a.balls_built, b.balls_built) << context;
-}
-
 // The headline differential: 4 concurrent client connections each
 // replay the full workload; every response must be answer- and
 // work-counter-identical to a direct RunBatch on a reference engine.
@@ -200,7 +187,7 @@ TEST(ServiceLoopbackTest, ConcurrentClientsMatchDirectEngineRuns) {
       EXPECT_TRUE(got[c][i].ok) << context << ": " << got[c][i].error_message;
       EXPECT_EQ(got[c][i].tag, workload[i].tag) << context;
       EXPECT_EQ(got[c][i].answers, (*expected)[i].answers) << context;
-      ExpectSameWork(got[c][i].stats, (*expected)[i].stats, context);
+      testing::ExpectSameWork(got[c][i].stats, (*expected)[i].stats, context);
     }
   }
   EXPECT_EQ(engine.stats().queries, kClients * workload.size());

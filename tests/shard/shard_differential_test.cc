@@ -28,6 +28,7 @@
 #include "parallel/dpar.h"
 #include "parallel/penum.h"
 #include "shard/sharded_engine.h"
+#include "testing/work_stats.h"
 
 namespace qgp {
 namespace {
@@ -126,18 +127,6 @@ std::vector<QuerySpec> MakeWorkload(const Graph& g, uint64_t seed, int d) {
   return workload;
 }
 
-void ExpectSameWork(const MatchStats& a, const MatchStats& b,
-                    const std::string& context) {
-  EXPECT_EQ(a.isomorphisms_enumerated, b.isomorphisms_enumerated) << context;
-  EXPECT_EQ(a.witness_searches, b.witness_searches) << context;
-  EXPECT_EQ(a.search_extensions, b.search_extensions) << context;
-  EXPECT_EQ(a.candidates_initial, b.candidates_initial) << context;
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned) << context;
-  EXPECT_EQ(a.focus_candidates_checked, b.focus_candidates_checked) << context;
-  EXPECT_EQ(a.inc_candidates_checked, b.inc_candidates_checked) << context;
-  EXPECT_EQ(a.balls_built, b.balls_built) << context;
-}
-
 // One (seed, shard count) sweep. *pairs counts evaluated graph/pattern
 // pairs so the top-level test can assert the >= 64 coverage floor, and
 // *baseline_pairs the pairs also checked against Enum and PEnum.
@@ -194,7 +183,7 @@ void RunSweep(uint64_t seed, size_t num_shards, size_t* pairs,
       auto twin_run = reference.Submit(twin);
       ASSERT_TRUE(twin_run.ok()) << context;
       EXPECT_EQ(got->answers, twin_run->answers) << context;
-      ExpectSameWork(got->stats, twin_run->stats, context);
+      testing::ExpectSameWork(got->stats, twin_run->stats, context);
     }
 
     auto enumerated = EnumMatcher::Evaluate(spec.pattern, base, capped.match);

@@ -57,7 +57,7 @@ ServiceRequest RandomQueryRequest(std::mt19937* rng) {
     case 1: r.algo = EngineAlgo::kQMatch; break;
     case 2: r.algo = EngineAlgo::kPQMatch; break;
     case 3: r.algo = EngineAlgo::kAuto; break;
-    default: break;  // unset: engine default
+    default: break;  // unset: qmatch
   }
   r.options.use_simulation = (*rng)() % 2 == 0;
   r.options.use_quantifier_pruning = (*rng)() % 2 == 0;
@@ -157,28 +157,15 @@ TEST(ShardWireFuzz, PatternTextRoundTripsThroughForeignDict) {
 
 MatchStats RandomStats(std::mt19937* rng) {
   // Round-trip fidelity is asserted by re-encoding, so values just need
-  // to be distinctive; a real engine run then covers scheduler fields.
+  // to be distinctive.
   MatchStats s;
-  s.isomorphisms_enumerated = (*rng)();
-  s.witness_searches = (*rng)();
-  s.search_extensions = (*rng)();
-  s.candidates_initial = (*rng)();
-  s.candidates_pruned = (*rng)();
-  s.focus_candidates_checked = (*rng)();
-  s.inc_candidates_checked = (*rng)();
-  s.balls_built = (*rng)();
+  for (const auto& field : MatchStats::Fields()) s.*field.member = (*rng)();
   return s;
 }
 
 TEST(ShardWireFuzz, MatchStatsJsonRoundTripsExactly) {
-  std::mt19937 rng(13);
-  for (int i = 0; i < 100; ++i) {
-    MatchStats s = RandomStats(&rng);
-    auto back = MatchStatsFromJson(MatchStatsToJson(s));
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(MatchStatsToJson(*back).Dump(), MatchStatsToJson(s).Dump());
-  }
-  // Engine-produced stats (scheduler telemetry populated) too.
+  // Random stats ride QueryResponsesRoundTripExactly; here, the
+  // engine-produced ones (scheduler telemetry populated).
   Graph g = MakeGraph(17);
   QueryEngine engine(&g);
   PatternGenConfig pc;
@@ -189,9 +176,9 @@ TEST(ShardWireFuzz, MatchStatsJsonRoundTripsExactly) {
     spec.pattern = std::move(p);
     auto out = engine.Submit(spec);
     if (!out.ok()) continue;
-    auto back = MatchStatsFromJson(MatchStatsToJson(out->stats));
+    auto back = StatsFromJson<MatchStats>(StatsToJson(out->stats));
     ASSERT_TRUE(back.ok());
-    EXPECT_EQ(MatchStatsToJson(*back).Dump(), MatchStatsToJson(out->stats).Dump());
+    EXPECT_EQ(StatsToJson(*back).Dump(), StatsToJson(out->stats).Dump());
   }
 }
 
@@ -217,8 +204,8 @@ TEST(ShardWireFuzz, QueryResponsesRoundTripExactly) {
     EXPECT_EQ(decoded->answers, outcome.answers);
     EXPECT_EQ(decoded->tag, outcome.tag);
     EXPECT_EQ(decoded->algo, EngineAlgoName(outcome.algo));
-    EXPECT_EQ(MatchStatsToJson(decoded->stats).Dump(),
-              MatchStatsToJson(outcome.stats).Dump());
+    EXPECT_EQ(StatsToJson(decoded->stats).Dump(),
+              StatsToJson(outcome.stats).Dump());
   }
 }
 
