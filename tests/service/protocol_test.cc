@@ -411,6 +411,32 @@ TEST(ProtocolTest, StatsResponseCarriesEngineAndServiceTelemetry) {
   ExpectDecodesStrictly(*stats->body.Find("service"), service);
 }
 
+TEST(ProtocolTest, StatsResponseCarriesDeltaTelemetry) {
+  EngineStats engine;
+  engine.deltas = 4;
+  engine.delta_wall_ms = 1.5;
+  engine.results_invalidated = 9;
+  engine.repair_hits = 5;
+  engine.repair_fallbacks = 2;
+  ServiceStats service;
+  service.deltas_ok = 4;
+  service.deltas_failed = 1;
+
+  auto decoded = DecodeResponse(EncodeStatsResponse(engine, service));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const JsonValue* e = decoded->body.Find("engine");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->Find("deltas")->as_number(), 4);
+  EXPECT_DOUBLE_EQ(e->Find("delta_wall_ms")->as_number(), 1.5);
+  EXPECT_EQ(e->Find("results_invalidated")->as_number(), 9);
+  EXPECT_EQ(e->Find("repair_hits")->as_number(), 5);
+  EXPECT_EQ(e->Find("repair_fallbacks")->as_number(), 2);
+  const JsonValue* s = decoded->body.Find("service");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->Find("deltas_ok")->as_number(), 4);
+  EXPECT_EQ(s->Find("deltas_failed")->as_number(), 1);
+}
+
 TEST(ProtocolTest, ResponsesAreSingleLines) {
   QueryOutcome outcome;
   outcome.tag = "multi\nline\ntag";
