@@ -258,12 +258,12 @@ int main() {
     std::printf("engine warm (grouped): %8.2f ms\n", grouped_s * 1000.0);
   }
 
-  // --- Eviction pressure: hard cap forces admit-evict-readmit churn on
-  // every query; answers stay identical (asserted) and the row tracks
-  // what the policy costs.
+  // --- Eviction pressure: a one-byte budget forces admit-evict-readmit
+  // churn on every query; answers stay identical (asserted) and the row
+  // tracks what the policy costs.
   {
     EngineOptions pressured = engine_options;
-    pressured.cache_max_entries = 1;
+    pressured.cache_budget_bytes = 1;
     QueryEngine churn(&g, pressured);
     std::vector<QueryOutcome> churn_outcomes;
     double churn_s = TimeSeconds([&] {

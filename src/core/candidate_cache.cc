@@ -1,25 +1,55 @@
 #include "core/candidate_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 namespace qgp {
 
 namespace {
 
+// Key tags: the first byte of a key names the entry's kind.
+constexpr char kSetTag = 's';
+constexpr char kSimTag = 't';
+constexpr char kResultTag = 'r';
+
 void SortUnique(std::vector<Label>& labels) {
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
 }
 
-// FNV-1a over 64-bit words, for the pool's key hashes.
-struct Fnv {
-  uint64_t h = 1469598103934665603ULL;
-  void Mix(uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ULL;
+void Put(std::string& key, uint32_t x) {
+  key.append(reinterpret_cast<const char*>(&x), sizeof(x));
+}
+
+// The budget's charge for one set: its members plus its bitset words.
+size_t SetBytes(const CandidateSet& set) {
+  return sizeof(VertexId) * set.members.size() +
+         sizeof(uint64_t) * ((set.bits.size() + 63) / 64);
+}
+
+// The stratified topology: node labels in id order plus the sorted,
+// unique (src, dst, label) edge triples. A parallel duplicate edge
+// constrains the simulation no further.
+std::string TopologyKey(const Pattern& pattern) {
+  std::vector<std::array<uint32_t, 3>> edges;
+  edges.reserve(pattern.num_edges());
+  for (PatternEdgeId e = 0; e < pattern.num_edges(); ++e) {
+    const PatternEdge& pe = pattern.edge(e);
+    edges.push_back({pe.src, pe.dst, pe.label});
   }
-};
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::string key(1, kSimTag);
+  Put(key, static_cast<uint32_t>(pattern.num_nodes()));
+  for (PatternNodeId u = 0; u < pattern.num_nodes(); ++u) {
+    Put(key, pattern.node(u).label);
+  }
+  for (const auto& edge : edges) {
+    for (uint32_t x : edge) Put(key, x);
+  }
+  return key;
+}
 
 }  // namespace
 
@@ -59,130 +89,152 @@ CandidateSetRef ComputeLabelDegreeSet(const Graph& g, Label node_label,
   return MakeCandidateSet(std::move(members), g.num_vertices());
 }
 
-size_t CandidateCache::KeyHash::operator()(const Key& k) const {
-  Fnv f;
-  f.Mix(k.node_label);
-  f.Mix(0x6f75);  // separator between label runs
-  for (Label l : k.out_labels) f.Mix(l + 1);
-  f.Mix(0x696e);
-  for (Label l : k.in_labels) f.Mix(l + 1);
-  return static_cast<size_t>(f.h);
-}
-
 CandidateSetRef CandidateCache::Get(Label node_label,
                                     std::vector<Label> out_labels,
                                     std::vector<Label> in_labels) {
   SortUnique(out_labels);
   SortUnique(in_labels);
-  Key key{node_label, std::move(out_labels), std::move(in_labels)};
+  std::string key(1, kSetTag);
+  Put(key, node_label);
+  Put(key, static_cast<uint32_t>(out_labels.size()));
+  for (Label l : out_labels) Put(key, l);
+  for (Label l : in_labels) Put(key, l);
   const uint64_t version = g_->version();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = pool_.find(key);
-    if (it != pool_.end() && it->second.version == version) {
+    if (const Entry* entry = FindLocked(key, version)) {
       ++stats_.hits;
-      return it->second.set;
+      return entry->sets[0];
     }
   }
   // Compute outside the lock so distinct keys intern in parallel. A race
   // on one key computes twice; both results are identical and the first
-  // insert establishes the shared identity. Stale entries (other graph
-  // version) are recomputed and replaced, counted as misses.
+  // admission establishes the shared identity (the loser counts a hit).
+  // Stale entries (other graph version) are recomputed and replaced,
+  // counted as misses.
   CandidateSetRef set =
-      ComputeLabelDegreeSet(*g_, key.node_label, key.out_labels,
-                            key.in_labels);
+      ComputeLabelDegreeSet(*g_, node_label, out_labels, in_labels);
+  bool admitted = false;
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] =
-      pool_.emplace(std::move(key), Entry{set, version, 0});
-  if (inserted) {
-    it->second.epoch = ++epoch_counter_;
-    ++stats_.misses;
-  } else if (it->second.version != version) {
-    it->second = Entry{std::move(set), version, ++epoch_counter_};
-    ++stats_.misses;
-  } else {
-    ++stats_.hits;
-  }
-  return it->second.set;
-}
-
-CandidateCache::TopologyKey CandidateCache::TopologyOf(
-    const Pattern& pattern) {
-  TopologyKey key;
-  key.node_labels.reserve(pattern.num_nodes());
-  for (PatternNodeId u = 0; u < pattern.num_nodes(); ++u) {
-    key.node_labels.push_back(pattern.node(u).label);
-  }
-  key.edges.reserve(pattern.num_edges());
-  for (PatternEdgeId e = 0; e < pattern.num_edges(); ++e) {
-    const PatternEdge& pe = pattern.edge(e);
-    key.edges.push_back({pe.src, pe.dst, pe.label});
-  }
-  // A parallel duplicate edge constrains the simulation no further.
-  std::sort(key.edges.begin(), key.edges.end());
-  key.edges.erase(std::unique(key.edges.begin(), key.edges.end()),
-                  key.edges.end());
-  return key;
-}
-
-size_t CandidateCache::TopologyKeyHash::operator()(
-    const TopologyKey& k) const {
-  Fnv f;
-  f.Mix(k.node_labels.size());
-  for (Label l : k.node_labels) f.Mix(l);
-  for (const auto& [src, dst, label] : k.edges) {
-    f.Mix((static_cast<uint64_t>(src) << 32) | dst);
-    f.Mix(label);
-  }
-  return static_cast<size_t>(f.h);
+  set = AdmitLocked(std::move(key), Entry{.sets = {std::move(set)}}, version,
+                    &admitted)[0];
+  ++(admitted ? stats_.misses : stats_.hits);
+  return set;
 }
 
 bool CandidateCache::FindSimulation(const Pattern& pattern,
                                     std::vector<CandidateSetRef>* sets) {
-  const TopologyKey key = TopologyOf(pattern);
+  const std::string key = TopologyKey(pattern);
   const uint64_t version = g_->version();
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sims_.find(key);
-  if (it == sims_.end() || it->second.version != version) {
-    ++stats_.misses;
-    return false;
-  }
-  ++stats_.hits;
-  *sets = it->second.sets;
-  return true;
+  const Entry* entry = FindLocked(key, version);
+  ++(entry != nullptr ? stats_.hits : stats_.misses);
+  if (entry != nullptr) *sets = entry->sets;
+  return entry != nullptr;
 }
 
 std::vector<CandidateSetRef> CandidateCache::AdmitSimulation(
     const Pattern& pattern, std::vector<CandidateSetRef> sets) {
-  TopologyKey key = TopologyOf(pattern);
+  std::string key = TopologyKey(pattern);
   const uint64_t version = g_->version();
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = sims_.try_emplace(std::move(key));
-  // A current entry is a racing build's identical fixpoint: keep its
-  // identity. An absent or stale one takes `sets` under a new epoch.
-  if (inserted || it->second.version != version) {
-    it->second = SimEntry{std::move(sets), version, ++epoch_counter_};
+  return AdmitLocked(std::move(key), Entry{.sets = std::move(sets)}, version);
+}
+
+bool CandidateCache::FindResult(const std::string& key, CachedResult* out) {
+  const uint64_t version = g_->version();
+  std::lock_guard<std::mutex> lock(mu_);
+  const Entry* entry = FindLocked(kResultTag + key, version);
+  if (entry != nullptr) *out = entry->result;
+  return entry != nullptr;
+}
+
+void CandidateCache::AdmitResult(const std::string& key,
+                                 CachedResult result) {
+  const uint64_t version = g_->version();
+  std::lock_guard<std::mutex> lock(mu_);
+  AdmitLocked(kResultTag + key, Entry{.result = std::move(result)}, version);
+}
+
+CandidateCache::Entry* CandidateCache::FindLocked(const std::string& key,
+                                                  uint64_t version) {
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.version != version) return nullptr;
+  it->second.last_use = ++clock_;
+  return &it->second;
+}
+
+std::vector<CandidateSetRef> CandidateCache::AdmitLocked(
+    std::string key, Entry entry, uint64_t version, bool* admitted) {
+  auto [it, inserted] = entries_.try_emplace(std::move(key));
+  Entry& slot = it->second;
+  const bool admit = inserted || slot.version != version;
+  if (admitted != nullptr) *admitted = admit;
+  if (admit) {
+    entry.version = version;
+    entry.epoch = ++epoch_counter_;
+    for (const CandidateSetRef& set : entry.sets) entry.bytes += SetBytes(*set);
+    if (it->first[0] == kResultTag) {
+      entry.bytes += it->first.size() - 1 +
+                     sizeof(VertexId) * entry.result.answers.size() +
+                     sizeof(MatchStats);
+    }
+    bytes_ = bytes_ - slot.bytes + entry.bytes;
+    slot = std::move(entry);
   }
-  return it->second.sets;
+  slot.last_use = ++clock_;
+  std::vector<CandidateSetRef> sets = slot.sets;  // the squeeze keeps them
+  SqueezeLocked();
+  return sets;
 }
 
 template <typename Pred>
 size_t CandidateCache::EraseIf(Pred drop) {
-  const size_t before = pool_.size() + sims_.size();
-  std::erase_if(pool_, [&](const auto& kv) { return drop(kv.second); });
-  std::erase_if(sims_, [&](const auto& kv) { return drop(kv.second); });
-  return before - pool_.size() - sims_.size();
+  return std::erase_if(entries_, [&](const auto& kv) {
+    if (!drop(kv.first, kv.second)) return false;
+    bytes_ -= kv.second.bytes;
+    return true;
+  });
+}
+
+size_t CandidateCache::SqueezeLocked() {
+  size_t evicted = 0;
+  while (budget_ != 0 && bytes_ > budget_) {
+    // The least recently used unreferenced entry goes first.
+    auto victim = std::min_element(
+        entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+          return std::pair(!a.second.Unreferenced(), a.second.last_use) <
+                 std::pair(!b.second.Unreferenced(), b.second.last_use);
+        });
+    if (victim == entries_.end() || !victim->second.Unreferenced()) break;
+    bytes_ -= victim->second.bytes;
+    entries_.erase(victim);
+    ++evicted;
+  }
+  stats_.evicted += evicted;
+  return evicted;
 }
 
 size_t CandidateCache::EvictUnused() {
   std::lock_guard<std::mutex> lock(mu_);
-  return EraseIf([](const auto& e) { return e.Unreferenced(); });
+  return EraseIf([](const auto&, const Entry& e) { return e.Unreferenced(); });
 }
 
-size_t CandidateCache::EvictStale() {
+CandidateCache::StaleEvicted CandidateCache::EvictStale() {
   const uint64_t version = g_->version();
+  StaleEvicted out;
   std::lock_guard<std::mutex> lock(mu_);
-  return EraseIf([version](const auto& e) { return e.version != version; });
+  EraseIf([&](const std::string& key, const Entry& e) {
+    if (e.version == version) return false;
+    ++(key[0] == kResultTag ? out.results : out.sets);
+    return true;
+  });
+  return out;
+}
+
+size_t CandidateCache::EvictToBudget() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return SqueezeLocked();
 }
 
 uint64_t CandidateCache::MarkEpoch() const {
@@ -192,13 +244,19 @@ uint64_t CandidateCache::MarkEpoch() const {
 
 size_t CandidateCache::EvictInsertedSince(uint64_t mark) {
   std::lock_guard<std::mutex> lock(mu_);
-  return EraseIf(
-      [mark](const auto& e) { return e.epoch > mark && e.Unreferenced(); });
+  return EraseIf([mark](const auto&, const Entry& e) {
+    return e.epoch > mark && e.Unreferenced();
+  });
 }
 
 size_t CandidateCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pool_.size() + sims_.size();
+  return entries_.size();
+}
+
+size_t CandidateCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
 }
 
 CandidateCache::Stats CandidateCache::stats() const {

@@ -6,19 +6,20 @@
 /// shares them across CandidateSpace builds — within one evaluation,
 /// across a PQMatch/PEnum worker's fragment builds, and across whole
 /// queries when a QueryEngine owns the pool for the graph's lifetime.
-/// The pool holds label/degree filters and whole dual-simulation
-/// results (one per stratified pattern topology).
+/// The pool holds label/degree filters, whole dual-simulation results
+/// (one per stratified pattern topology) and stored query outcomes.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bitset.h"
+#include "core/match_types.h"
 #include "core/pattern.h"
 #include "graph/graph.h"
 
@@ -54,7 +55,13 @@ CandidateSetRef ComputeLabelDegreeSet(const Graph& g, Label node_label,
                                       std::span<const Label> out_labels,
                                       std::span<const Label> in_labels);
 
-/// Per-graph intern pool for candidate sets, of two kinds of entry.
+/// A stored query outcome, replayed verbatim on a result-cache hit.
+struct CachedResult {
+  AnswerSet answers;
+  MatchStats stats;
+};
+
+/// Per-graph intern pool for candidate sets, of three kinds of entry.
 ///
 /// Label/degree sets (Get). Two pattern nodes with the same node label
 /// and the same sets of incident edge labels have identical
@@ -69,9 +76,19 @@ CandidateSetRef ComputeLabelDegreeSet(const Graph& g, Label node_label,
 /// variant of one pattern shape shares it. An entry is keyed by the
 /// stratified topology — node labels in id order plus the sorted, unique
 /// (src, dst, label) edge triples, no quantifiers, no focus — and holds
-/// one set per pattern node. Both kinds share the stamps, the eviction
-/// sweeps, size() and the hit/miss counters below; a memo entry counts as
-/// one entry, and as referenced while any caller holds any of its sets.
+/// one set per pattern node.
+///
+/// Results (FindResult/AdmitResult): an opaque caller-built key → a
+/// CachedResult, copied out on a hit.
+///
+/// All kinds share the stamps, the eviction sweeps, size() and a byte
+/// budget. A set is charged 4·|members| + 8·⌈|V|/64⌉ bytes, a memo entry
+/// the sum over its sets, a result its key length + 4·|answers| +
+/// sizeof(MatchStats); a set shared by two entries is charged to each,
+/// so bytes() is an upper bound. On every admission, and on
+/// EvictToBudget(), unreferenced entries (no caller holds any of their
+/// sets; a result never is referenced) are evicted, least recently used
+/// (admitted or hit) first, while bytes() exceeds the budget.
 ///
 /// Thread-safe: concurrent Get() calls from parallel Build tasks are
 /// fine. Two racing misses on the same key may both compute the set
@@ -90,8 +107,9 @@ class CandidateCache {
  public:
   /// The pool is bound to `g` (keys are label ids of its dictionary);
   /// callers must not use it with a different graph. `g` must outlive
-  /// the pool.
-  explicit CandidateCache(const Graph& g) : g_(&g) {}
+  /// the pool. `budget_bytes` = 0 (the default) is unbounded.
+  explicit CandidateCache(const Graph& g, size_t budget_bytes = 0)
+      : g_(&g), budget_(budget_bytes) {}
 
   CandidateCache(const CandidateCache&) = delete;
   CandidateCache& operator=(const CandidateCache&) = delete;
@@ -116,6 +134,13 @@ class CandidateCache {
   std::vector<CandidateSetRef> AdmitSimulation(
       const Pattern& pattern, std::vector<CandidateSetRef> sets);
 
+  /// Copies the current result under `key` to `*out`; false if none.
+  /// Not counted in stats().
+  bool FindResult(const std::string& key, CachedResult* out);
+
+  /// Stores `result` under `key` at the current graph version.
+  void AdmitResult(const std::string& key, CachedResult result);
+
   /// Drops every entry no caller references anymore (use_count == 1);
   /// returns how many were evicted. Entries still referenced by a live
   /// CandidateSpace survive and keep their identity.
@@ -125,7 +150,14 @@ class CandidateCache {
   /// the current one; returns how many were evicted. Still-referenced
   /// stale sets stay alive through their outstanding handles (shared_ptr
   /// semantics) but leave the pool, so no future Get() can observe them.
-  size_t EvictStale();
+  struct StaleEvicted {
+    size_t sets = 0;     ///< label/degree and memo entries
+    size_t results = 0;  ///< stored results
+  };
+  StaleEvicted EvictStale();
+
+  /// Evicts as an admission does, once references have dropped.
+  size_t EvictToBudget();
 
   /// Admission epoch, for cancellation rollback: every insert (and stale
   /// replace) bumps an internal counter and stamps the entry with it.
@@ -133,19 +165,21 @@ class CandidateCache {
   /// entries admitted after that mark that no caller references anymore
   /// (use_count == 1 — under the engine's one-at-a-time admission, that
   /// is every set a cancelled evaluation interned, since its scratch
-  /// state was destroyed on unwind). The QueryEngine brackets deadline-
-  /// carrying queries with this pair so a timed-out run admits nothing
+  /// state was destroyed on unwind). The QueryEngine brackets every
+  /// query with this pair so a timed-out run admits nothing
   /// (the no-cache-poisoning invariant; ARCHITECTURE.md "Robustness").
   uint64_t MarkEpoch() const;
   size_t EvictInsertedSince(uint64_t mark);
 
-  /// Number of interned entries of both kinds.
+  /// Number of entries of all three kinds, and their byte charge.
   size_t size() const;
+  size_t bytes() const;
 
   /// Pool telemetry, cumulative since construction.
   struct Stats {
-    uint64_t hits = 0;    ///< Get()/FindSimulation() served from the pool
-    uint64_t misses = 0;  ///< Get()/FindSimulation() found nothing current
+    uint64_t hits = 0;     ///< Get()/FindSimulation() served from the pool
+    uint64_t misses = 0;   ///< Get()/FindSimulation() found nothing current
+    uint64_t evicted = 0;  ///< entries the byte budget evicted
   };
   /// Snapshot of the hit/miss counters (exact when quiescent).
   Stats stats() const;
@@ -154,37 +188,14 @@ class CandidateCache {
   const Graph& graph() const { return *g_; }
 
  private:
-  struct Key {
-    Label node_label = 0;
-    std::vector<Label> out_labels;  // sorted, duplicate-free
-    std::vector<Label> in_labels;   // sorted, duplicate-free
-    bool operator==(const Key& other) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
-
+  /// An entry of any kind; its key's first byte names the kind.
   struct Entry {
-    CandidateSetRef set;
-    uint64_t version = 0;  ///< graph version() the set was computed against
-    uint64_t epoch = 0;    ///< admission order (MarkEpoch/EvictInsertedSince)
-    bool Unreferenced() const { return set.use_count() == 1; }
-  };
-
-  struct TopologyKey {
-    std::vector<Label> node_labels;              // by pattern node id
-    std::vector<std::array<uint32_t, 3>> edges;  // (src, dst, label)
-    bool operator==(const TopologyKey& other) const = default;
-  };
-  struct TopologyKeyHash {
-    size_t operator()(const TopologyKey& k) const;
-  };
-  static TopologyKey TopologyOf(const Pattern& pattern);
-
-  struct SimEntry {
-    std::vector<CandidateSetRef> sets;  ///< Cπ(u) by pattern node
-    uint64_t version = 0;
-    uint64_t epoch = 0;
+    std::vector<CandidateSetRef> sets = {};  ///< none for a result
+    CachedResult result = {};                ///< results only
+    uint64_t version = 0;   ///< graph version() it was computed against
+    uint64_t epoch = 0;     ///< admission order (EvictInsertedSince)
+    uint64_t last_use = 0;  ///< tick of its admission or latest hit
+    size_t bytes = 0;       ///< its charge against the budget
     bool Unreferenced() const {
       return std::all_of(sets.begin(), sets.end(),
                          [](const CandidateSetRef& s) {
@@ -193,17 +204,30 @@ class CandidateCache {
     }
   };
 
-  /// Erases the entries of both maps that satisfy `drop`; returns how
-  /// many. Caller holds mu_.
+  /// The current entry under `key`, touched, or null. Caller holds mu_.
+  Entry* FindLocked(const std::string& key, uint64_t version);
+  /// Stores `entry` under `key` unless a current one (a racing
+  /// admission's) is there, and tells `*admitted` which. Then touches
+  /// the entry and evicts to budget while holding its sets, which it
+  /// returns. Caller holds mu_.
+  std::vector<CandidateSetRef> AdmitLocked(std::string key, Entry entry,
+                                           uint64_t version,
+                                           bool* admitted = nullptr);
+  /// Erases the entries that satisfy `drop(key, entry)`, releasing their
+  /// charge; returns how many. Caller holds mu_.
   template <typename Pred>
   size_t EraseIf(Pred drop);
+  /// EvictToBudget() with mu_ held.
+  size_t SqueezeLocked();
 
   const Graph* g_;
+  const size_t budget_;  // 0 = unbounded
   mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> pool_;
-  std::unordered_map<TopologyKey, SimEntry, TopologyKeyHash> sims_;
+  std::unordered_map<std::string, Entry> entries_;
   Stats stats_;
   uint64_t epoch_counter_ = 0;  // guarded by mu_
+  uint64_t clock_ = 0;          // recency ticks, guarded by mu_
+  size_t bytes_ = 0;            // guarded by mu_
 };
 
 }  // namespace qgp

@@ -113,7 +113,7 @@ QueryEngine::QueryEngine(Graph graph, const EngineOptions& options)
       graph_(owned_graph_),
       options_(options),
       pool_(std::make_unique<ThreadPool>(ResolveThreads(options.num_threads))),
-      cache_(*graph_) {
+      cache_(*graph_, options.cache_budget_bytes) {
   NormalizeFocusSubset(options_.focus_subset, graph_->num_vertices());
   version_.store(graph_->version(), std::memory_order_release);
 }
@@ -122,7 +122,7 @@ QueryEngine::QueryEngine(const Graph* graph, const EngineOptions& options)
     : graph_(BorrowGraph(graph)),
       options_(options),
       pool_(std::make_unique<ThreadPool>(ResolveThreads(options.num_threads))),
-      cache_(*graph_) {
+      cache_(*graph_, options.cache_budget_bytes) {
   NormalizeFocusSubset(options_.focus_subset, graph_->num_vertices());
   version_.store(graph_->version(), std::memory_order_release);
 }
@@ -161,18 +161,9 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
             std::chrono::milliseconds(spec.timeout_ms),
         spec.options.cancel);
   }
-  const CancelToken* cancel_armed =
-      deadline_token.has_value() ? &*deadline_token : spec.options.cancel;
-  // No-cache-poisoning bracket: remember the candidate-cache admission
-  // epoch before any of this run's work so a cancelled unwind can roll
-  // its insertions back.
-  const uint64_t cache_mark = (cancel_armed != nullptr && spec.share_cache)
-                                  ? cache_.MarkEpoch()
-                                  : 0;
   // Resolve the matcher FIRST: everything downstream — result-cache key,
   // repair key, dispatch — speaks the effective algorithm, never the
   // submitted one. An unset spec algo runs as qmatch.
-  const CandidateCache::Stats cache_before = cache_.stats();
   const EngineAlgo effective =
       ResolveAlgo(spec.algo.value_or(EngineAlgo::kQMatch), spec.pattern,
                   graph_->num_vertices(), options_);
@@ -198,31 +189,31 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
     AccountAndShedPressure(outcome, /*failed=*/false);
     return outcome;
   }
+  // Delta-repair fast path: a positive qmatch query whose
+  // artifacts we stored at an earlier graph version is re-answered by
+  // repairing its candidate space and re-verifying only affected foci.
+  // Negated patterns are ineligible (every positified subtrahend would
+  // need re-evaluation anyway).
+  // Under a shard focus subset the repair path is disabled too: the
+  // subset entry points carry no repair artifacts, and a stored
+  // full-graph seed would repair to the UNRESTRICTED answer set.
+  const bool repair_eligible =
+      options_.enable_delta_repair && effective == EngineAlgo::kQMatch &&
+      spec.pattern.IsPositive() && !options_.focus_subset.has_value();
+  const bool use_results = options_.enable_result_cache;
+  std::string key;  // of the result cache and the repair store
+  if (use_results || repair_eligible) {
+    key = ResultKey(effective, effective_options, spec.pattern);
+  }
   // Result-cache probe: a repeat of an answered query is served from
-  // memory, replaying the original answers and work counters. Queries
-  // that bypass the shared state (share_cache = false) neither probe
-  // nor populate.
-  const bool use_results = options_.enable_result_cache && spec.share_cache;
-  std::string result_key;
+  // memory, replaying the original answers and work counters.
   if (use_results) {
-    result_key = ResultKey(effective, effective_options, spec.pattern);
     WallTimer hit_timer;
-    {
-      std::lock_guard<std::mutex> results_lock(results_mu_);
-      auto it = results_.find(result_key);
-      if (it != results_.end() && it->second.version == current_version) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru);  // refresh LRU
-        outcome.answers = it->second.answers;
-        outcome.stats = it->second.stats;
-        outcome.result_cache_hit = true;
-      } else if (it != results_.end()) {
-        // Stale stamp: ApplyDelta's sweep already removes these; the
-        // probe guard makes staleness impossible to serve regardless.
-        lru_.erase(it->second.lru);
-        results_.erase(it);
-      }
-    }
-    if (outcome.result_cache_hit) {
+    CachedResult hit;
+    if (cache_.FindResult(key, &hit)) {
+      outcome.answers = std::move(hit.answers);
+      outcome.stats = hit.stats;
+      outcome.result_cache_hit = true;
       outcome.wall_ms = hit_timer.ElapsedSeconds() * 1000.0;
       std::lock_guard<std::mutex> telemetry_lock(telemetry_mu_);
       ++stats_.queries;
@@ -234,30 +225,18 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
     // The miss is counted at the store point below: failed evaluations
     // are never cacheable, so they should not drag ResultHitRatio down.
   }
-  CandidateCache* cache = spec.share_cache ? &cache_ : nullptr;
+  // No-cache-poisoning bracket: remember the cache's admission epoch
+  // before any of this run's work so a cancelled unwind can roll its
+  // insertions back.
+  const uint64_t cache_mark = cache_.MarkEpoch();
+  const CandidateCache::Stats cache_before = cache_.stats();
   WallTimer timer;
   Result<AnswerSet> answers = Status::Ok();
-  // Delta-repair fast path: a positive qmatch query whose
-  // artifacts we stored at an earlier graph version is re-answered by
-  // repairing its candidate space and re-verifying only affected foci.
-  // Negated patterns are ineligible (every positified subtrahend would
-  // need re-evaluation anyway), as are cache-bypassing specs.
-  // Under a shard focus subset the repair path is disabled too: the
-  // subset entry points carry no repair artifacts, and a stored
-  // full-graph seed would repair to the UNRESTRICTED answer set.
-  const bool repair_eligible =
-      options_.enable_delta_repair && spec.share_cache &&
-      effective == EngineAlgo::kQMatch && spec.pattern.IsPositive() &&
-      !options_.focus_subset.has_value();
   QMatchArtifacts artifacts;
   QMatchArtifacts* artifacts_out = repair_eligible ? &artifacts : nullptr;
-  std::string repair_key;
   bool repaired_now = false;
   if (repair_eligible) {
-    repair_key = use_results
-                     ? result_key
-                     : ResultKey(effective, effective_options, spec.pattern);
-    auto rit = repair_.find(repair_key);
+    auto rit = repair_.find(key);
     if (rit != repair_.end()) {
       std::optional<GraphDeltaSummary> composed =
           ComposeDeltasSince(rit->second.version);
@@ -266,7 +245,7 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
         Result<AnswerSet> repaired = QMatch::EvaluateRepaired(
             spec.pattern, *graph_, effective_options, rit->second.space,
             rit->second.answers, *composed, &outcome.stats, pool_.get(),
-            cache, artifacts_out, &fell_back);
+            &cache_, artifacts_out, &fell_back);
         if (repaired.ok()) {
           answers = std::move(repaired);
           repaired_now = true;
@@ -298,10 +277,10 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
                                                *options_.focus_subset,
                                                effective_options,
                                                &outcome.stats, pool_.get(),
-                                               cache)
+                                               &cache_)
                       : QMatch::Evaluate(spec.pattern, *graph_,
                                          effective_options, &outcome.stats,
-                                         pool_.get(), cache, artifacts_out);
+                                         pool_.get(), &cache_, artifacts_out);
         break;
       case EngineAlgo::kPQMatch: {
         auto part = PartitionAdmitted();
@@ -348,46 +327,39 @@ Result<QueryOutcome> QueryEngine::SubmitAdmitted(const QuerySpec& spec) {
       // sets it interned are rolled back (they are complete by value,
       // but the invariant is "zero entries admitted by a timed-out
       // run", which makes cancellation perturbation-free and testable).
-      // The result cache and repair store only ever store on success,
-      // so they need no rollback.
-      if (spec.share_cache) cache_.EvictInsertedSince(cache_mark);
+      // Results and repair seeds are only ever stored on success, so
+      // they need no rollback.
+      cache_.EvictInsertedSince(cache_mark);
     }
     // Failures are load too: their wall time and cache traffic feed the
-    // cumulative stats, and the pressure valve below still runs — an
+    // cumulative stats, and the budget below is still enforced — an
     // error-heavy workload must neither under-report itself nor grow
-    // the candidate cache past its bound.
+    // the cache past its budget.
     AccountAndShedPressure(outcome, /*failed=*/true, code);
     return answers.status();
   }
   outcome.answers = std::move(answers).value();
-  AccountAndShedPressure(outcome, /*failed=*/false);
   if (repair_eligible) {
     // Store (or refresh) the repair seed at the current version. The
     // bound sheds an arbitrary entry — the store is a seed cache, not a
     // correctness structure, so any victim is acceptable.
     constexpr size_t kRepairStoreMaxEntries = 64;
-    if (repair_.find(repair_key) == repair_.end() &&
+    if (repair_.find(key) == repair_.end() &&
         repair_.size() >= kRepairStoreMaxEntries) {
       repair_.erase(repair_.begin());
     }
-    repair_[std::move(repair_key)] = RepairEntry{
-        std::move(artifacts.pi_space), outcome.answers, current_version};
+    repair_[key] = RepairEntry{std::move(artifacts.pi_space),
+                               outcome.answers, current_version};
   }
   if (use_results) {
     {
       std::lock_guard<std::mutex> telemetry_lock(telemetry_mu_);
       ++stats_.result_misses;
     }
-    std::lock_guard<std::mutex> results_lock(results_mu_);
-    lru_.push_front(result_key);
-    results_[std::move(result_key)] = ResultEntry{
-        outcome.answers, outcome.stats, lru_.begin(), current_version};
-    if (options_.result_cache_max_entries > 0 &&
-        results_.size() > options_.result_cache_max_entries) {
-      results_.erase(lru_.back());  // least recently used
-      lru_.pop_back();
-    }
+    cache_.AdmitResult(std::move(key),
+                       CachedResult{outcome.answers, outcome.stats});
   }
+  AccountAndShedPressure(outcome, /*failed=*/false);
   return outcome;
 }
 
@@ -474,24 +446,12 @@ Result<DeltaOutcome> QueryEngine::ApplyDeltaAdmitted(const GraphDelta& delta) {
   constexpr size_t kDeltaLogMaxEntries = 64;
   delta_log_.push_back(std::move(summary));
   if (delta_log_.size() > kDeltaLogMaxEntries) delta_log_.pop_front();
-  // Version-keyed invalidation: exactly the stale entries go. The
-  // candidate cache compares stamps internally; the result cache is
-  // swept here (every pre-delta entry is stale by construction). The
-  // repair store is deliberately NOT swept — stale spaces are the
-  // repair seeds.
-  out.candidate_sets_evicted = cache_.EvictStale();
-  {
-    std::lock_guard<std::mutex> results_lock(results_mu_);
-    for (auto it = results_.begin(); it != results_.end();) {
-      if (it->second.version != out.graph_version) {
-        lru_.erase(it->second.lru);
-        it = results_.erase(it);
-        ++out.results_invalidated;
-      } else {
-        ++it;
-      }
-    }
-  }
+  // Version-keyed invalidation: exactly the stale entries go (every
+  // pre-delta entry is stale by construction). The repair store is
+  // deliberately NOT swept — stale spaces are the repair seeds.
+  const CandidateCache::StaleEvicted stale = cache_.EvictStale();
+  out.candidate_sets_evicted = stale.sets;
+  out.results_invalidated = stale.results;
   out.partition_invalidated = partition_.has_value();
   partition_.reset();
   out.wall_ms = timer.ElapsedSeconds() * 1000.0;
@@ -563,25 +523,9 @@ void QueryEngine::AccountAndShedPressure(const QueryOutcome& outcome,
     stats_.cache_hits += outcome.cache_hits;
     stats_.cache_misses += outcome.cache_misses;
   }
-  // Pressure policy: shed sets no live evaluation references once the
-  // pool outgrows the configured bound. Interned sets are equal by value
-  // to freshly computed ones, so eviction can only cost recomputation,
-  // never answers. Runs on the failure path too — a failed evaluation
-  // still interned whatever filters it touched before erroring out.
-  if (options_.cache_max_entries > 0 &&
-      cache_.size() > options_.cache_max_entries) {
-    const size_t evicted = cache_.EvictUnused();
-    std::lock_guard<std::mutex> telemetry_lock(telemetry_mu_);
-    stats_.cache_evicted += evicted;
-  }
-}
-
-size_t QueryEngine::ClearResultCache() {
-  std::lock_guard<std::mutex> lock(results_mu_);
-  const size_t cleared = results_.size();
-  results_.clear();
-  lru_.clear();
-  return cleared;
+  // What the finished evaluation held is evictable now; failed ones
+  // interned sets too.
+  cache_.EvictToBudget();
 }
 
 size_t QueryEngine::EvictUnused() {
@@ -614,8 +558,12 @@ Result<const Partition*> QueryEngine::PartitionAdmitted() {
 }
 
 EngineStats QueryEngine::stats() const {
+  // Budget evictions happen inside the cache, on admission.
+  const uint64_t budget_evicted = cache_.stats().evicted;
   std::lock_guard<std::mutex> lock(telemetry_mu_);
-  return stats_;
+  EngineStats out = stats_;
+  out.cache_evicted += budget_evicted;
+  return out;
 }
 
 }  // namespace qgp

@@ -5,15 +5,14 @@
 /// The multi-query engine layer: one long-lived QueryEngine per loaded
 /// graph, evaluating a stream or batch of quantified patterns through a
 /// shared CandidateCache and a shared ThreadPool. This is the "server
-/// scenario" of the ROADMAP: per-graph work (label/degree candidate
-/// filters, the worker pool, the DPar partition) is paid once and
+/// scenario" of the ROADMAP: per-graph work (candidate sets, stored
+/// results, the worker pool, the DPar partition) is paid once and
 /// amortized across the query mix instead of being torn down after every
 /// evaluation.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -77,18 +76,13 @@ struct QuerySpec {
   /// `options.cancel` itself from receipt time instead). On expiry the
   /// evaluation unwinds cooperatively and Submit returns
   /// kDeadlineExceeded; nothing the run computed is admitted into the
-  /// result/candidate caches, so a timed-out query perturbs
+  /// engine's cache, so a timed-out query perturbs
   /// nothing — re-running without the deadline answers byte-identically
   /// to an engine that never saw the timeout (the engine timeout
   /// differential test locks this down). Composes with an external
   /// `options.cancel` token: the engine's deadline token chains to it as
   /// a parent, and whichever fires first wins.
   int64_t timeout_ms = 0;
-  /// Cache admission: when false this query bypasses the engine's shared
-  /// CandidateCache (it still interns within itself). Use it for one-off
-  /// patterns whose filters would pollute the pool without ever being
-  /// reused.
-  bool share_cache = true;
   /// Caller-chosen label echoed back in the QueryOutcome (request id,
   /// workload family, ...). Not interpreted by the engine.
   std::string tag;
@@ -108,8 +102,8 @@ struct QueryOutcome {
   /// On a result-cache hit this is the effective algorithm of the probe
   /// (the stored entry was keyed on exactly it).
   EngineAlgo algo = EngineAlgo::kQMatch;
-  /// Shared-cache hits/misses attributable to this query (both zero when
-  /// the spec opted out via share_cache = false).
+  /// Candidate-set and simulation-memo hits/misses in the engine's cache
+  /// attributable to this query (result probes are not counted here).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// True when the whole result was served from the engine's result
@@ -134,9 +128,9 @@ struct DeltaOutcome {
   size_t vertices_removed = 0;
   size_t edges_added = 0;
   size_t edges_removed = 0;
-  /// Stale interned candidate sets dropped from the shared cache.
+  /// Stale candidate sets and memo entries dropped from the cache.
   size_t candidate_sets_evicted = 0;
-  /// Stale result-cache entries dropped.
+  /// Stale stored results dropped from the cache.
   size_t results_invalidated = 0;
   /// True when a built DPar partition was discarded (it is rebuilt
   /// lazily on the next partition-parallel query).
@@ -153,11 +147,11 @@ struct EngineOptions {
   /// 0 = hardware concurrency; 1 starts no worker and runs every
   /// fan-out inline.
   size_t num_threads = 0;
-  /// Cache pressure policy: after a query completes, if the shared
-  /// CandidateCache holds more than this many interned sets, the engine
-  /// runs EvictUnused() (dropping every set no live query references).
-  /// 0 = unbounded (never evict implicitly).
-  size_t cache_max_entries = 0;
+  /// Byte budget of the engine's one cache (CandidateCache, which also
+  /// holds stored results): on every admission and after every query,
+  /// entries no running query references are evicted, least recently
+  /// used first, until it fits. 0 = unbounded.
+  size_t cache_budget_bytes = size_t{256} << 20;
   /// DPar fragment count n for the lazily built partition that serves
   /// kPQMatch queries.
   size_t partition_fragments = 4;
@@ -172,8 +166,6 @@ struct EngineOptions {
   /// clock; the engine-batch differential suite asserts exactly that.
   /// Off by default: repeat-heavy server traffic should opt in.
   bool enable_result_cache = false;
-  /// LRU capacity of the result cache (entries). 0 = unbounded.
-  size_t result_cache_max_entries = 1024;
   /// Delta repair: when a positive qmatch query that was
   /// answered before returns after ApplyDelta calls, repair its
   /// candidate space incrementally and re-verify only foci within
@@ -220,15 +212,14 @@ struct EngineStats {
   MatchStats match;
   /// Sum of per-query wall clock, milliseconds.
   double wall_ms = 0;
-  /// Shared-cache hits/misses across all queries (admission-bypassing
-  /// queries contribute nothing).
+  /// Candidate-set and memo hits/misses across all queries.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// Interned sets dropped by the cache_max_entries pressure policy and
-  /// by explicit EvictUnused() calls.
+  /// Cache entries dropped by cache_budget_bytes, by explicit
+  /// EvictUnused() calls and, for sets, by ApplyDelta's sweep.
   uint64_t cache_evicted = 0;
   /// Result-cache hits/misses (both stay zero when the result cache is
-  /// disabled; admission-bypassing queries count as neither).
+  /// disabled).
   uint64_t result_hits = 0;
   uint64_t result_misses = 0;
   /// Applied graph deltas and their cumulative apply+invalidation time.
@@ -285,9 +276,10 @@ static_assert(sizeof(EngineStats) == FieldBytes(EngineStats::Fields()),
 /// The engine owns the three per-graph artifacts every evaluation needs
 /// and keeps them warm across queries:
 ///
-///  * a CandidateCache interning label/degree candidate sets — queries
-///    that share filter keys (pattern families, positified variants,
-///    repeated requests) hit instead of recomputing;
+///  * a CandidateCache interning candidate sets and, with the result
+///    cache on, whole outcomes — queries that share filter keys
+///    (pattern families, positified variants, repeated requests) hit
+///    instead of recomputing;
 ///  * a ThreadPool, the one executor of every fan-out its queries make:
 ///    the work-stealing match scheduler, the parallel CandidateSpace
 ///    build, the lazy DPar build and the PQMatch fragments;
@@ -301,21 +293,20 @@ static_assert(sizeof(EngineStats) == FieldBytes(EngineStats::Fields()),
 /// a slot computes (README "Concurrency model"). Only the scheduler
 /// telemetry (MatchStats::scheduler_tasks/scheduler_steals) may vary.
 ///
-/// Thread safety: Submit/RunBatch/EvictUnused/ClearResultCache/stats may
-/// be called from any thread. Queries are admitted one at a time (an
+/// Thread safety: Submit/RunBatch/EvictUnused/stats may be called from
+/// any thread. Queries are admitted one at a time (an
 /// internal admission mutex); each admitted query then fans out over the
 /// whole shared pool, which keeps the machine saturated without
 /// oversubscribing it. Callers wanting overlap across queries submit
 /// from multiple client threads and let admission order decide.
 ///
-/// Monitoring never stalls behind evaluation: telemetry (stats()), the
-/// candidate-cache pressure valve (EvictUnused()) and the result cache
-/// (ClearResultCache()) live behind their own short-held locks, NOT the
-/// admission lock — a monitoring thread gets an answer in microseconds
-/// even while a multi-second query is mid-flight (the engine concurrency
-/// suite asserts this). A stats() snapshot taken mid-query reflects
-/// every query completed so far; totals are exact whenever no query is
-/// in flight.
+/// Monitoring never stalls behind evaluation: telemetry (stats()) and the
+/// cache's pressure valve (EvictUnused()) live behind their own
+/// short-held locks, NOT the admission lock — a monitoring thread gets
+/// an answer in microseconds even while a multi-second query is
+/// mid-flight (the engine concurrency suite asserts this). A stats()
+/// snapshot taken mid-query reflects every query completed so far;
+/// totals are exact whenever no query is in flight.
 class QueryEngine {
  public:
   /// Owning constructor: the engine takes the loaded graph.
@@ -340,9 +331,9 @@ class QueryEngine {
   /// it queue behind it — every query sees entirely the pre-delta or
   /// entirely the post-delta graph, never a mix (ARCHITECTURE.md
   /// "Mutable graphs" explains why block-not-snapshot). On success the
-  /// graph version increases and every version-stamped cache is swept:
-  /// stale interned candidate sets and stale result-cache entries are
-  /// dropped (exactly the stale ones), and a built partition is
+  /// graph version increases and the cache is swept: stale candidate
+  /// sets, memo entries and stored results are dropped (exactly the
+  /// stale ones), and a built partition is
   /// discarded for lazy rebuild. On failure the graph, the caches and
   /// the version are untouched.
   Result<DeltaOutcome> ApplyDelta(const GraphDelta& delta);
@@ -381,15 +372,11 @@ class QueryEngine {
   /// batch enjoys the same warm-cache behavior a stream of Submits does.
   Result<std::vector<QueryOutcome>> RunBatch(std::span<const QuerySpec> specs);
 
-  /// Explicitly drops interned candidate sets no live evaluation
-  /// references (counted in EngineStats::cache_evicted). Safe to call
-  /// between queries at any time; answers never change (locked down by
-  /// the eviction-interleaved differential tests).
+  /// Explicitly drops cache entries no live evaluation references, stored
+  /// results included (counted in EngineStats::cache_evicted). Safe to
+  /// call between queries at any time; answers never change (locked down
+  /// by the eviction-interleaved differential tests).
   size_t EvictUnused();
-
-  /// Drops every stored result-cache entry; returns how many. Safe
-  /// between queries — subsequent repeats simply re-evaluate.
-  size_t ClearResultCache();
 
   /// Drain flag, set by a shutting-down service before it cancels its
   /// in-flight work. While draining, ApplyDelta stops waiting forever
@@ -417,26 +404,15 @@ class QueryEngine {
   /// contribute their wall time and cache traffic too, so an
   /// error-heavy workload reports its true load.
   EngineStats stats() const;
-  /// The shared intern pool (for diagnostics; prefer EvictUnused()).
+  /// The engine's cache (for diagnostics; prefer EvictUnused()).
   CandidateCache& cache() { return cache_; }
   /// The shared worker pool.
   ThreadPool& pool() { return *pool_; }
 
  private:
-  /// One stored result; `lru` points at this entry's slot in lru_.
-  /// `version` stamps the graph the outcome was computed against —
-  /// ApplyDelta sweeps entries whose stamp it outdates, and the probe
-  /// re-checks as a belt-and-suspenders guard.
-  struct ResultEntry {
-    AnswerSet answers;
-    MatchStats stats;
-    std::list<std::string>::iterator lru;
-    uint64_t version = 0;
-  };
-
   /// Stored artifacts of one positive qmatch evaluation, the
-  /// seed for the delta-repair fast path. Unlike result-cache entries
-  /// these survive ApplyDelta — a stale space is exactly what Repair
+  /// seed for the delta-repair fast path. Unlike stored results these
+  /// survive ApplyDelta — a stale space is exactly what Repair
   /// starts from.
   struct RepairEntry {
     CandidateSpace space;
@@ -459,10 +435,10 @@ class QueryEngine {
   std::optional<GraphDeltaSummary> ComposeDeltasSince(
       uint64_t from_version) const;
   /// Commits one finished query (successful or failed) into stats_ and
-  /// runs the cache_max_entries pressure policy — the single exit path
-  /// shared by every evaluation outcome. `failure_code` (kOk on success)
-  /// classifies failures: kDeadlineExceeded / kCancelled feed the
-  /// timeouts / cancellations counters.
+  /// brings the cache back within its byte budget — the single exit
+  /// path shared by every evaluation outcome. `failure_code` (kOk on
+  /// success) classifies failures: kDeadlineExceeded / kCancelled feed
+  /// the timeouts / cancellations counters.
   void AccountAndShedPressure(const QueryOutcome& outcome, bool failed,
                               StatusCode failure_code = StatusCode::kOk);
 
@@ -475,9 +451,10 @@ class QueryEngine {
   std::unique_ptr<ThreadPool> pool_;
   CandidateCache cache_;
   std::optional<Partition> partition_;
-  /// Lock order: admission_mu_ → results_mu_ / telemetry_mu_ (the two
-  /// leaf locks are never held together). Monitoring paths take only a
-  /// leaf lock, so they cannot stall behind an admitted evaluation.
+  /// Lock order: admission_mu_ → the cache's own mutex / telemetry_mu_
+  /// (the two leaf locks are never held together). Monitoring paths
+  /// take only a leaf lock, so they cannot stall behind an admitted
+  /// evaluation.
   ///
   /// Admission: held across one whole evaluation (and the lazy partition
   /// build) — queries run one at a time, each owning the shared pool.
@@ -488,12 +465,6 @@ class QueryEngine {
   /// Telemetry: guards stats_ only; held for counter commits/snapshots.
   mutable std::mutex telemetry_mu_;
   EngineStats stats_;
-  /// Result cache: canonical (algo, options, pattern) key → stored
-  /// outcome, LRU order maintained in lru_ (front = most recent), both
-  /// guarded by results_mu_ (held for probe/store/clear only).
-  mutable std::mutex results_mu_;
-  std::unordered_map<std::string, ResultEntry> results_;
-  std::list<std::string> lru_;
   /// Mutability state. version_ mirrors graph_->version() for lock-free
   /// reads; it is written only under the admission lock. delta_log_ and
   /// repair_ are touched only under the admission lock (deltas and

@@ -253,8 +253,6 @@ Result<ServiceRequest> DecodeRequest(std::string_view line) {
       request.algo = algo;
     } else if (key == "options") {
       QGP_ASSIGN_OR_RETURN(request.options, DecodeOptions(v));
-    } else if (key == "share_cache") {
-      QGP_ASSIGN_OR_RETURN(request.share_cache, As<bool>(v, key));
     } else if (key == "timeout_ms") {
       QGP_ASSIGN_OR_RETURN(request.timeout_ms, As<int64_t>(v, key));
     } else if (key == "add_vertices") {
@@ -315,7 +313,6 @@ std::string EncodeRequest(const ServiceRequest& request) {
   if (request.op == ServiceRequest::Op::kQuery) {
     out["pattern"] = request.pattern_text;
     if (request.algo.has_value()) out["algo"] = EngineAlgoName(*request.algo);
-    if (!request.share_cache) out["share_cache"] = false;
     if (request.timeout_ms > 0) {
       out["timeout_ms"] = static_cast<uint64_t>(request.timeout_ms);
     }
@@ -515,6 +512,10 @@ Result<ServiceResponse> DecodeResponse(std::string_view line) {
   }
   response.body = std::move(doc);
   return response;
+}
+
+Result<uint64_t> ReadCount(const JsonValue& body, const std::string& field) {
+  return Read(body, field);
 }
 
 }  // namespace qgp::service

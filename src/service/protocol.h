@@ -10,8 +10,7 @@
 ///
 /// Requests:
 ///   {"op":"query","pattern":"node xo person\n...","algo":"qmatch",
-///    "options":{"ball_limit":4096},"share_cache":true,
-///    "timeout_ms":250,"tag":"req-17"}
+///    "options":{"ball_limit":4096},"timeout_ms":250,"tag":"req-17"}
 ///                                  — "algo" is "qmatch", "pqmatch" or
 ///                                    "auto" (the engine picks);
 ///                                    omitted = "qmatch".
@@ -84,7 +83,6 @@ struct ServiceRequest {
   /// Every knob but max_isomorphisms travels: no served matcher reads
   /// it, so the codec neither decodes nor encodes it.
   MatchOptions options;
-  bool share_cache = true;
   /// End-to-end deadline in milliseconds, 0 = none (kQuery only). The
   /// server arms a CancelToken from the moment it reads the request;
   /// see the wire-spec comment above for the semantics.
@@ -189,6 +187,10 @@ std::string EncodeShutdownResponse();
 
 /// Parses one response line (client side).
 Result<ServiceResponse> DecodeResponse(std::string_view line);
+
+/// Reads the required count `field` of a response body, such as a delta
+/// response's "edges_added": an integer in [0, 2^53], never truncated.
+Result<uint64_t> ReadCount(const JsonValue& body, const std::string& field);
 
 /// A stats struct (MatchStats, EngineStats, ServiceStats) <-> JSON
 /// object, one key per entry of its Fields() list. Decoding is strict:

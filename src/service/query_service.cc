@@ -280,7 +280,6 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
   }
   spec.algo = request.algo;
   spec.options = request.options;
-  spec.share_cache = request.share_cache;
   spec.tag = request.tag;
 
   // Per-request cancellation token, parented to the drain token so one

@@ -28,7 +28,6 @@ Result<QueryOutcome> InProcessShard::Submit(const ShardQuery& query) {
   spec.pattern = std::move(pattern);
   spec.algo = query.algo;
   spec.options = query.options;
-  spec.share_cache = query.share_cache;
   spec.tag = query.tag;
   // No spec.timeout_ms: the coordinator's per-shard CancelToken (in
   // query.options.cancel) already carries the deadline.
@@ -49,7 +48,6 @@ Result<QueryOutcome> RemoteShard::Submit(const ShardQuery& query) {
   request.algo = query.algo;
   request.options = query.options;
   request.options.cancel = nullptr;  // pointers do not serialize
-  request.share_cache = query.share_cache;
   request.timeout_ms = query.timeout_ms;
   request.tag = query.tag;
   QGP_ASSIGN_OR_RETURN(service::ServiceResponse response,

@@ -50,7 +50,6 @@ struct ShardQuery {
   /// `timeout_ms` plus the client read timeout instead (a pointer does
   /// not serialize).
   MatchOptions options;
-  bool share_cache = true;
   /// Wire deadline for remote shards, milliseconds, 0 = none.
   int64_t timeout_ms = 0;
   std::string tag;

@@ -142,7 +142,6 @@ Result<ShardedOutcome> ShardedEngine::Submit(const QuerySpec& spec) {
     query.algo = spec.algo;
     query.options = spec.options;
     query.options.cancel = tokens[i];
-    query.share_cache = spec.share_cache;
     query.timeout_ms = options_.shard_timeout_ms > 0 ? options_.shard_timeout_ms
                                                      : spec.timeout_ms;
     query.tag = spec.tag;

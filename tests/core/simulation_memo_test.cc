@@ -1,9 +1,9 @@
 // The CandidateCache simulation memo: quantifier variants of one
 // stratified topology share one dual-simulation result at a graph
 // version, anything that changes the topology or the version misses, the
-// pool's eviction sweeps (stale, unused, rollback) cover memo entries,
-// and a Build through a shared pool equals a pool-less Build member for
-// member through random deltas.
+// pool's eviction sweeps (stale, unused, rollback, byte budget) cover
+// memo entries, and a Build through a shared pool equals a pool-less
+// Build member for member through random deltas.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -141,7 +141,9 @@ TEST(SimulationMemoTest, DeltaVersionMissesAndEvictStaleDrops) {
   EXPECT_FALSE(cache.FindSimulation(p, &sets)) << "stale entry served";
 
   const size_t entries = cache.size();
-  EXPECT_EQ(cache.EvictStale(), entries) << "every entry predates the delta";
+  const CandidateCache::StaleEvicted stale = cache.EvictStale();
+  EXPECT_EQ(stale.sets, entries) << "every entry predates the delta";
+  EXPECT_EQ(stale.results, 0u);
   EXPECT_EQ(cache.size(), 0u);
 
   const CandidateSpace after = BuildWith(p, g, &cache);
@@ -177,6 +179,28 @@ TEST(SimulationMemoTest, EvictUnusedKeepsReferencedEntries) {
   for (PatternNodeId u = 0; u < held_pattern.num_nodes(); ++u) {
     EXPECT_EQ(sets[u].get(), held.stratified_set(u).get());
   }
+}
+
+// A memo entry some live space references outlives any byte budget,
+// one byte included; the seeds' label/degree sets nobody holds do not.
+TEST(SimulationMemoTest, ReferencedEntriesSurviveAOneByteBudget) {
+  Graph g = testing::BuildG1(nullptr);
+  CandidateCache cache(g, /*budget_bytes=*/1);
+  const Pattern p = FollowRecom(g.mutable_dict(), Quantifier());
+  {
+    const CandidateSpace held = BuildWith(p, g, &cache);
+    EXPECT_EQ(cache.EvictToBudget(), 0u) << "the seeds went on admission";
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_GT(cache.bytes(), 1u);
+    std::vector<CandidateSetRef> sets;
+    ASSERT_TRUE(cache.FindSimulation(p, &sets));
+    for (PatternNodeId u = 0; u < p.num_nodes(); ++u) {
+      EXPECT_EQ(sets[u].get(), held.stratified_set(u).get());
+    }
+  }
+  EXPECT_EQ(cache.EvictToBudget(), 1u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
 }
 
 TEST(SimulationMemoTest, EvictInsertedSinceRollsAnEntryBack) {

@@ -1,5 +1,5 @@
 // Engine monitoring-under-load suite: telemetry and maintenance entry
-// points (stats / EvictUnused / ClearResultCache) must never stall
+// points (stats / EvictUnused) must never stall
 // behind a running evaluation — they live behind their own short-held
 // leaf locks, not the admission lock. The suite drives them
 // concurrently with long Submit batches (the TSan CI leg runs it via
@@ -109,9 +109,9 @@ TEST(EngineConcurrencyTest, StatsIsSubMillisecondWhileBatchRuns) {
 
 // Monitoring and maintenance from many threads concurrent with
 // evaluation: no deadlock, no lost counts, and (under the TSan leg) no
-// data races. ClearResultCache and EvictUnused interleave with Submits
-// without perturbing answers — each query's answers are compared
-// against a serial reference run.
+// data races. EvictUnused, which also drops stored results, interleaves
+// with Submits and result-cache probes without perturbing answers —
+// each query's answers are compared against a serial reference run.
 TEST(EngineConcurrencyTest, MaintenanceRacesEvaluationSafely) {
   Graph g = MakeGraph(13, 120);
   std::vector<QuerySpec> workload = MakeWorkload(g, 13, 4);
@@ -136,7 +136,6 @@ TEST(EngineConcurrencyTest, MaintenanceRacesEvaluationSafely) {
   std::thread evictor([&] {
     while (!stop.load()) {
       engine.EvictUnused();
-      engine.ClearResultCache();
       std::this_thread::yield();
     }
   });

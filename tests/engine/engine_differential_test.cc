@@ -173,22 +173,34 @@ TEST(EngineDifferentialTest, EvictionBetweenEntriesChangesNothing) {
   EXPECT_GE(compared, 40u);
 }
 
-// The hard pressure policy (cache_max_entries = 1) exercises the
-// admit-evict-readmit churn path on every query.
+// A one-byte budget, result cache on, exercises the admit-evict-readmit
+// churn path on every admission: no stored result or set outlives its
+// query, and the cache is back within budget after every query.
 TEST(EngineDifferentialTest, HardPressurePolicyChangesNothing) {
   for (uint64_t seed = 2; seed <= 4; ++seed) {
     Graph g = MakeGraph(seed + 60);
     Reference ref = MakeReference(g, seed + 60);
-    EngineOptions opts;
-    opts.num_threads = 2;
-    opts.cache_max_entries = 1;
-    QueryEngine engine(&g, opts);
-    auto outcomes = engine.RunBatch(ref.workload);
-    ASSERT_TRUE(outcomes.ok());
-    for (size_t i = 0; i < outcomes->size(); ++i) {
-      EXPECT_EQ((*outcomes)[i].answers, ref.answers[i]);
-      testing::ExpectSameWork((*outcomes)[i].stats, ref.stats[i],
-                     "pressure seed " + std::to_string(seed));
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      EngineOptions opts;
+      opts.num_threads = threads;
+      opts.cache_budget_bytes = 1;
+      opts.enable_result_cache = true;
+      QueryEngine engine(&g, opts);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t i = 0; i < ref.workload.size(); ++i) {
+          const std::string context =
+              "pressure seed " + std::to_string(seed) + " threads " +
+              std::to_string(threads) + " pass " + std::to_string(pass) +
+              " " + ref.workload[i].tag;
+          auto outcome = engine.Submit(ref.workload[i]);
+          ASSERT_TRUE(outcome.ok()) << context;
+          EXPECT_EQ(outcome->answers, ref.answers[i]) << context;
+          testing::ExpectSameWork(outcome->stats, ref.stats[i], context);
+          EXPECT_LE(engine.cache().bytes(), opts.cache_budget_bytes)
+              << context;
+        }
+      }
+      EXPECT_EQ(engine.stats().result_hits, 0u);
     }
   }
 }

@@ -230,24 +230,25 @@ TEST(PlannerDecisions, QuantifierVariantsPlanAlike) {
   for (EngineAlgo algo : chosen) EXPECT_EQ(algo, EngineAlgo::kQMatch);
 }
 
-TEST(PlannerDecisions, CacheBypassingSpecsPlanAlike) {
+TEST(PlannerDecisions, FreshAndWarmEnginesPlanAlike) {
   Graph g = MakeTinyFocusGraph();
-  // Resolving auto reads no cache, so bypassing changes nothing.
+  // Resolving auto reads no cache, so a warm engine resolves a query
+  // exactly as a fresh one does.
+  QueryEngine warm(&g);
   for (const Quantifier& quant : {Quantifier::Numeric(QuantOp::kGe, 1),
                                   Quantifier::Numeric(QuantOp::kGe, 2)}) {
-    QueryEngine engine(&g);
     QuerySpec spec;
     spec.pattern = UserPattern(quant);
     spec.algo = EngineAlgo::kAuto;
-    spec.share_cache = false;
-    auto bypassing = engine.Submit(spec);
-    ASSERT_TRUE(bypassing.ok());
-    EXPECT_EQ(engine.cache().size(), 0u) << "a bypassing spec interned";
-    spec.share_cache = true;
-    auto shared = engine.Submit(spec);
-    ASSERT_TRUE(shared.ok());
-    EXPECT_EQ(bypassing->algo, shared->algo);
-    EXPECT_EQ(bypassing->answers, shared->answers);
+    ASSERT_TRUE(warm.Submit(spec).ok());
+    QueryEngine fresh(&g);
+    auto cold = fresh.Submit(spec);
+    auto hot = warm.Submit(spec);
+    ASSERT_TRUE(cold.ok());
+    ASSERT_TRUE(hot.ok());
+    EXPECT_GT(hot->cache_hits, 0u);
+    EXPECT_EQ(cold->algo, hot->algo);
+    EXPECT_EQ(cold->answers, hot->answers);
   }
 }
 

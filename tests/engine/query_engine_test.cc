@@ -1,7 +1,7 @@
 // QueryEngine unit tests: algorithm dispatch equals the standalone
-// APIs, cumulative stats and cache telemetry accumulate, the admission
-// and pressure policies behave, and the lazily built partition matches
-// a standalone DPar build.
+// APIs, cumulative stats and cache telemetry accumulate, the cache's
+// byte budget holds, and the lazily built partition matches a standalone
+// DPar build.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -253,27 +253,33 @@ TEST(QueryEngineTest, WarmCacheHitsAndIdenticalAnswers) {
   }
 }
 
-TEST(QueryEngineTest, CacheAdmissionOptOut) {
+// A warm engine answers each pattern exactly like a fresh engine that
+// never saw it: the same answers and work, while the fresh one misses
+// where the warm one hits.
+TEST(QueryEngineTest, FreshEngineMatchesWarmEngine) {
   Graph g = MakeGraph(13);
-  std::vector<Pattern> patterns = MakePatterns(g, 1);
+  std::vector<Pattern> patterns = MakePatterns(g, 3);
   ASSERT_FALSE(patterns.empty());
-  QueryEngine engine(&g);
-  QuerySpec spec;
-  spec.pattern = patterns[0];
-  spec.share_cache = false;
-  auto outcome = engine.Submit(spec);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->cache_hits, 0u);
-  EXPECT_EQ(outcome->cache_misses, 0u);
-  EXPECT_EQ(engine.cache().size(), 0u) << "opted-out query polluted the pool";
-
-  // Same query with admission: identical answers, real misses.
-  spec.share_cache = true;
-  auto shared = engine.Submit(spec);
-  ASSERT_TRUE(shared.ok());
-  EXPECT_EQ(shared->answers, outcome->answers);
-  EXPECT_GT(shared->cache_misses, 0u);
-  EXPECT_GT(engine.cache().size(), 0u);
+  QueryEngine warm(&g);
+  for (const Pattern& q : patterns) {
+    QuerySpec spec;
+    spec.pattern = q;
+    ASSERT_TRUE(warm.Submit(spec).ok());
+  }
+  for (const Pattern& q : patterns) {
+    QuerySpec spec;
+    spec.pattern = q;
+    QueryEngine fresh(&g);
+    auto cold = fresh.Submit(spec);
+    auto hot = warm.Submit(spec);
+    ASSERT_TRUE(cold.ok());
+    ASSERT_TRUE(hot.ok());
+    EXPECT_EQ(cold->answers, hot->answers);
+    testing::ExpectSameWork(cold->stats, hot->stats, q.ToString(&g.dict()));
+    EXPECT_GT(cold->cache_misses, 0u);
+    EXPECT_EQ(hot->cache_misses, 0u);
+    EXPECT_GT(hot->cache_hits, 0u);
+  }
 }
 
 TEST(QueryEngineTest, PressurePolicyEvicts) {
@@ -281,7 +287,7 @@ TEST(QueryEngineTest, PressurePolicyEvicts) {
   std::vector<Pattern> patterns = MakePatterns(g, 6, /*num_negated=*/1);
   ASSERT_GE(patterns.size(), 3u);
   EngineOptions opts;
-  opts.cache_max_entries = 1;  // evict after nearly every query
+  opts.cache_budget_bytes = 1;  // evict on every admission
   QueryEngine bounded(&g, opts);
   QueryEngine unbounded(&g);
   for (const Pattern& q : patterns) {
@@ -296,6 +302,7 @@ TEST(QueryEngineTest, PressurePolicyEvicts) {
   }
   EXPECT_GT(bounded.stats().cache_evicted, 0u);
   EXPECT_LE(bounded.cache().size(), unbounded.cache().size());
+  EXPECT_LE(bounded.cache().bytes(), opts.cache_budget_bytes);
 }
 
 TEST(QueryEngineTest, ExplicitEvictUnusedIsCounted) {
@@ -394,77 +401,106 @@ TEST(QueryEngineTest, ResultCacheKeepsNegationModesApart) {
   EXPECT_EQ(stats.result_misses, 2 * checked);
 }
 
+// The byte budget evicts stored results least recently used first: with
+// room for exactly one query's entries, each new query pushes out the
+// older ones and only the newest stays resident. EvictUnused clears what
+// is left, and a repeat re-evaluates to the same answers. (The store's
+// own least-recently-used order is pinned in candidate_cache_test.)
 TEST(QueryEngineTest, ResultCacheLruEvictsAndClearWorks) {
   Graph g = MakeGraph(37);
   std::vector<Pattern> patterns = MakePatterns(g, 4);
   ASSERT_GE(patterns.size(), 3u);
-  EngineOptions opts;
-  opts.enable_result_cache = true;
-  opts.result_cache_max_entries = 2;
+  EngineOptions roomy;
+  roomy.enable_result_cache = true;
+  QuerySpec spec;
+  spec.pattern = patterns[2];
+  size_t last_query_bytes = 0;
+  {
+    QueryEngine alone(&g, roomy);
+    ASSERT_TRUE(alone.Submit(spec).ok());
+    last_query_bytes = alone.cache().bytes();
+  }
+  ASSERT_GT(last_query_bytes, 0u);
+  EngineOptions opts = roomy;
+  opts.cache_budget_bytes = last_query_bytes;
   QueryEngine engine(&g, opts);
   auto submit = [&](const Pattern& q) {
-    QuerySpec spec;
-    spec.pattern = q;
-    auto outcome = engine.Submit(spec);
+    QuerySpec one;
+    one.pattern = q;
+    auto outcome = engine.Submit(one);
     ASSERT_TRUE(outcome.ok());
   };
   submit(patterns[0]);
   submit(patterns[1]);
-  submit(patterns[2]);  // capacity 2: evicts patterns[0]
-  QuerySpec spec;
+  submit(patterns[2]);  // room for one query: evicts the older entries
+  EXPECT_LE(engine.cache().bytes(), opts.cache_budget_bytes);
+  auto kept = engine.Submit(spec);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_TRUE(kept->result_cache_hit) << "the newest result was evicted";
   spec.pattern = patterns[0];
   auto evicted = engine.Submit(spec);
   ASSERT_TRUE(evicted.ok());
   EXPECT_FALSE(evicted->result_cache_hit) << "LRU entry should be gone";
-  spec.pattern = patterns[2];
-  auto kept = engine.Submit(spec);
-  ASSERT_TRUE(kept.ok());
-  EXPECT_TRUE(kept->result_cache_hit);
+  EXPECT_GT(engine.stats().cache_evicted, 0u);
 
-  EXPECT_EQ(engine.ClearResultCache(), 2u);
+  EXPECT_GE(engine.EvictUnused(), 1u);
+  EXPECT_EQ(engine.cache().size(), 0u);
   auto after_clear = engine.Submit(spec);
   ASSERT_TRUE(after_clear.ok());
   EXPECT_FALSE(after_clear->result_cache_hit);
-  EXPECT_EQ(after_clear->answers, kept->answers);
+  EXPECT_EQ(after_clear->answers, evicted->answers);
+  auto again = engine.Submit(spec);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->result_cache_hit);
+  EXPECT_EQ(again->answers, after_clear->answers);
 }
 
 TEST(QueryEngineTest, ResultCacheBoundaryAtSingleEntry) {
-  // Capacity one is the LRU degenerate case: every distinct query evicts
-  // the previous resident, and only back-to-back repeats may hit.
+  // A one-byte budget is the degenerate case: no result outlives its own
+  // admission, so even back-to-back repeats miss, and each re-evaluation
+  // gives the answers and work of a roomy engine's run.
   Graph g = MakeGraph(41);
   std::vector<Pattern> patterns = MakePatterns(g, 3);
   ASSERT_GE(patterns.size(), 2u);
-  EngineOptions opts;
-  opts.enable_result_cache = true;
-  opts.result_cache_max_entries = 1;
-  QueryEngine engine(&g, opts);
-  auto submit = [&](const Pattern& q) {
+  EngineOptions squeezed;
+  squeezed.enable_result_cache = true;
+  squeezed.cache_budget_bytes = 1;
+  EngineOptions roomy;
+  roomy.enable_result_cache = true;
+  QueryEngine tight(&g, squeezed);
+  QueryEngine engine(&g, roomy);
+  for (const Pattern& q : patterns) {
     QuerySpec spec;
     spec.pattern = q;
-    auto outcome = engine.Submit(spec);
-    EXPECT_TRUE(outcome.ok());
-    return outcome->result_cache_hit;
-  };
-  EXPECT_FALSE(submit(patterns[0]));  // cold: stored
-  EXPECT_TRUE(submit(patterns[0]));   // resident
-  EXPECT_FALSE(submit(patterns[1]));  // evicts patterns[0]
-  EXPECT_FALSE(submit(patterns[0]));  // gone: re-stored, evicts patterns[1]
-  EXPECT_TRUE(submit(patterns[0]));   // resident again
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.result_hits, 2u);
-  EXPECT_EQ(stats.result_misses, 3u);
+    auto first = engine.Submit(spec);
+    ASSERT_TRUE(first.ok());
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      auto outcome = tight.Submit(spec);
+      ASSERT_TRUE(outcome.ok());
+      EXPECT_FALSE(outcome->result_cache_hit) << "a result outlived the budget";
+      EXPECT_EQ(outcome->answers, first->answers);
+      testing::ExpectSameWork(outcome->stats, first->stats);
+      EXPECT_EQ(tight.cache().bytes(), 0u);
+    }
+    auto kept = engine.Submit(spec);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_TRUE(kept->result_cache_hit);
+  }
+  const EngineStats stats = tight.stats();
+  EXPECT_EQ(stats.result_hits, 0u);
+  EXPECT_EQ(stats.result_misses, 2 * patterns.size());
 }
 
 TEST(QueryEngineTest, FailuresFeedWallClockCacheTrafficAndPressure) {
   // An error-heavy workload is load too: each failed evaluation must add
   // its wall time and candidate-cache traffic to the cumulative stats,
-  // and the pressure valve must keep the cache at its bound even when no
+  // and the byte budget must hold once each query is over, even when no
   // query ever succeeds.
   Graph g = MakeGraph(43);
   std::vector<Pattern> patterns = MakePatterns(g, 6);
   ASSERT_FALSE(patterns.empty());
   EngineOptions opts;
-  opts.cache_max_entries = 1;
+  opts.cache_budget_bytes = 1;
   QueryEngine engine(&g, opts);
   // Every evaluation fails after its candidate space is built, so each
   // one has interned sets before it errors out.
@@ -490,8 +526,8 @@ TEST(QueryEngineTest, FailuresFeedWallClockCacheTrafficAndPressure) {
   EXPECT_GT(stats.cache_misses, 0u)
       << "failures built candidates but reported no cache traffic";
   EXPECT_GT(stats.cache_evicted, 0u)
-      << "pressure valve never ran on the failure path";
-  EXPECT_LE(engine.cache().size(), opts.cache_max_entries);
+      << "the budget was never enforced on the failure path";
+  EXPECT_LE(engine.cache().bytes(), opts.cache_budget_bytes);
 
   // The engine keeps serving after a failing streak.
   QuerySpec spec;

@@ -112,9 +112,9 @@ TEST_F(FaultInjectionTest, DeadlineExceededLoopbackEndToEnd) {
       << "the deadline did not interrupt the evaluation (clean run: "
       << clean_ms << " ms)";
 
-  // Nothing the aborted run computed reached any cache.
-  EXPECT_EQ(engine.cache().size(), 0u) << "candidate sets leaked";
-  EXPECT_EQ(engine.ClearResultCache(), 0u) << "a partial result leaked";
+  // Nothing the aborted run computed reached the cache: no candidate
+  // set, and no partial result (the clean re-run below must miss).
+  EXPECT_EQ(engine.cache().size(), 0u) << "a set or partial result leaked";
   EXPECT_EQ(engine.stats().timeouts, 1u);
   EXPECT_EQ(engine.stats().failed, 1u);
   EXPECT_EQ(engine.stats().queries, 0u);

@@ -87,7 +87,6 @@ TEST(ProtocolTest, RequestRoundTripsThroughCodec) {
   request.options.use_simulation = true;
   // How a client asks for the QMatchn baseline.
   request.options.use_incremental_negation = false;
-  request.share_cache = false;
   request.tag = "req-17";
 
   auto decoded = DecodeRequest(EncodeRequest(request));
@@ -98,7 +97,6 @@ TEST(ProtocolTest, RequestRoundTripsThroughCodec) {
   EXPECT_EQ(decoded->options.ball_limit, 123456u);
   EXPECT_TRUE(decoded->options.use_simulation);
   EXPECT_FALSE(decoded->options.use_incremental_negation);
-  EXPECT_FALSE(decoded->share_cache);
   EXPECT_EQ(decoded->tag, "req-17");
   // Encoding is deterministic: a second trip produces the same line.
   EXPECT_EQ(EncodeRequest(*decoded), EncodeRequest(request));
@@ -119,7 +117,6 @@ TEST(ProtocolTest, OpDefaultsToQuery) {
   auto decoded = DecodeRequest(R"({"pattern":"node a x\nfocus a\n"})");
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->op, ServiceRequest::Op::kQuery);
-  EXPECT_TRUE(decoded->share_cache);  // default
 }
 
 TEST(ProtocolTest, AlgoFieldRoundTripsAutoAndDefaultsToUnset) {
@@ -162,7 +159,6 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       // Only the enumeration baselines read it; it is not a wire option.
       R"({"pattern":"p","options":{"max_isomorphisms":5}})",
       R"({"pattern":"p","options":{"use_simulation":1}})",     // wrong type
-      R"({"pattern":"p","share_cache":"yes"})",     // wrong type
       R"({"pattern":12})",                          // wrong type
       R"({"op":5})",                                // wrong type
       R"({"tag":5,"pattern":"p"})",                 // wrong type
@@ -190,6 +186,17 @@ TEST(ProtocolTest, MaxIsomorphismsIsNotEncoded) {
   request.options.max_isomorphisms = 1000;
   EXPECT_EQ(EncodeRequest(request).find("max_isomorphisms"),
             std::string::npos);
+}
+
+// The engine has one cache and no bypass: a request still carrying the
+// retired "share_cache" field is rejected like any unknown field.
+TEST(ProtocolTest, ShareCacheIsAnUnknownRequestField) {
+  auto decoded = DecodeRequest(R"({"pattern":"p","share_cache":false})");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unknown request field"),
+            std::string::npos)
+      << decoded.status().ToString();
 }
 
 TEST(ProtocolTest, DeltaRequestRoundTripsThroughCodec) {
@@ -338,6 +345,31 @@ TEST(ProtocolTest, DeltaResponseRoundTrips) {
 
   // A delta response without its version is rejected, not defaulted.
   EXPECT_FALSE(DecodeResponse(R"({"ok":true,"op":"delta","tag":""})").ok());
+}
+
+TEST(ProtocolTest, DeltaCountsReadStrictly) {
+  DeltaOutcome outcome;
+  outcome.graph_version = 5;
+  outcome.vertices_added = 2;
+  auto response = DecodeResponse(EncodeDeltaResponse(outcome, "d-9"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  auto added = ReadCount(response->body, "vertices_added");
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  EXPECT_EQ(*added, 2u);
+
+  // A count that is negative, fractional, too large or absent is
+  // rejected, never wrapped or truncated.
+  for (const char* bad : {"-1", "2.5", "1e30"}) {
+    std::string line = EncodeDeltaResponse(outcome, "");
+    const std::string field = "\"edges_added\":0";
+    ASSERT_NE(line.find(field), std::string::npos) << line;
+    line.replace(line.find(field), field.size(),
+                 std::string("\"edges_added\":") + bad);
+    auto parsed = DecodeResponse(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_FALSE(ReadCount(parsed->body, "edges_added").ok()) << line;
+  }
+  EXPECT_FALSE(ReadCount(response->body, "no_such_count").ok());
 }
 
 TEST(ProtocolTest, ErrorResponseRoundTrips) {

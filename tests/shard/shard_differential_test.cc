@@ -150,6 +150,8 @@ void RunSweep(uint64_t seed, size_t num_shards, size_t* pairs,
   ref_opts.partition_fragments = num_shards;
   ref_opts.partition_d = d;
   QueryEngine reference(base, ref_opts);  // same content, single engine
+  // A fresh engine of its own for the PQMatch twins below.
+  QueryEngine twin_engine(&base, ref_opts);
 
   DParConfig dpc;
   dpc.num_fragments = num_shards;
@@ -179,8 +181,7 @@ void RunSweep(uint64_t seed, size_t num_shards, size_t* pairs,
     if (spec.algo == EngineAlgo::kQMatch) {
       QuerySpec twin = spec;
       twin.algo = EngineAlgo::kPQMatch;
-      twin.share_cache = false;
-      auto twin_run = reference.Submit(twin);
+      auto twin_run = twin_engine.Submit(twin);
       ASSERT_TRUE(twin_run.ok()) << context;
       EXPECT_EQ(got->answers, twin_run->answers) << context;
       testing::ExpectSameWork(got->stats, twin_run->stats, context);

@@ -67,7 +67,6 @@ ServiceRequest RandomQueryRequest(std::mt19937* rng) {
   r.options.max_quantified_per_path = 1 + (*rng)() % 4;
   r.options.ball_limit = (*rng)() % 10000;
   r.options.scheduler_grain = (*rng)() % 64;
-  r.share_cache = (*rng)() % 2 == 0;
   r.timeout_ms = (*rng)() % 100000;
   r.tag = "t" + std::to_string((*rng)() % 1000);
   return r;

@@ -1,9 +1,15 @@
 #include "tools/cli_lib.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
 
 namespace qgp::cli {
 namespace {
@@ -181,6 +187,84 @@ TEST(CliTest, MineOnSocialGraph) {
   CliResult r = RunTool({"mine", path, "--eta=0.4", "--support=5", "--rules=2"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("mined"), std::string::npos);
+}
+
+// A one-shot loopback server: accepts one connection, reads one request
+// line and answers it with `reply`.
+class CannedServer {
+ public:
+  explicit CannedServer(std::string reply) : reply_(std::move(reply)) {
+    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    bound_ = fd_ >= 0 &&
+             bind(fd_, reinterpret_cast<sockaddr*>(&addr), len) == 0 &&
+             listen(fd_, 1) == 0 &&
+             getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0;
+    port_ = ntohs(addr.sin_port);
+    if (bound_) thread_ = std::thread([this] { Serve(); });
+  }
+  ~CannedServer() {
+    if (thread_.joinable()) thread_.join();
+    if (fd_ >= 0) close(fd_);
+  }
+  bool bound() const { return bound_; }
+  std::string port() const { return std::to_string(port_); }
+
+ private:
+  void Serve() {
+    const int conn = accept(fd_, nullptr, nullptr);
+    if (conn < 0) return;
+    char c = 0;
+    while (read(conn, &c, 1) == 1 && c != '\n') {
+    }
+    const std::string line = reply_ + "\n";
+    (void)!write(conn, line.data(), line.size());
+    close(conn);
+  }
+
+  std::string reply_;
+  int fd_ = -1;
+  bool bound_ = false;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+std::string DeltaReply(const std::string& counts) {
+  return R"({"ok":true,"op":"delta","tag":"","graph_version":3,)" + counts +
+         R"(,"partition_invalidated":false,"wall_ms":0.5})";
+}
+
+TEST(CliTest, DeltaPrintsTheServersCounts) {
+  CannedServer server(DeltaReply(
+      R"("vertices_added":1,"vertices_removed":0,"edges_added":2,)"
+      R"("edges_removed":0,"candidate_sets_evicted":4,)"
+      R"("results_invalidated":5)"));
+  ASSERT_TRUE(server.bound());
+  CliResult r = RunTool({"delta", server.port(), "+v:person"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("version=3 +v=1 -v=0 +e=2 -e=0"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("evicted 4 candidate sets, invalidated 5 results"),
+            std::string::npos)
+      << r.out;
+}
+
+// Counts that no delta can have — negative, or past any integer — are a
+// malformed response, not a wrapped or undefined conversion.
+TEST(CliTest, DeltaRejectsOutOfRangeCounts) {
+  CannedServer server(DeltaReply(
+      R"("vertices_added":-1,"vertices_removed":0,"edges_added":1e30,)"
+      R"("edges_removed":0,"candidate_sets_evicted":0,)"
+      R"("results_invalidated":0)"));
+  ASSERT_TRUE(server.bound());
+  CliResult r = RunTool({"delta", server.port(), "+v:person"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.out, "");
+  EXPECT_NE(r.err.find("malformed delta response"), std::string::npos)
+      << r.err;
 }
 
 }  // namespace

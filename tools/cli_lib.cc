@@ -652,18 +652,25 @@ int CmdDelta(const Args& args, std::ostream& out, std::ostream& err) {
         << response->error_message << "\n";
     return 1;
   }
-  auto count = [&](const char* field) -> uint64_t {
-    const service::JsonValue* v = response->body.Find(field);
-    return v != nullptr && v->is_number()
-               ? static_cast<uint64_t>(v->as_number())
-               : 0;
-  };
-  out << "delta applied: version=" << response->graph_version
-      << " +v=" << count("vertices_added") << " -v="
-      << count("vertices_removed") << " +e=" << count("edges_added")
-      << " -e=" << count("edges_removed") << " (evicted "
-      << count("candidate_sets_evicted") << " candidate sets, invalidated "
-      << count("results_invalidated") << " results)\n";
+  std::ostringstream line;
+  line << "delta applied: version=" << response->graph_version;
+  constexpr std::pair<const char*, const char*> kCounts[] = {
+      {"vertices_added", " +v="},
+      {"vertices_removed", " -v="},
+      {"edges_added", " +e="},
+      {"edges_removed", " -e="},
+      {"candidate_sets_evicted", " (evicted "},
+      {"results_invalidated", " candidate sets, invalidated "}};
+  for (const auto& [field, label] : kCounts) {
+    Result<uint64_t> count = service::ReadCount(response->body, field);
+    if (!count.ok()) {
+      err << "malformed delta response: " << count.status().ToString()
+          << "\n";
+      return 1;
+    }
+    line << label << *count;
+  }
+  out << line.str() << " results)\n";
   return 0;
 }
 

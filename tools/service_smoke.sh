@@ -2,8 +2,9 @@
 # Integration smoke test for the network query service: boots
 # `qgp_cli serve` on an ephemeral loopback port, drives it with the
 # `qgp_cli delta` client and a scripted python3 client (query /
-# malformed line / retired algo name / delta / stats ops), then stops it cleanly via the
-# shutdown op and checks the exit code.
+# malformed line / retired algo name / retired request field / delta /
+# stats ops), then stops it cleanly via the shutdown op and checks the
+# exit code.
 #
 #   tools/service_smoke.sh <path-to-qgp_cli> [workdir]
 #
@@ -34,9 +35,10 @@ done
 
 # The CLI delta client: one batched mutation over the wire (set
 # semantics make re-adding a present edge a harmless no-op, so this is
-# stable across generator tweaks). The reply line carries the version.
+# stable across generator tweaks). The reply line carries the version
+# and the counts, each read through the checked integer decoding.
 "$CLI" delta "$PORT" +v:person +e:0,1,follow --tag=cli-1 \
-  | grep -q "^delta applied: version=" \
+  | grep -q "^delta applied: version=1 +v=1 -v=0 +e=[01] -e=0 " \
   || { echo "cli delta failed"; exit 1; }
 
 python3 - "$PORT" <<'EOF'
@@ -79,13 +81,24 @@ r = call(json.dumps({"op": "query", "pattern": pattern, "algo": "auto",
 assert r["ok"] and r["tag"] == "after-enum" and r["algo"] == "qmatch", r
 assert r["result_cache_hit"], r
 
+# The engine has one cache and no bypass: "share_cache" is an unknown
+# request field, and the connection keeps answering from that cache.
+r = call(json.dumps({"op": "query", "pattern": pattern,
+                     "share_cache": False}))
+assert not r["ok"] and r["error"]["code"] == "InvalidArgument", r
+assert "unknown request field 'share_cache'" in r["error"]["message"], r
+r = call(json.dumps({"op": "query", "pattern": pattern,
+                     "tag": "after-share-cache"}))
+assert r["ok"] and r["tag"] == "after-share-cache", r
+assert r["result_cache_hit"], r
+
 # Stats reflect the traffic so far (the CLI delta already ran).
 r = call(json.dumps({"op": "stats"}))
 assert r["ok"], r
-assert r["service"]["queries_ok"] == 3, r
-assert r["service"]["malformed"] == 3, r
+assert r["service"]["queries_ok"] == 4, r
+assert r["service"]["malformed"] == 4, r
 assert r["service"]["deltas_ok"] == 1, r
-assert r["engine"]["result_hits"] == 2, r
+assert r["engine"]["result_hits"] == 3, r
 
 # A delta over the wire: tombstone one current answer; the version
 # bumps, the cached result is invalidated, and the re-query no longer
